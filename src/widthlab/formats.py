@@ -10,16 +10,24 @@ class FormatError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# graph6 (n <= 62: single size byte, then 6-bit chunks of the upper triangle
-# in column-major order, zero-padded, each chunk offset by 63)
+# graph6: a size header, then 6-bit chunks of the upper triangle in
+# column-major order, zero-padded, each chunk offset by 63.  The header is
+# one byte for n <= 62 and "~" plus three bytes (18 bits of n) up to
+# GRAPH6_MAX_N.
 
-GRAPH6_MAX_N = 62
+GRAPH6_MAX_N = 258047
+
+
+def _graph6_size(n: int) -> str:
+    if n <= 62:
+        return chr(n + 63)
+    return "~" + "".join(chr((n >> shift & 63) + 63) for shift in (12, 6, 0))
 
 
 def to_graph6(g: Graph) -> str:
     if g.n > GRAPH6_MAX_N:
         raise FormatError(f"graph6 writer supports n <= {GRAPH6_MAX_N}, got {g.n}")
-    out = [chr(g.n + 63)]
+    out = [_graph6_size(g.n)]
     chunk = 0
     filled = 0
     for j in range(1, g.n):
@@ -40,12 +48,24 @@ def from_graph6(text: str) -> Graph:
         s = s[len(">>graph6<<") :]
     if not s:
         raise FormatError("empty graph6 string")
-    n = ord(s[0]) - 63
-    if not 0 <= n <= GRAPH6_MAX_N:
-        raise FormatError(f"unsupported graph6 size byte {s[0]!r}")
+    if s[0] == "~":
+        header = s[1:4]
+        if len(header) < 3 or header[0] == "~":
+            raise FormatError(f"unsupported graph6 size header {s[:4]!r}")
+        n = 0
+        for ch in header:
+            val = ord(ch) - 63
+            if not 0 <= val < 64:
+                raise FormatError(f"graph6 size character {ch!r} out of range")
+            n = n << 6 | val
+        body = s[4:]
+    else:
+        n = ord(s[0]) - 63
+        if not 0 <= n <= 62:
+            raise FormatError(f"unsupported graph6 size byte {s[0]!r}")
+        body = s[1:]
     nbits = n * (n - 1) // 2
     nchunks = (nbits + 5) // 6
-    body = s[1:]
     if len(body) != nchunks:
         raise FormatError(
             f"graph6 body has {len(body)} chars, expected {nchunks} for n={n}"

@@ -132,21 +132,26 @@ class Graph:
     def components(self, within: int | None = None) -> list[int]:
         """Connected components (as bitmasks) of the subgraph induced on
         ``within`` (defaults to all vertices), in order of smallest member."""
-        todo = self.full_mask if within is None else within
-        comps = []
-        while todo:
-            start = todo & -todo
-            comp = start
-            frontier = start
+        return components(self.adj, self.full_mask if within is None else within)
+
+
+def components(adj, mask: int) -> list[int]:
+    """Connected components of the subgraph induced on ``mask`` by the
+    adjacency masks ``adj``, as bitmasks in order of smallest member."""
+    comps = []
+    while mask:
+        comp = frontier = mask & -mask
+        while frontier:
+            grow = 0
             while frontier:
-                grow = 0
-                for v in bits(frontier):
-                    grow |= self.adj[v]
-                frontier = grow & todo & ~comp
-                comp |= frontier
-            comps.append(comp)
-            todo &= ~comp
-        return comps
+                low = frontier & -frontier
+                grow |= adj[low.bit_length() - 1]
+                frontier ^= low
+            frontier = grow & mask & ~comp
+            comp |= frontier
+        comps.append(comp)
+        mask ^= comp
+    return comps
 
 
 # ---------------------------------------------------------------------------

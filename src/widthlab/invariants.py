@@ -8,7 +8,7 @@ what keeps sparse 80-vertex instances (iterated s-claw graphs) fast.
 
 from __future__ import annotations
 
-from .graphs import Graph, bits, mask_of
+from .graphs import Graph, bits, components, mask_of
 
 
 class SubsetAlpha:
@@ -28,7 +28,7 @@ class SubsetAlpha:
         if cached is not None:
             return cached
         total = 0
-        for comp in _components(self.adj, mask):
+        for comp in components(self.adj, mask):
             total += self._component(comp)
         self.memo[mask] = total
         return total
@@ -56,23 +56,6 @@ class SubsetAlpha:
                 value = max(without, with_v)
         self.memo[comp] = value
         return value
-
-
-def _components(adj, mask: int) -> list[int]:
-    comps = []
-    todo = mask
-    while todo:
-        comp = todo & -todo
-        frontier = comp
-        while frontier:
-            grow = 0
-            for v in bits(frontier):
-                grow |= adj[v]
-            frontier = grow & todo & ~comp
-            comp |= frontier
-        comps.append(comp)
-        todo &= ~comp
-    return comps
 
 
 def independence_number(g: Graph) -> int:

@@ -6,14 +6,25 @@ bag.  Values come with validated witnesses.
 
 Algorithms (all exact for monotone bag costs):
 
-* treewidth: dynamic programming over elimination prefixes.  Any tree
-  decomposition refines to the clique tree of a chordal completion, and the
-  completions reachable by vertex elimination include all minimal ones, so
-  the DP minimum equals the decomposition minimum.
-* pathwidth: dynamic programming over placed-prefix subsets where the bag
-  of a step is boundary(prefix) + next vertex; a first-appearance ordering
-  of any path decomposition produces bags inside the original ones.  The
-  decision form is a pruned depth-first search over feasible prefixes.
+* treewidth and pathwidth share one dynamic program over vertex subsets
+  (Bodlaender, Fomin, Koster, Kratsch & Thilikos, "On exact algorithms for
+  treewidth", ACM TALG 2012): f(S) is the least possible maximum bag cost
+  over the orderings that place S first, and f(S) = min over v in S of
+  max(f(S - v), cost(bag(S - v, v))).  Only the bag function differs.
+  - treewidth: the bag of v is v plus the unplaced vertices it reaches
+    through placed ones, i.e. the elimination bag.  Any tree decomposition
+    refines to the clique tree of a chordal completion, and the completions
+    reachable by vertex elimination include all minimal ones, so the DP
+    minimum equals the decomposition minimum.
+  - pathwidth: the bag of v is the boundary of the placed set (its vertices
+    with a neighbour outside it) plus v; a first-appearance ordering of any
+    path decomposition produces bags inside the original ones.
+  The DP reads bag costs from a dense table over all 2^n subsets (popcounts,
+  or alpha filled in one pass).  It already keeps 2^n-entry arrays, so the
+  table adds no new size limit there; every other solver visits a sparse
+  family of subsets and keeps the memoised ``SubsetAlpha`` oracle.
+* pathwidth decision form: a pruned depth-first search over feasible
+  prefixes.
 * treedepth: recursion on (connected component, ancestor set), choosing the
   component's root; leaf cost is lambda over ancestors plus the leaf.
 * degeneracy: greedy peeling of a vertex with the cheapest closed
@@ -31,9 +42,8 @@ from .decomp import (
     PathDecomposition,
     RootedForest,
     TreeDecomposition,
-    cost,
 )
-from .graphs import BudgetExceededError, Graph, bits
+from .graphs import BudgetExceededError, Graph, bits, components
 from .invariants import SubsetAlpha
 
 
@@ -56,6 +66,97 @@ def _check_budget(op: str, n: int, limit: int):
 
 
 # ---------------------------------------------------------------------------
+# The subset DP shared by treewidth and pathwidth
+
+
+def _alpha_table(adj) -> list[int]:
+    """alpha of the subgraph induced on every subset, indexed by bitmask.
+
+    With v the lowest vertex of s, a maximum independent set of s either
+    avoids v or takes v and nothing else of N[v]; both subsets are
+    numerically smaller than s, so one pass in numeric order fills the table.
+    """
+    alpha = [0] * (1 << len(adj))
+    closed = [nb | 1 << v for v, nb in enumerate(adj)]
+    for s in range(1, len(alpha)):
+        low = s & -s
+        skip = alpha[s ^ low]
+        take = alpha[s & ~closed[low.bit_length() - 1]] + 1
+        alpha[s] = skip if skip > take else take
+    return alpha
+
+
+def _subset_dp(g: Graph, kind: CostKind, bag) -> tuple[int, list[int], list[int]]:
+    """Minimise the largest bag cost over the orderings of all vertices.
+
+    ``bag(placed, low)`` is the bag that placing the vertex with one-bit mask
+    ``low`` after the set ``placed`` creates.  Returns the optimum, an optimal
+    ordering and its bags.  Every proper subset of s is numerically smaller
+    than s, so plain numeric order solves it first; trying vertices in
+    increasing order with a strict improvement test fixes which optimal
+    ordering is returned.
+    """
+    n = g.n
+    full = (1 << n) - 1
+    if kind is CostKind.CARDINALITY:
+        bag_cost = [s.bit_count() for s in range(full + 1)]
+    else:
+        bag_cost = _alpha_table(g.adj)
+    worst = n + 1  # above every bag cost
+    f = [worst] * (full + 1)
+    choice = [0] * (full + 1)
+    f[0] = 0
+    for s in range(1, full + 1):
+        best = worst
+        m = s
+        while m:
+            low = m & -m
+            m ^= low
+            prev = s ^ low
+            sub = f[prev]
+            if sub >= best:
+                continue
+            value = bag_cost[bag(prev, low)]
+            if value < sub:
+                value = sub
+            if value < best:
+                best = value
+                choice[s] = low.bit_length() - 1
+        f[s] = best
+
+    # choice[s] was placed last among s.
+    order = []
+    s = full
+    while s:
+        order.append(choice[s])
+        s ^= 1 << choice[s]
+    order.reverse()
+    bags = []
+    placed = 0
+    for v in order:
+        bags.append(bag(placed, 1 << v))
+        placed |= 1 << v
+    return f[full], order, bags
+
+
+def _grow_boundary(closed, b: int, s: int, low: int) -> int:
+    """The boundary of s (its vertices with a neighbour outside s), given the
+    boundary b of s minus the vertex ``low``.
+
+    Only ``low`` and its neighbours can change status; u in s stays on the
+    boundary while its closed neighbourhood meets the outside of s.
+    """
+    b |= low
+    m = b & closed[low.bit_length() - 1]
+    while m:
+        u = m & -m
+        m ^= u
+        if not closed[u.bit_length() - 1] & ~s:
+            b ^= u
+    return b
+
+
+# ---------------------------------------------------------------------------
 # Treewidth
 
 
@@ -64,59 +165,27 @@ def lambda_treewidth(
 ) -> WidthResult:
     limit = budgets.tw_card if kind is CostKind.CARDINALITY else budgets.tw_alpha
     _check_budget("lambda_treewidth", g.n, limit)
-    n = g.n
-    if n == 0:
+    if g.n == 0:
         return WidthResult(0, TreeDecomposition((), ()), kind)
-    bag_cost = _bag_cost_fn(g, kind)
     adj = g.adj
-    full = (1 << n) - 1
 
-    def elimination_bag(v: int, placed: int) -> int:
-        # {v} plus the not-yet-placed vertices reachable from v through placed.
-        comp = 1 << v
-        frontier = comp
+    def elimination_bag(placed: int, low: int) -> int:
+        # low plus the unplaced vertices reachable from it through placed.
+        comp = frontier = low
         outside = 0
         while frontier:
             grow = 0
-            for u in bits(frontier):
-                grow |= adj[u]
+            while frontier:
+                u = frontier & -frontier
+                grow |= adj[u.bit_length() - 1]
+                frontier ^= u
             grow &= ~comp
             outside |= grow & ~placed
-            frontier = grow & placed & ~comp
+            frontier = grow & placed
             comp |= frontier
-        return outside | 1 << v
+        return outside | low
 
-    INF = float("inf")
-    f = [INF] * (full + 1)
-    choice = [-1] * (full + 1)
-    f[0] = 0
-    for s in sorted(range(1, full + 1), key=int.bit_count):
-        best, best_v = INF, -1
-        for v in bits(s):
-            prev = s & ~(1 << v)
-            sub = f[prev]
-            if sub >= best:
-                continue
-            value = max(sub, bag_cost(elimination_bag(v, prev)))
-            if value < best:
-                best, best_v = value, v
-        f[s] = best
-        choice[s] = best_v
-
-    # Reconstruct the elimination order (choice[s] was eliminated last in s).
-    order = []
-    s = full
-    while s:
-        v = choice[s]
-        order.append(v)
-        s &= ~(1 << v)
-    order.reverse()
-
-    bags = []
-    placed = 0
-    for v in order:
-        bags.append(elimination_bag(v, placed))
-        placed |= 1 << v
+    value, order, bags = _subset_dp(g, kind, elimination_bag)
     position = {v: i for i, v in enumerate(order)}
     edges = []
     loose = []
@@ -131,66 +200,26 @@ def lambda_treewidth(
     for a, b in zip(loose, loose[1:]):
         edges.append((a, b))
     witness = TreeDecomposition(tuple(bags), tuple(edges))
-    return WidthResult(int(f[full]), witness, kind)
+    return WidthResult(value, witness, kind)
 
 
 # ---------------------------------------------------------------------------
 # Pathwidth
 
 
-def _boundary(adj, placed: int, full: int) -> int:
-    outside = full & ~placed
-    b = 0
-    for v in bits(placed):
-        if adj[v] & outside:
-            b |= 1 << v
-    return b
-
-
 def lambda_pathwidth(
     g: Graph, kind: CostKind, budgets: Budgets = DEFAULT_BUDGETS
 ) -> WidthResult:
     _check_budget("lambda_pathwidth", g.n, budgets.pw_exact)
-    n = g.n
-    if n == 0:
+    if g.n == 0:
         return WidthResult(0, PathDecomposition(()), kind)
-    bag_cost = _bag_cost_fn(g, kind)
-    adj = g.adj
-    full = (1 << n) - 1
-
-    INF = float("inf")
-    f = [INF] * (full + 1)
-    choice = [-1] * (full + 1)
-    f[0] = 0
-    boundary = [0] * (full + 1)
-    for s in sorted(range(1, full + 1), key=int.bit_count):
-        boundary[s] = _boundary(adj, s, full)
-        best, best_v = INF, -1
-        for v in bits(s):
-            prev = s & ~(1 << v)
-            sub = f[prev]
-            if sub >= best:
-                continue
-            value = max(sub, bag_cost(boundary[prev] | 1 << v))
-            if value < best:
-                best, best_v = value, v
-        f[s] = best
-        choice[s] = best_v
-
-    order = []
-    s = full
-    while s:
-        v = choice[s]
-        order.append(v)
-        s &= ~(1 << v)
-    order.reverse()
-    bags = []
-    placed = 0
-    for v in order:
-        bags.append(_boundary(adj, placed, full) | 1 << v)
-        placed |= 1 << v
-    witness = PathDecomposition(tuple(bags))
-    return WidthResult(int(f[full]), witness, kind)
+    closed = [nb | 1 << v for v, nb in enumerate(g.adj)]
+    boundary = [0] * (1 << g.n)
+    for s in range(1, len(boundary)):
+        low = s & -s
+        boundary[s] = _grow_boundary(closed, boundary[s ^ low], s, low)
+    value, _, bags = _subset_dp(g, kind, lambda placed, low: boundary[placed] | low)
+    return WidthResult(value, PathDecomposition(tuple(bags)), kind)
 
 
 def lambda_pw_at_most(
@@ -210,40 +239,47 @@ def lambda_pw_at_most(
         return False
     bag_cost = _bag_cost_fn(g, kind)
     adj = g.adj
+    closed = [nb | 1 << v for v, nb in enumerate(adj)]
     full = (1 << n) - 1
 
+    # Stack entries are (placed set, its boundary).
     seen = {0}
-    stack = [0]
+    stack = [(0, 0)]
     while stack:
-        s = stack.pop()
+        s, boundary = stack.pop()
         if s == full:
             return True
-        boundary = _boundary(adj, s, full)
         rest = full & ~s
         # Greedy closure: a finished vertex with an affordable bag.
-        safe = -1
-        for v in bits(rest):
-            if not adj[v] & rest and bag_cost(boundary | 1 << v) <= k:
-                safe = v
+        safe = 0
+        m = rest
+        while m:
+            low = m & -m
+            m ^= low
+            if not adj[low.bit_length() - 1] & rest and bag_cost(boundary | low) <= k:
+                safe = low
                 break
-        if safe >= 0:
-            t = s | 1 << safe
+        if safe:
+            t = s | safe
             if t not in seen:
                 seen.add(t)
-                stack.append(t)
+                stack.append((t, _grow_boundary(closed, boundary, t, safe)))
             continue
         candidates = []
-        for v in bits(rest):
-            t = s | 1 << v
+        m = rest
+        while m:
+            low = m & -m
+            m ^= low
+            t = s | low
             if t in seen:
                 continue
-            if bag_cost(boundary | 1 << v) <= k:
-                candidates.append(((boundary | 1 << v).bit_count(), v, t))
+            if bag_cost(boundary | low) <= k:
+                candidates.append(((boundary | low).bit_count(), low, t))
         # Expand cheap bags first.
         candidates.sort(reverse=True)
-        for _, _, t in candidates:
+        for _, low, t in candidates:
             seen.add(t)
-            stack.append(t)
+            stack.append((t, _grow_boundary(closed, boundary, t, low)))
     return False
 
 
@@ -276,11 +312,10 @@ def lambda_treedepth(
                 continue
             rest = comp & ~(1 << v)
             value = here
-            if rest:
-                for sub in _subcomponents(adj, rest):
-                    value = max(value, solve(sub, stacked)[0])
-                    if best is not None and value >= best:
-                        break
+            for sub in components(adj, rest):
+                value = max(value, solve(sub, stacked)[0])
+                if best is not None and value >= best:
+                    break
             if best is None or value < best:
                 best, best_root = value, v
         memo[key] = (best, best_root)
@@ -292,7 +327,7 @@ def lambda_treedepth(
         root = solve(comp, above)[1]
         parent[root] = parent_vertex
         rest = comp & ~(1 << root)
-        for sub in _subcomponents(adj, rest):
+        for sub in components(adj, rest):
             build(sub, above | 1 << root, root)
 
     value = 0
@@ -300,23 +335,6 @@ def lambda_treedepth(
         value = max(value, solve(comp, 0)[0])
         build(comp, 0, None)
     return WidthResult(value, RootedForest(tuple(parent)), kind)
-
-
-def _subcomponents(adj, mask: int) -> list[int]:
-    comps = []
-    todo = mask
-    while todo:
-        comp = todo & -todo
-        frontier = comp
-        while frontier:
-            grow = 0
-            for v in bits(frontier):
-                grow |= adj[v]
-            frontier = grow & todo & ~comp
-            comp |= frontier
-        comps.append(comp)
-        todo &= ~comp
-    return comps
 
 
 def lambda_td_at_most(
@@ -330,60 +348,33 @@ def lambda_td_at_most(
         return False
     adj = g.adj
     bag_cost = _bag_cost_fn(g, kind)
+    # Under cardinality the cost of a subtree only depends on the stack
+    # height, so the ancestor set collapses to its size in the memo key.
+    by_height = kind is CostKind.CARDINALITY
     memo: dict[tuple[int, int], bool] = {}
 
     def feasible(comp: int, above: int) -> bool:
-        key = (comp, above)
+        if comp & (comp - 1) == 0:  # a single vertex: one leaf bag
+            return bag_cost(above | comp) <= k
+        key = (comp, above.bit_count() if by_height else above)
         cached = memo.get(key)
         if cached is not None:
             return cached
         ranked = []
-        for v in bits(comp):
-            if bag_cost(above | 1 << v) > k:
+        m = comp
+        while m:
+            low = m & -m
+            m ^= low
+            if bag_cost(above | low) > k:
                 continue
-            rest = comp & ~(1 << v)
-            subs = _subcomponents(adj, rest) if rest else []
+            subs = components(adj, comp ^ low)
             largest = max((c.bit_count() for c in subs), default=0)
-            ranked.append((largest, v, subs))
+            ranked.append((largest, low, subs))
         ranked.sort(key=lambda t: (t[0], t[1]))
-        ok = False
-        for _, v, subs in ranked:
-            if all(feasible(sub, above | 1 << v) for sub in subs):
-                ok = True
-                break
+        ok = any(all(feasible(sub, above | low) for sub in subs) for _, low, subs in ranked)
         memo[key] = ok
         return ok
 
-    if kind is CostKind.CARDINALITY:
-        # The cost of a subtree only depends on the stack height, so the
-        # ancestor set collapses to its size.
-        card_memo: dict[tuple[int, int], bool] = {}
-
-        def feasible_card(comp: int, depth_left: int) -> bool:
-            if depth_left <= 0:
-                return comp == 0
-            if comp.bit_count() == 1:
-                return True
-            key = (comp, depth_left)
-            cached = card_memo.get(key)
-            if cached is not None:
-                return cached
-            ranked = []
-            for v in bits(comp):
-                rest = comp & ~(1 << v)
-                subs = _subcomponents(adj, rest) if rest else []
-                largest = max((c.bit_count() for c in subs), default=0)
-                ranked.append((largest, v, subs))
-            ranked.sort(key=lambda t: (t[0], t[1]))
-            ok = False
-            for _, v, subs in ranked:
-                if all(feasible_card(sub, depth_left - 1) for sub in subs):
-                    ok = True
-                    break
-            card_memo[key] = ok
-            return ok
-
-        return all(feasible_card(comp, k) for comp in g.components())
     return all(feasible(comp, 0) for comp in g.components())
 
 
@@ -481,14 +472,3 @@ def alpha_chromatic(g: Graph, budgets: Budgets = DEFAULT_BUDGETS) -> WidthResult
         for v in bits(block):
             colouring[v] = c
     return WidthResult(best, tuple(colouring), CostKind.INDEPENDENCE)
-
-
-# ---------------------------------------------------------------------------
-# Convenience: witness validity
-
-
-def witness_is_valid(g: Graph, result: WidthResult) -> bool:
-    witness = result.witness
-    if isinstance(witness, (TreeDecomposition, PathDecomposition, RootedForest)):
-        return cost(g, witness, result.kind) == result.value
-    return True

@@ -189,6 +189,14 @@ def test_cli_construct():
     code, out, _ = run_cli("construct", "gamma", "--n", "2", "--format", "dimacs")
     assert code == 0 and out.startswith("p edge 7")
 
+    # 79 vertices need the multi-byte graph6 size header.
+    code, out, _ = run_cli("construct", "gamma", "--n", "4")
+    assert code == 0
+    assert from_graph6(out.strip()) == gamma_family(4)
+    assert from_graph6(out.strip()).n == 79
+    code, out, _ = run_cli("param", "alpha", "--input", "-", stdin=out)
+    assert code == 0 and json.loads(out)["value"] == 40
+
 
 def test_cli_mwis(tmp_path):
     path = tmp_path / "c5.g6"

@@ -11,7 +11,7 @@ from widthlab.formats import (
     to_edge_list,
     to_graph6,
 )
-from widthlab.graphs import Graph, enumerate_graphs, star
+from widthlab.graphs import Graph, enumerate_graphs, random_graph, star
 
 
 def test_graph6_known_string():
@@ -39,6 +39,15 @@ def test_graph6_round_trip_all_small_graphs():
             assert from_graph6(to_graph6(g)) == g
 
 
+def test_graph6_multibyte_size_header():
+    assert to_graph6(Graph(63, (0,) * 63)).startswith("~??~")
+    for n in (62, 63, 79):
+        g = random_graph(n, 0.1, n)
+        text = to_graph6(g)
+        assert text.startswith("~") == (n > 62)
+        assert from_graph6(text) == g
+
+
 def test_graph6_malformed():
     with pytest.raises(FormatError):
         from_graph6("")
@@ -48,6 +57,10 @@ def test_graph6_malformed():
         from_graph6("D?{{")  # trailing junk
     with pytest.raises(FormatError):
         from_graph6(chr(62))  # size byte below '?'
+    with pytest.raises(FormatError):
+        from_graph6("~?@")  # truncated multi-byte size header
+    with pytest.raises(FormatError):
+        from_graph6("~~??????")  # 8-byte header form (n > 258047)
 
 
 def test_dimacs_round_trip():

@@ -32,8 +32,10 @@ from widthlab.graphs import (
     random_graph,
     star,
 )
-from widthlab.invariants import is_chordal
+from widthlab.constructions import SubstitutionKind, substitute
+from widthlab.invariants import SubsetAlpha, is_chordal
 from widthlab.widths import (
+    _alpha_table,
     alpha_chromatic,
     degeneracy,
     lambda_pathwidth,
@@ -81,6 +83,19 @@ def test_pathwidth_agrees_with_ordering_oracle(small_graphs):
             assert lambda_pathwidth(g, kind).value == pw_by_orderings(g, kind)
 
 
+def test_pathwidth_agrees_with_ordering_oracle_n6():
+    for g in enumerate_graphs(6):
+        for kind in BOTH:
+            assert lambda_pathwidth(g, kind).value == pw_by_orderings(g, kind)
+
+
+def test_dense_alpha_table_matches_subset_alpha():
+    for n in (9, 10, 11, 12):
+        g = random_graph(n, 0.35, 700 + n)
+        oracle = SubsetAlpha(g)
+        assert _alpha_table(g.adj) == [oracle(s) for s in range(1 << n)]
+
+
 def test_treedepth_agrees_with_forest_enumeration():
     for n in range(1, 5):
         for g in enumerate_graphs(n):
@@ -117,6 +132,17 @@ def test_alpha_chromatic_matches_function_enumeration():
 
 # ---------------------------------------------------------------------------
 # Known values
+
+
+def test_sclaw_alpha_pathwidth_witness_pinned():
+    # Witnesses are part of the output (CLI JSON, check logs), so the subset
+    # DP's tie-breaking is pinned on one 16-vertex s-claw instance.
+    result = lambda_pathwidth(substitute(path_graph(4), SubstitutionKind.S_CLAW), ALPHA)
+    assert result.value == 2
+    assert result.witness.bags == (
+        16384, 18432, 19456, 17920, 17152, 49152, 40960, 45056,
+        12416, 12480, 12384, 12336, 4104, 4108, 4102, 4099,
+    )
 
 
 def test_treewidth_known(zoo):
