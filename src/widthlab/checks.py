@@ -19,6 +19,8 @@ from .constructions import SubstitutionKind, gamma_family, substitute
 from .decomp import CostKind, chordal_clique_tree, cost, tree_decomp_from_fvs
 from .formats import to_graph6, from_graph6
 from .graphs import (
+    ENUMERATION_MAX_N,
+    BudgetExceededError,
     Graph,
     complete_bipartite,
     complete_graph,
@@ -108,6 +110,12 @@ class CheckReport:
 
 
 def graphs_upto(max_n: int, min_n: int = 1):
+    """All graphs on min_n .. max_n vertices.  An over-budget max_n fails
+    before any smaller n is enumerated."""
+    if max_n > ENUMERATION_MAX_N:
+        raise BudgetExceededError(
+            f"graph enumeration supports n <= {ENUMERATION_MAX_N}, got max_n={max_n}"
+        )
     for n in range(min_n, max_n + 1):
         yield from enumerate_graphs(n)
 

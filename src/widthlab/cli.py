@@ -15,7 +15,7 @@ import json
 import sys
 import time
 
-from .checks import CHECK_NAMES, CheckSpec, default_params, run_check
+from .checks import CHECK_NAMES, CheckSpec, default_params, graphs_upto, run_check
 from .config import DEFAULT_BUDGETS, DEFAULT_SUITE, load_config
 from .constructions import SubstitutionKind, gamma_family, subdivided_claw, substitute
 from .decomp import CostKind, chordal_clique_tree, cost
@@ -201,11 +201,7 @@ def _resolve_family(text: str, seed: int | None) -> list[str]:
             n = int(rest)
             return [to_graph6(g) for g in enumerate_graphs(n)]
         if head == "upto":
-            n = int(rest)
-            out = []
-            for k in range(1, n + 1):
-                out.extend(to_graph6(g) for g in enumerate_graphs(k))
-            return out
+            return [to_graph6(g) for g in graphs_upto(int(rest))]
         if head == "stars":
             lo, hi = rest.split("-")
             return [to_graph6(named_graph(f"star{q}")) for q in range(int(lo), int(hi) + 1)]

@@ -11,7 +11,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations
 
 
 class BudgetExceededError(RuntimeError):
@@ -266,63 +265,87 @@ def _triangle_code(g: Graph, order) -> int:
     return code
 
 
-def canonical_form(g: Graph) -> int:
-    """Lexicographically minimal adjacency bitstring over all relabellings.
+def _twin_below(adj) -> list[int]:
+    """``out[v]`` is the largest ``u < v`` with ``N(u) - {v} == N(v) - {u}``,
+    or -1.  Twinship is an equivalence relation, so these links chain each
+    twin class in increasing order, and swapping twins is an automorphism."""
+    out = []
+    for v, av in enumerate(adj):
+        twin = -1
+        for u in range(v):
+            if adj[u] & ~(1 << v) == av & ~(1 << u):
+                twin = u
+        out.append(twin)
+    return out
+
+
+def _canonical_search(adj) -> tuple[int, list[int], list[list[int]]]:
+    """Lexicographically minimal column-major code over all relabellings.
 
     Branch-and-bound over partial vertex orderings: placing position j fixes
-    the next j bits of the column-major code, so prefixes are comparable and
-    branches that exceed the best known code are cut.
+    the next j bits of the code, so prefixes are comparable and branches
+    whose prefix exceeds the best known code are cut.  Of unplaced twins only
+    the smallest is branched on, since swapping two twins maps one subtree
+    onto the other.
+
+    Returns the code, the first ordering reaching it (position -> vertex),
+    and generators of the automorphism group as vertex maps: every other
+    ordering reaching the code, set against the first, plus the
+    transpositions of consecutive twins.
     """
-    n = g.n
-    if n <= 1:
-        return 0
+    n = len(adj)
+    twin = _twin_below(adj)
+    # A twin may be placed once its next smaller twin is.
+    wait = [1 << u if u >= 0 else 0 for u in twin]
     total_bits = n * (n - 1) // 2
-
-    # Greedy seed: always take the candidate with the smallest next block.
-    order: list[int] = []
-    rest = set(range(n))
-    while rest:
-        placed = order
-        best_v, best_block = None, None
-        for v in sorted(rest):
-            block = 0
-            for u in placed:
-                block = block << 1 | (g.adj[u] >> v & 1)
-            if best_block is None or block < best_block:
-                best_v, best_block = v, block
-        order.append(best_v)
-        rest.remove(best_v)
-    best = _triangle_code(g, order)
-
     bits_after = [total_bits - (j + 1) * j // 2 for j in range(n)]
+    best = 1 << total_bits  # above every code
+    found: list[list[int]] = []
+    order: list[int] = []
 
-    def search(order: list[int], used: int, acc: int, nbits: int):
+    def search(used: int, acc: int, blocks: list[int]):
         nonlocal best
         j = len(order)
         if j == n:
             if acc < best:
                 best = acc
+                found.clear()
+            found.append(order[:])
             return
-        blocks = []
-        for v in range(n):
-            if used >> v & 1:
-                continue
-            block = 0
-            for u in order:
-                block = block << 1 | (g.adj[u] >> v & 1)
-            blocks.append((block, v))
-        blocks.sort()
-        for block, v in blocks:
+        cands = sorted(
+            (blocks[v], v)
+            for v in range(n)
+            if not (used >> v & 1 or wait[v] & ~used)
+        )
+        for block, v in cands:
             acc2 = acc << j | block
-            # Compare the fixed prefix against the best full code.
             if acc2 > best >> bits_after[j]:
                 break  # blocks are sorted; later ones only get bigger
             order.append(v)
-            search(order, used | 1 << v, acc2, nbits + j)
+            av = adj[v]
+            search(used | 1 << v, acc2, [b << 1 | (av >> u & 1) for u, b in enumerate(blocks)])
             order.pop()
 
-    search([], 0, 0, 0)
-    return best
+    search(0, 0, [0] * n)
+    first = found[0]
+    gens = []
+    for other in found[1:]:
+        perm = [0] * n
+        for a, b in zip(first, other):
+            perm[a] = b
+        gens.append(perm)
+    for v, u in enumerate(twin):
+        if u >= 0:
+            perm = list(range(n))
+            perm[u], perm[v] = v, u
+            gens.append(perm)
+    return best, first, gens
+
+
+def canonical_form(g: Graph) -> int:
+    """Lexicographically minimal adjacency bitstring over all relabellings
+    (the column-major upper triangle, as an int)."""
+    return _canonical_search(g.adj)[0]
 
 
 def graph_from_triangle_code(n: int, code: int) -> Graph:
@@ -336,21 +359,74 @@ def graph_from_triangle_code(n: int, code: int) -> Graph:
     return Graph.from_edges(n, edges)
 
 
+def _subset_orbit_reps(n: int, gens) -> list[int]:
+    """The smallest member of each orbit of the subsets of ``range(n)``
+    under the group generated by the vertex maps ``gens``."""
+    root = list(range(1 << n))
+
+    def find(s: int) -> int:
+        while root[s] != s:
+            root[s] = root[root[s]]
+            s = root[s]
+        return s
+
+    image = [0] * (1 << n)
+    for perm in gens:
+        for s in range(1, 1 << n):
+            low = s & -s
+            image[s] = image[s ^ low] | 1 << perm[low.bit_length() - 1]
+        for s in range(1 << n):
+            a, b = find(s), find(image[s])
+            if a != b:  # the smaller root wins, so a root is its set's minimum
+                root[max(a, b)] = min(a, b)
+    return [s for s in range(1 << n) if root[s] == s]
+
+
+def _orbit(v: int, gens) -> int:
+    """The orbit of vertex ``v`` under the group generated by ``gens``, as a
+    bitmask."""
+    orbit = frontier = 1 << v
+    while frontier:
+        grow = 0
+        for u in bits(frontier):
+            for perm in gens:
+                grow |= 1 << perm[u]
+        frontier = grow & ~orbit
+        orbit |= frontier
+    return orbit
+
+
 @lru_cache(maxsize=None)
 def _canonical_codes(n: int) -> tuple[int, ...]:
+    """The canonical codes of all graphs on n vertices, sorted.
+
+    Canonical augmentation (McKay, J. Algorithms 1998): each class on n - 1
+    vertices gets a new vertex n - 1 joined to one neighbourhood per orbit of
+    its automorphism group, and a child is kept only if the new vertex lies
+    in the orbit of its canonical deletion vertex.  That vertex has the
+    largest (degree, sum of neighbour degrees), ties going to the earliest
+    position in the canonical ordering.  Every class is then produced once.
+    """
     if n == 0:
         return (0,)
-    seen = set()
+    new = n - 1
+    codes = []
     for parent_code in _canonical_codes(n - 1):
-        parent = graph_from_triangle_code(n - 1, parent_code)
-        base = [nb for nb in parent.adj]
-        for nbhood in range(1 << (n - 1)):
+        base = list(graph_from_triangle_code(n - 1, parent_code).adj)
+        for nbhood in _subset_orbit_reps(n - 1, _canonical_search(base)[2]):
             adj = base + [nbhood]
             for v in bits(nbhood):
-                adj[v] |= 1 << (n - 1)
-            child = Graph(n, tuple(adj))
-            seen.add(canonical_form(child))
-    return tuple(sorted(seen))
+                adj[v] |= 1 << new
+            deg = [nb.bit_count() for nb in adj]
+            key = [(deg[v], sum(deg[u] for u in bits(adj[v]))) for v in range(n)]
+            top = max(key)
+            if key[new] < top:
+                continue  # the new vertex cannot be in the deletion orbit
+            code, order, gens = _canonical_search(adj)
+            delete = next(v for v in order if key[v] == top)
+            if _orbit(delete, gens) >> new & 1:
+                codes.append(code)
+    return tuple(sorted(codes))
 
 
 def enumerate_graphs(n: int):
@@ -364,20 +440,6 @@ def enumerate_graphs(n: int):
         yield graph_from_triangle_code(n, code)
 
 
-def count_isomorphism_classes(n: int) -> int:
-    return len(_canonical_codes(n))
-
-
 def are_isomorphic(g: Graph, h: Graph) -> bool:
-    """Plain permutation-search isomorphism test (small n only)."""
-    if g.n != h.n or g.num_edges() != h.num_edges():
-        return False
-    if sorted(map(g.degree, g.vertices())) != sorted(map(h.degree, h.vertices())):
-        return False
-    gm = {frozenset(e) for e in g.edges()}
-    for perm in permutations(range(g.n)):
-        if all(frozenset((perm[u], perm[v])) in gm for u, v in h.edges()) and len(
-            gm
-        ) == h.num_edges():
-            return True
-    return False
+    """Isomorphism test by canonical-code equality."""
+    return g.n == h.n and canonical_form(g) == canonical_form(h)

@@ -11,7 +11,7 @@ from itertools import combinations, permutations, product
 from math import factorial
 
 from widthlab.decomp import CostKind
-from widthlab.graphs import Graph, bits, mask_of
+from widthlab.graphs import Graph, _triangle_code, bits, mask_of
 
 
 def subsets(iterable):
@@ -434,3 +434,8 @@ def burnside_graph_count(n: int) -> int:
                 j = index[(na, nb) if na < nb else (nb, na)]
         total += 1 << cycles
     return total // factorial(n)
+
+
+def brute_canonical_code(g: Graph) -> int:
+    """The minimum column-major triangle code over all n! vertex orderings."""
+    return min(_triangle_code(g, order) for order in permutations(range(g.n)))

@@ -174,6 +174,18 @@ def test_cli_verify_exit_codes(tmp_path):
     assert code == 0
 
 
+def test_cli_over_budget_enumeration_fails_fast(capsys):
+    # Exit 2 before enumerating the smaller n: the cache stays untouched.
+    from widthlab.cli import main
+    from widthlab.graphs import _canonical_codes
+
+    before = _canonical_codes.cache_info()
+    assert main(["verify", "chain-inequality", "--max-n", "9"]) == 2
+    assert main(["verify", "chain-inequality", "--family", "upto:9"]) == 2
+    assert _canonical_codes.cache_info() == before
+    assert "n <= 8" in capsys.readouterr().err
+
+
 def test_cli_construct():
     code, out, _ = run_cli("construct", "s-claw", "--iterate", "2")
     assert code == 0

@@ -1,19 +1,24 @@
 """Graph type, named families, enumeration, and canonical forms."""
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import burnside_graph_count
+from oracles import brute_canonical_code, burnside_graph_count
 
 from widthlab.graphs import (
     BudgetExceededError,
     Graph,
+    _canonical_codes,
+    _canonical_search,
     are_isomorphic,
     canonical_form,
     complete_bipartite,
     complete_graph,
     copies,
     cycle_graph,
+    disjoint_union,
     enumerate_graphs,
     named_graph,
     path_graph,
@@ -77,11 +82,75 @@ def test_components():
     assert g.components() == [0b11, 0b1100, 0b110000]
 
 
-@pytest.mark.parametrize("n,count", [(0, 1), (1, 1), (2, 2), (3, 4), (4, 11), (5, 34), (6, 156), (7, 1044)])
+@pytest.mark.parametrize("n,count", [(0, 1), (1, 1), (2, 2), (3, 4), (4, 11), (5, 34), (6, 156), (7, 1044), (8, 12346)])
 def test_enumeration_counts_match_burnside(n, count):
     assert len(list(enumerate_graphs(n))) == count
     if n <= 6:
         assert burnside_graph_count(n) == count
+
+
+# sha256 of the comma-joined decimal codes, recorded from the enumeration
+# that canonicalised every one-vertex extension and deduplicated; the
+# representatives, and so every enumerated Graph.adj, must not change.
+CODE_DIGESTS = {
+    0: "5feceb66ffc86f38d952786c6d696c79c2dbc239dd4e91b46729d73a27fb57e9",
+    1: "5feceb66ffc86f38d952786c6d696c79c2dbc239dd4e91b46729d73a27fb57e9",
+    2: "83b97b859aa5f81b2f0f86ba2a675efaf515ad2d5e2b8652cf2de7e1c2267350",
+    3: "e07a92fb5aaa979553ff4952bd4597b190f6f37b327b065caeb0272ef00c4a82",
+    4: "ee8879922ff2981c1ef94a44feef8f72d7beb0c9cad9d539f0d678d3877a7d26",
+    5: "0590bd47e8dd07dcaf48fca66c863cb1cb934329d93ef0563b96122174383eec",
+    6: "2d01f5d8a4feb13139b83e7c225a2c04568935848b620cae2d28194fa2b246e8",
+    7: "409cc39ac8b2a97b4cb375d79e3658bf2f447a0ea1f3fd5bc580ddb505f502ac",
+    8: "c343647ca62cc9e3626209fdb8a4eb5789ec794f31882e64e77498ea4bbb5dca",
+}
+
+
+@pytest.mark.parametrize("n", sorted(CODE_DIGESTS))
+def test_canonical_codes_pinned(n):
+    text = ",".join(map(str, _canonical_codes(n)))
+    assert hashlib.sha256(text.encode()).hexdigest() == CODE_DIGESTS[n]
+
+
+def test_codes_match_networkx_atlas():
+    nx = pytest.importorskip("networkx")
+    by_n = {}
+    for h in nx.graph_atlas_g():  # one graph per class, n <= 7
+        g = Graph.from_edges(h.number_of_nodes(), h.edges())
+        by_n.setdefault(g.n, []).append(canonical_form(g))
+    assert sorted(by_n) == list(range(8))
+    for n, codes in by_n.items():
+        assert sorted(codes) == list(_canonical_codes(n))
+
+
+def _symmetric_graphs():
+    for n in range(8):
+        yield Graph(n, (0,) * n)
+    for n in range(1, 8):
+        yield complete_graph(n)
+    for p in range(1, 4):
+        for q in range(p, 8 - p):
+            yield complete_bipartite(p, q)
+    for r in range(1, 4):
+        yield copies(r, complete_graph(2))
+    yield copies(2, cycle_graph(3))
+    yield disjoint_union([cycle_graph(3), complete_graph(2)])
+    for s in range(3, 8):
+        yield cycle_graph(s)
+    for q in range(1, 7):
+        yield star(q)
+
+
+@pytest.mark.parametrize(
+    "g",
+    list(_symmetric_graphs())
+    + [random_graph(n, p, seed) for n in (5, 6, 7) for p in (0.3, 0.5, 0.7) for seed in (1, 2)],
+)
+def test_canonical_form_matches_brute_force(g):
+    assert canonical_form(g) == brute_canonical_code(g)
+    code, order, gens = _canonical_search(g.adj)
+    assert sorted(order) == list(range(g.n))
+    for perm in gens:
+        assert g.relabel(perm) == g
 
 
 def test_enumeration_budget():
