@@ -417,8 +417,7 @@ def _eval_modulator_identities(inst, params, budgets) -> str | None:
         got, witness = modulator_number(g, spec, CARD, budgets)
         if got != expected:
             return f"mu[{spec_text}] = {got}, dedicated solver says {expected}"
-        rest, _ = g.induced(g.full_mask & ~mask_of(witness))
-        if not rho_at_most(rest, spec.rho, spec.c, budgets):
+        if not rho_at_most(g, spec.rho, spec.c, budgets, within=g.full_mask & ~mask_of(witness)):
             return f"mu[{spec_text}] witness {witness} is not a modulator"
     uncovered = [
         (u, v) for u, v in g.edges() if u not in vc_witness and v not in vc_witness

@@ -398,22 +398,30 @@ def _orbit(v: int, gens) -> int:
 
 @lru_cache(maxsize=None)
 def _canonical_codes(n: int) -> tuple[int, ...]:
-    """The canonical codes of all graphs on n vertices, sorted.
+    """The canonical codes of all graphs on n vertices, sorted."""
+    return tuple(sorted(_canonical_classes(n)))
+
+
+@lru_cache(maxsize=None)
+def _canonical_classes(n: int) -> dict[int, list[list[int]]]:
+    """Each class on n vertices: its canonical code -> generators of its
+    automorphism group, as vertex maps of ``graph_from_triangle_code(n, code)``.
 
     Canonical augmentation (McKay, J. Algorithms 1998): each class on n - 1
     vertices gets a new vertex n - 1 joined to one neighbourhood per orbit of
     its automorphism group, and a child is kept only if the new vertex lies
     in the orbit of its canonical deletion vertex.  That vertex has the
     largest (degree, sum of neighbour degrees), ties going to the earliest
-    position in the canonical ordering.  Every class is then produced once.
+    position in the canonical ordering.  Every class is then produced once,
+    and the search that accepts it already yields its generators.
     """
     if n == 0:
-        return (0,)
+        return {0: []}
     new = n - 1
-    codes = []
-    for parent_code in _canonical_codes(n - 1):
+    classes = {}
+    for parent_code, parent_gens in _canonical_classes(n - 1).items():
         base = list(graph_from_triangle_code(n - 1, parent_code).adj)
-        for nbhood in _subset_orbit_reps(n - 1, _canonical_search(base)[2]):
+        for nbhood in _subset_orbit_reps(n - 1, parent_gens):
             adj = base + [nbhood]
             for v in bits(nbhood):
                 adj[v] |= 1 << new
@@ -425,8 +433,12 @@ def _canonical_codes(n: int) -> tuple[int, ...]:
             code, order, gens = _canonical_search(adj)
             delete = next(v for v in order if key[v] == top)
             if _orbit(delete, gens) >> new & 1:
-                codes.append(code)
-    return tuple(sorted(codes))
+                # Vertex i of the code's graph is vertex order[i] of adj.
+                pos = [0] * n
+                for i, v in enumerate(order):
+                    pos[v] = i
+                classes[code] = [[pos[perm[v]] for v in order] for perm in gens]
+    return classes
 
 
 def enumerate_graphs(n: int):

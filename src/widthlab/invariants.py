@@ -80,9 +80,11 @@ def max_independent_set(g: Graph) -> tuple[int, ...]:
     return tuple(chosen)
 
 
-def clique_number(g: Graph) -> int:
-    """omega(G) by branch and bound with a greedy colouring upper bound."""
-    if g.n == 0:
+def clique_number(g: Graph, within: int | None = None) -> int:
+    """omega(G[within]) (all of G by default) by branch and bound with a
+    greedy colouring upper bound."""
+    mask = g.full_mask if within is None else within
+    if not mask:
         return 0
     adj = g.adj
     best = 1
@@ -116,7 +118,7 @@ def clique_number(g: Graph) -> int:
             expand(size + 1, mask & adj[v])
             mask &= ~(1 << v)
 
-    expand(0, g.full_mask)
+    expand(0, mask)
     return best
 
 
@@ -172,44 +174,48 @@ def chromatic_number(g: Graph) -> int:
     return k
 
 
-def is_bipartite(g: Graph) -> tuple[bool, tuple[int, ...] | None]:
-    """Bipartiteness with a witness 2-colouring (colour per vertex)."""
-    colour = [-1] * g.n
-    for comp in g.components():
-        root = next(bits(comp))
-        colour[root] = 0
-        queue = [root]
-        while queue:
-            v = queue.pop()
-            for u in bits(g.adj[v]):
-                if colour[u] == -1:
-                    colour[u] = 1 - colour[v]
-                    queue.append(u)
-                elif colour[u] == colour[v]:
-                    return False, None
-    return True, tuple(colour)
+def is_bipartite(
+    g: Graph, within: int | None = None
+) -> tuple[bool, tuple[int, ...] | None]:
+    """Bipartiteness of G[within] (all of G by default) with a witness
+    2-colouring: a colour per vertex of G, -1 outside ``within``.  Each
+    component's smallest vertex gets colour 0, which fixes the colouring."""
+    colour, _ = _two_colour(g.adj, g.full_mask if within is None else within)
+    return (False, None) if colour is None else (True, tuple(colour))
 
 
-def odd_cycle(g: Graph) -> tuple[int, ...] | None:
-    """Vertices of some induced-by-BFS-tree odd cycle, or None if bipartite."""
-    colour = [-1] * g.n
-    parent = [-1] * g.n
-    for comp in g.components():
-        root = next(bits(comp))
+def odd_cycle(g: Graph, within: int | None = None) -> tuple[int, ...] | None:
+    """Vertices of some induced-by-BFS-tree odd cycle of G[within] (all of
+    G by default), or None if it is bipartite."""
+    return _two_colour(g.adj, g.full_mask if within is None else within)[1]
+
+
+def _two_colour(adj, mask: int) -> tuple[list[int] | None, tuple[int, ...] | None]:
+    """BFS 2-colouring of the subgraph induced on ``mask``.
+
+    Components are taken in order of smallest member, each rooted there
+    with colour 0, and neighbours are scanned in increasing order.  Returns
+    ``(colour, None)`` with ``colour[v] == -1`` outside ``mask``, or
+    ``(None, cycle)`` with the odd cycle that the first edge joining two
+    vertices of one colour closes in the BFS tree.
+    """
+    colour = [-1] * len(adj)
+    parent = [-1] * len(adj)
+    todo = mask
+    while todo:
+        root = (todo & -todo).bit_length() - 1
         colour[root] = 0
         order = [root]
-        head = 0
-        while head < len(order):
-            v = order[head]
-            head += 1
-            for u in bits(g.adj[v]):
+        for v in order:  # the list grows while it is walked: a FIFO queue
+            todo &= ~(1 << v)
+            for u in bits(adj[v] & mask):
                 if colour[u] == -1:
                     colour[u] = 1 - colour[v]
                     parent[u] = v
                     order.append(u)
                 elif colour[u] == colour[v]:
-                    return _tree_cycle(parent, u, v)
-    return None
+                    return None, _tree_cycle(parent, u, v)
+    return colour, None
 
 
 def _tree_cycle(parent, u: int, v: int) -> tuple[int, ...]:
@@ -233,54 +239,6 @@ def _tree_cycle(parent, u: int, v: int) -> tuple[int, ...]:
         path_v.append(x)
         x = parent[x]
     return tuple(path_u + [meet] + path_v[::-1])
-
-
-def shortest_cycle(g: Graph) -> tuple[int, ...] | None:
-    """A shortest cycle, found by BFS from every vertex; None if acyclic."""
-    best: tuple[int, ...] | None = None
-    for s in range(g.n):
-        dist = {s: 0}
-        parent = {s: -1}
-        queue = [s]
-        head = 0
-        while head < len(queue):
-            v = queue[head]
-            head += 1
-            for u in bits(g.adj[v]):
-                if u not in dist:
-                    dist[u] = dist[v] + 1
-                    parent[u] = v
-                    queue.append(u)
-                elif parent[v] != u and dist[u] >= dist[v]:
-                    cycle = _join_paths(parent, u, v)
-                    if cycle and (best is None or len(cycle) < len(best)):
-                        best = cycle
-        if best is not None and len(best) == 3:
-            return best
-    return best
-
-
-def _join_paths(parent, u: int, v: int) -> tuple[int, ...] | None:
-    pu, pv = [u], [v]
-    while parent[pu[-1]] != -1:
-        pu.append(parent[pu[-1]])
-    while parent[pv[-1]] != -1:
-        pv.append(parent[pv[-1]])
-    su, sv = set(pu), set(pv)
-    common = su & sv
-    # Walks may share more than the meet point; only keep simple cycles.
-    cu = [x for x in pu if x not in common]
-    cv = [x for x in pv if x not in common]
-    meets = [x for x in pu if x in common]
-    if len(cu) + len(cv) + 1 < 3:
-        return None
-    if set(cu) & set(cv):
-        return None
-    return tuple(cu + [meets[0]] + cv[::-1])
-
-
-def is_forest(g: Graph) -> bool:
-    return g.num_edges() == g.n - len(g.components())
 
 
 def is_chordal(g: Graph) -> tuple[bool, tuple[int, ...] | None]:

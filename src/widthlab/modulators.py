@@ -73,39 +73,47 @@ def rho_value(g: Graph, rho: str, budgets: Budgets = DEFAULT_BUDGETS) -> int:
     raise ValueError(f"unknown target parameter {rho!r}")
 
 
-def rho_at_most(g: Graph, rho: str, c: int, budgets: Budgets = DEFAULT_BUDGETS) -> bool:
-    """rho(g) <= c, with cheap structural shortcuts for the small thresholds
-    that the modulator solver hammers on."""
-    if g.n == 0:
+def rho_at_most(
+    g: Graph,
+    rho: str,
+    c: int,
+    budgets: Budgets = DEFAULT_BUDGETS,
+    within: int | None = None,
+) -> bool:
+    """rho(G[within]) <= c, ``within`` defaulting to all of V.
+
+    The small thresholds that the modulator solver hammers on are decided on
+    ``g.adj`` directly; only the exact fallbacks (pw at c >= 2, tw and td at
+    c >= 3, chi at c >= 3) build the induced subgraph.
+    """
+    adj = g.adj
+    mask = g.full_mask if within is None else within
+    if not mask:
         return c >= 0
-    if c <= 0:
-        return False if rho in ("tw", "pw", "td", "chi") else rho_value(g, rho, budgets) <= c
-    edges = g.num_edges()
-    if rho in ("tw", "pw", "td") and c == 1:
-        return edges == 0
-    acyclic = edges == g.n - len(g.components())
-    if rho == "tw" and c == 2:
-        return acyclic
-    if rho == "td" and c == 2:
-        # Star forest: every component is a K_{1,q}.
-        for comp in g.components():
-            sub, _ = g.induced(comp)
-            if sub.num_edges() != sub.n - 1 or (
-                sub.n > 1 and max_degree(sub) != sub.n - 1
-            ):
+    if rho == "omega":
+        return clique_number(g, mask) <= c
+    if rho == "delta":
+        return max((adj[v] & mask).bit_count() for v in bits(mask)) <= c
+    if c <= 0 and rho in ("tw", "pw", "td", "chi"):
+        return False
+    if c == 1 and rho in ("tw", "pw", "td", "chi"):
+        return not any(adj[v] & mask for v in bits(mask))
+    if c == 2 and rho == "tw":
+        return _mask_is_acyclic(g, mask)
+    if c == 2 and rho == "td":
+        # Star forest: every edge has an end of degree 1, so a vertex of
+        # degree >= 2 is the centre of a star whose leaves see only it.
+        for v in bits(mask):
+            nb = adj[v] & mask
+            if nb & (nb - 1) and any(adj[u] & mask != 1 << v for u in bits(nb)):
                 return False
         return True
+    if c == 2 and rho == "chi":
+        return is_bipartite(g, mask)[0]
+    sub = g if mask == g.full_mask else g.induced(mask)[0]
     if rho == "chi":
-        if c == 1:
-            return edges == 0
-        if c == 2:
-            return is_bipartite(g)[0]
-        return is_k_colourable(g, c)
-    if rho == "delta":
-        return max_degree(g) <= c
-    if rho == "omega":
-        return clique_number(g) <= c
-    return rho_value(g, rho, budgets) <= c
+        return is_k_colourable(sub, c)
+    return rho_value(sub, rho, budgets) <= c
 
 
 def lambda_rho(
@@ -165,8 +173,7 @@ def modulator_number(
     def is_modulator(s_mask: int) -> bool:
         cached = is_mod_cache.get(s_mask)
         if cached is None:
-            rest, _ = g.induced(g.full_mask & ~s_mask)
-            cached = rho_at_most(rest, spec.rho, spec.c, budgets)
+            cached = rho_at_most(g, spec.rho, spec.c, budgets, within=g.full_mask & ~s_mask)
             is_mod_cache[s_mask] = cached
         return cached
 
@@ -199,23 +206,6 @@ def modulator_number(
 def _mask_is_acyclic(g: Graph, mask: int) -> bool:
     edges = sum((g.adj[v] & mask).bit_count() for v in bits(mask)) // 2
     return edges == mask.bit_count() - len(g.components(mask))
-
-
-def _mask_is_bipartite(g: Graph, mask: int) -> bool:
-    colour = {}
-    for comp in g.components(mask):
-        root = next(bits(comp))
-        colour[root] = 0
-        stack = [root]
-        while stack:
-            v = stack.pop()
-            for u in bits(g.adj[v] & mask):
-                if u not in colour:
-                    colour[u] = 1 - colour[v]
-                    stack.append(u)
-                elif colour[u] == colour[v]:
-                    return False
-    return True
 
 
 def _max_induced(g: Graph, good, within: int) -> int:
@@ -296,7 +286,7 @@ def oct_number(
 ) -> tuple[int, tuple[int, ...]]:
     return _cover_type_number(
         g,
-        lambda m: _mask_is_bipartite(g, m),
+        lambda m: is_bipartite(g, m)[0],
         budgets.cover_solvers,
         budgets,
         "oct_number",
@@ -378,8 +368,7 @@ def minimum_modulators(
     value, _ = modulator_number(g, spec, CostKind.CARDINALITY, budgets)
     out = []
     for combo in combinations(range(g.n), value):
-        rest, _ = g.induced(g.full_mask & ~mask_of(combo))
-        if rho_at_most(rest, spec.rho, spec.c, budgets):
+        if rho_at_most(g, spec.rho, spec.c, budgets, within=g.full_mask & ~mask_of(combo)):
             out.append(combo)
             if len(out) >= cap:
                 break

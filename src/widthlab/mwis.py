@@ -33,10 +33,6 @@ class WeightedGraph:
     def weight_of(self, vertices) -> int:
         return sum(self.weights[v] for v in vertices)
 
-    def induced(self, mask: int) -> tuple["WeightedGraph", tuple[int, ...]]:
-        sub, old = self.graph.induced(mask)
-        return WeightedGraph(sub, tuple(self.weights[v] for v in old)), old
-
 
 @dataclass(frozen=True)
 class MwisResult:
@@ -200,66 +196,50 @@ def mwis_exact(wg: WeightedGraph, budgets: Budgets = DEFAULT_BUDGETS) -> MwisRes
 # Bipartite solver via min cut
 
 
-def _bipartite_value_and_witness(
-    wg: WeightedGraph, colour: tuple[int, ...]
-) -> tuple[int, tuple[int, ...]]:
-    g, weights = wg.graph, wg.weights
-    n = g.n
-    source, sink = n, n + 1
-    net = FlowNetwork(n + 2, source, sink)
-    infinity = sum(weights) + 1
-    for v in range(n):
+def _bipartite_value(g: Graph, weights, colour, mask: int) -> int:
+    """MWIS weight of G[mask], which ``colour`` 2-colours: its total weight
+    minus a minimum s-t cut.  Flow nodes are the vertex ids of g."""
+    total = sum(weights[v] for v in bits(mask))
+    if not any(g.adj[v] & mask for v in bits(mask)):
+        return total  # edgeless: the cut is empty
+    source, sink = g.n, g.n + 1
+    net = FlowNetwork(g.n + 2, source, sink)
+    for v in bits(mask):
         if colour[v] == 0:
             net.add_arc(source, v, weights[v])
+            for u in bits(g.adj[v] & mask):
+                net.add_arc(v, u, total + 1)
         else:
             net.add_arc(v, sink, weights[v])
-    for u, v in g.edges():
-        left, right = (u, v) if colour[u] == 0 else (v, u)
-        net.add_arc(left, right, infinity)
-    cut_value = net.max_flow()
-    reachable = net.min_cut_source_side()
-    picked = tuple(
-        v
-        for v in range(n)
-        if weights[v] > 0
-        and ((colour[v] == 0 and v in reachable) or (colour[v] == 1 and v not in reachable))
-    )
-    return sum(weights) - cut_value, picked
+    return total - net.max_flow()
+
+
+def _forced_witness(g: Graph, weights, colour, mask: int, value: int) -> tuple[int, ...]:
+    """The lexicographically smallest independent set of G[mask] of weight
+    ``value`` (its MWIS weight) with no zero-weight member, by forcing
+    vertices in one at a time."""
+    chosen: list[int] = []
+    for v in range(g.n):
+        if value == 0:
+            break
+        if not mask >> v & 1 or weights[v] == 0:
+            continue
+        keep = mask & ~(g.adj[v] | 1 << v)
+        if weights[v] + _bipartite_value(g, weights, colour, keep) == value:
+            chosen.append(v)
+            value -= weights[v]
+            mask = keep
+    return tuple(chosen)
 
 
 def mwis_bipartite(wg: WeightedGraph, budgets: Budgets = DEFAULT_BUDGETS) -> MwisResult:
     """MWIS on a bipartite graph: total weight minus a minimum s-t cut."""
-    ok, colour = is_bipartite(wg.graph)
+    g = wg.graph
+    ok, colour = is_bipartite(g)
     if not ok:
         raise ValueError("mwis_bipartite needs a bipartite input")
-    if wg.n == 0:
-        return MwisResult(0, ())
-    value, _ = _bipartite_value_and_witness(wg, colour)
-    # Lexicographically smallest optimal witness by forcing vertices in.
-    chosen: list[int] = []
-    current = wg
-    ids = tuple(range(wg.n))
-    remaining = value
-    for v in range(wg.n):
-        if remaining == 0:
-            break
-        local = ids.index(v) if v in ids else None
-        if local is None:
-            continue
-        w = current.weights[local]
-        if w == 0:
-            continue
-        g = current.graph
-        keep = g.full_mask & ~(g.adj[local] | 1 << local)
-        sub, old = current.induced(keep)
-        sub_colour = tuple(colour[ids[x]] for x in old)
-        sub_value, _ = _bipartite_value_and_witness(sub, sub_colour)
-        if w + sub_value == remaining:
-            chosen.append(v)
-            remaining -= w
-            current, old = current.induced(keep)
-            ids = tuple(ids[x] for x in old)
-    return MwisResult(value, tuple(chosen))
+    value = _bipartite_value(g, wg.weights, colour, g.full_mask)
+    return MwisResult(value, _forced_witness(g, wg.weights, colour, g.full_mask, value))
 
 
 # ---------------------------------------------------------------------------
@@ -292,8 +272,7 @@ def find_oct_with_bounded_alpha(
             return
         if best is not None and a > best[0]:
             return
-        rest, old = g.induced(g.full_mask & ~s_mask)
-        cycle = odd_cycle(rest)
+        cycle = odd_cycle(g, g.full_mask & ~s_mask)
         if cycle is None:
             witness = tuple(bits(s_mask))
             cand = (a, witness)
@@ -301,8 +280,7 @@ def find_oct_with_bounded_alpha(
                 best = cand
             return
         blocked = forbidden
-        for x in cycle:
-            v = old[x]
+        for v in cycle:
             if blocked >> v & 1:
                 continue
             rec(s_mask | 1 << v, blocked)
@@ -336,26 +314,26 @@ def mwis_via_oct(
 
     For every independent set I inside the transversal, the rest of any
     optimal solution lies in the bipartite graph G[V - S] - N(I); the best
-    I + I' over all I is optimal.
+    I + I' over all I is optimal.  G - S is 2-coloured once, every I gets
+    only its value, and the witness I' is forced only for the I that reach
+    the top weight; of those, the lexicographically smallest I + I' wins.
     """
-    g = wg.graph
+    g, weights = wg.graph, wg.weights
     s = find_oct_with_bounded_alpha(g, k, budgets)
     if s is None:
         raise ValueError(f"no odd cycle transversal with independence number <= {k}")
     s_mask = mask_of(s)
     outside = g.full_mask & ~s_mask
-    best: tuple[int, tuple[int, ...]] | None = None
+    colour = is_bipartite(g, outside)[1]
+    scored = []
     for i_mask in _independent_subsets(g, s_mask):
-        closed = 0
-        for v in bits(i_mask):
-            closed |= g.adj[v]
-        rest_mask = outside & ~closed
-        sub, old = wg.induced(rest_mask)
-        inner = mwis_bipartite(sub, budgets)
-        weight = wg.weight_of(bits(i_mask)) + inner.weight
-        vertices = tuple(sorted(list(bits(i_mask)) + [old[x] for x in inner.vertices]))
-        cand = (-weight, vertices)
-        if best is None or cand < best:
-            best = cand
-    weight = -best[0]
-    return MwisResult(weight, best[1])
+        rest = outside & ~g.neighbourhood(i_mask)
+        inner = _bipartite_value(g, weights, colour, rest)
+        scored.append((wg.weight_of(bits(i_mask)) + inner, i_mask, rest, inner))
+    top = max(weight for weight, _, _, _ in scored)
+    vertices = min(
+        tuple(sorted([*bits(i_mask), *_forced_witness(g, weights, colour, rest, inner)]))
+        for weight, i_mask, rest, inner in scored
+        if weight == top
+    )
+    return MwisResult(top, vertices)

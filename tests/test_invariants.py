@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import brute_alpha, brute_chi, brute_matching, brute_omega
+from oracles import brute_alpha, brute_chi, brute_matching, brute_omega, mask_is_bipartite
 
 from widthlab.graphs import (
     Graph,
@@ -28,6 +28,7 @@ from widthlab.invariants import (
     max_degree,
     max_independent_set,
     max_matching_size,
+    odd_cycle,
 )
 from widthlab.constructions import gamma_family
 
@@ -167,3 +168,43 @@ def test_alpha_scales_to_gamma_family():
     # alpha(s(G)) = 3 alpha(G) + 1 along the family: 1, 4, 13, 40.
     assert independence_number(g) == 40
     assert clique_number(g) == 4
+
+
+def _all_masks():
+    for n in range(7):
+        for g in enumerate_graphs(n):
+            for mask in range(1 << n):
+                yield g, mask
+
+
+def test_clique_number_within_matches_induced():
+    for g, mask in _all_masks():
+        assert clique_number(g, within=mask) == clique_number(g.induced(mask)[0])
+
+
+def test_odd_cycle_within_matches_induced():
+    for g, mask in _all_masks():
+        sub, old = g.induced(mask)
+        cycle = odd_cycle(sub)
+        expected = None if cycle is None else tuple(old[x] for x in cycle)
+        assert odd_cycle(g, within=mask) == expected
+
+
+def test_two_colouring_within_matches_oracle():
+    for g, mask in _all_masks():
+        ok, colour = is_bipartite(g, within=mask)
+        cycle = odd_cycle(g, within=mask)
+        assert ok == mask_is_bipartite(g, mask) == (cycle is None)
+        if ok:
+            sub, old = g.induced(mask)
+            assert is_bipartite(sub)[1] == tuple(colour[v] for v in old)
+            assert all(colour[v] == -1 for v in range(g.n) if not mask >> v & 1)
+            assert all(colour[old[u]] != colour[old[v]] for u, v in sub.edges())
+            # The smallest vertex of each component is coloured 0, which
+            # fixes the colouring that is_bipartite has always returned.
+            assert all(colour[(comp & -comp).bit_length() - 1] == 0
+                       for comp in g.components(mask))
+        else:
+            assert len(cycle) % 2 == 1 and len(set(cycle)) == len(cycle)
+            assert all(mask >> v & 1 for v in cycle)
+            assert all(g.has_edge(cycle[i - 1], cycle[i]) for i in range(len(cycle)))

@@ -1,5 +1,7 @@
 """Modulator numbers, cover solvers, Ramsey bounds, and the lemma checks."""
 
+import hashlib
+
 import pytest
 
 from oracles import (
@@ -22,6 +24,7 @@ from widthlab.graphs import (
     star,
 )
 from widthlab.modulators import (
+    RHO_NAMES,
     ModulatorSpec,
     alpha_vertex_cover,
     binding_f,
@@ -29,6 +32,7 @@ from widthlab.modulators import (
     check_modulator_slack,
     feedback_vertex_number,
     lambda_rho,
+    minimum_modulators,
     modulator_number,
     oct_number,
     ramsey_property_check,
@@ -208,3 +212,41 @@ def test_modulator_monotone_under_induced_subgraphs(small_graphs):
             for v in range(g.n):
                 sub, _ = g.delete([v])
                 assert modulator_number(sub, ModulatorSpec(rho, c))[0] <= base
+
+
+def test_rho_at_most_within_matches_induced():
+    for n in range(7):
+        for g in enumerate_graphs(n):
+            for mask in range(1 << n):
+                sub, _ = g.induced(mask)
+                for rho in RHO_NAMES:
+                    for c in range(4):
+                        assert rho_at_most(g, rho, c, within=mask) == rho_at_most(
+                            sub, rho, c
+                        ), (g.adj, mask, rho, c)
+
+
+PINNED_SPECS = ("tw:1", "tw:2", "td:2", "pw:2", "chi:2", "omega:2")
+# sha256 of _modulator_outputs(), recorded from the solvers that built an
+# induced Graph for every candidate modulator: values and witnesses are part
+# of the output (check logs), so both must not change.
+MODULATOR_DIGEST = "0fd0b914b8c57f8828e7eeae857a046d4661c7e029cf871eb8b039814e20c7f4"
+
+
+def _modulator_outputs() -> str:
+    lines = []
+    for n in range(7):
+        for g in enumerate_graphs(n):
+            for text in PINNED_SPECS:
+                spec = ModulatorSpec.parse(text)
+                lines.append(repr((
+                    modulator_number(g, spec, CARD),
+                    modulator_number(g, spec, ALPHA),
+                    minimum_modulators(g, spec),
+                )))
+    return "\n".join(lines)
+
+
+def test_modulator_witnesses_pinned():
+    digest = hashlib.sha256(_modulator_outputs().encode()).hexdigest()
+    assert digest == MODULATOR_DIGEST

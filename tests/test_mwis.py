@@ -1,5 +1,6 @@
 """MWIS solvers: exact oracle, bipartite min-cut route, OCT route, max flow."""
 
+import hashlib
 import random
 
 import pytest
@@ -11,6 +12,7 @@ from widthlab.graphs import (
     complete_bipartite,
     complete_graph,
     cycle_graph,
+    enumerate_graphs,
     mask_of,
     path_graph,
     random_graph,
@@ -227,3 +229,30 @@ def test_results_deterministic():
     while find_oct_with_bounded_alpha(g, k) is None:
         k += 1
     assert mwis_via_oct(wg, k) == mwis_via_oct(wg, k)
+
+
+# sha256 of _mwis_outputs(), recorded from the solvers that built an induced
+# Graph for every branch and every independent subset of the transversal:
+# transversals and MWIS witnesses must not change, ties included (the small
+# weights make many).
+MWIS_DIGEST = "f17c4877c616f5e6ca0e666ae8ea1ac249f768fdd133745b80b5726ef9848387"
+
+
+def _mwis_outputs() -> str:
+    rng = random.Random(2025)
+    lines = []
+    for n in range(8):
+        for g in enumerate_graphs(n):
+            wg = WeightedGraph(g, tuple(rng.randint(0, 9) for _ in range(n)))
+            k = 0
+            while (s := find_oct_with_bounded_alpha(g, k)) is None:
+                k += 1
+            out = [s, find_oct_with_bounded_alpha(g, n), mwis_via_oct(wg, k)]
+            if is_bipartite(g)[0]:
+                out.append(mwis_bipartite(wg))
+            lines.append(repr(out))
+    return "\n".join(lines)
+
+
+def test_mwis_witnesses_pinned():
+    assert hashlib.sha256(_mwis_outputs().encode()).hexdigest() == MWIS_DIGEST
