@@ -403,9 +403,10 @@ def _canonical_codes(n: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _canonical_classes(n: int) -> dict[int, list[list[int]]]:
+def _canonical_classes(n: int) -> dict[int, list[list[int]] | tuple[()]]:
     """Each class on n vertices: its canonical code -> generators of its
-    automorphism group, as vertex maps of ``graph_from_triangle_code(n, code)``.
+    automorphism group, as vertex maps of ``graph_from_triangle_code(n, code)``
+    (none for n = ENUMERATION_MAX_N, whose classes are never extended).
 
     Canonical augmentation (McKay, J. Algorithms 1998): each class on n - 1
     vertices gets a new vertex n - 1 joined to one neighbourhood per orbit of
@@ -437,7 +438,11 @@ def _canonical_classes(n: int) -> dict[int, list[list[int]]]:
                 pos = [0] * n
                 for i, v in enumerate(order):
                     pos[v] = i
-                classes[code] = [[pos[perm[v]] for v in order] for perm in gens]
+                classes[code] = (
+                    [[pos[perm[v]] for v in order] for perm in gens]
+                    if n < ENUMERATION_MAX_N
+                    else ()
+                )
     return classes
 
 
