@@ -58,7 +58,6 @@ from .mwis import (
     MwisResult,
     WeightedGraph,
     find_oct_with_bounded_alpha,
-    max_flow,
     mwis_bipartite,
     mwis_exact,
     mwis_via_oct,

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import random
 import time
+from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -32,21 +33,10 @@ from .graphs import (
     random_permutation,
     star,
 )
-from .invariants import (
-    SubsetAlpha,
-    chromatic_number,
-    clique_number,
-    contains_induced,
-    independence_number,
-    is_chordal,
-    local_independence_number,
-    max_degree,
-    max_matching_size,
-)
+from .invariants import SubsetAlpha, clique_number, contains_induced, is_chordal, max_degree
 from .modulators import (
+    PARAMETERS,
     ModulatorSpec,
-    alpha_feedback_vertex,
-    alpha_vertex_cover,
     binding_f,
     check_modulator_minimality,
     check_modulator_slack,
@@ -54,6 +44,7 @@ from .modulators import (
     feedback_vertex_number,
     modulator_number,
     oct_number,
+    parameter,
     ramsey_property_check,
     rho_at_most,
     vertex_cover_number,
@@ -61,7 +52,6 @@ from .modulators import (
 from .mwis import WeightedGraph, find_oct_with_bounded_alpha, mwis_bipartite, mwis_exact, mwis_via_oct
 from .widths import (
     alpha_chromatic,
-    degeneracy,
     lambda_pathwidth,
     lambda_pw_at_most,
     lambda_td_at_most,
@@ -139,160 +129,107 @@ def _random_bipartite(n_max: int, seed: int) -> Graph:
     return Graph.from_edges(n, edges)
 
 
-# ---------------------------------------------------------------------------
-# Per-check default parameters, instances, and evaluators
+def _graph_family(params: dict) -> list[str]:
+    """The ``graphs`` param, else every graph on 1 .. max_n vertices."""
+    if "graphs" in params:
+        return list(params["graphs"])
+    return [to_graph6(g) for g in graphs_upto(params["max_n"])]
 
 
-def default_params(name: str, suite: SuiteParams = DEFAULT_SUITE) -> dict:
-    s = suite
-    table = {
-        "chain-inequality": {"max_n": s.chain_max_n},
-        "ramsey-binding": {"max_n": s.ramsey_max_n},
-        "sclaw-increment": {
-            "max_n": s.sclaw_max_n,
-            "random_n": s.sclaw_random_n,
-            "random_count": s.sclaw_random_count,
-            "seed": s.default_seed,
-        },
-        "gamma-witness": {"max_n": s.gamma_max_index},
-        "modulator-slack": {
-            "max_n": s.modulator_max_n,
-            "rhos": ["omega", "chi", "tw", "pw", "td"],
-            "cs": [0, 1, 2],
-            "kinds": ["card", "alpha"],
-        },
-        "modulator-minimality": {
-            "max_n": s.modulator_max_n,
-            "specs": ["tw:1", "tw:2", "chi:2"],
-        },
-        "modulator-identities": {"max_n": s.modulator_max_n},
-        "mwis-equivalence": {
-            "max_n": s.mwis_max_n,
-            "weight_seeds": s.mwis_weight_seeds,
-            "random_count": s.mwis_random_count,
-            "random_max_n": s.mwis_random_max_n,
-            "bipartite_count": s.mwis_bipartite_count,
-            "bipartite_max_n": s.mwis_bipartite_max_n,
-            "weight_max": s.mwis_weight_max,
-            "seed": s.default_seed,
-        },
-        "fvs-alpha-tw-bound": {"max_n": s.modulator_max_n},
-        "delta-not-inheritable": {
-            "q_min": s.delta_star_min,
-            "q_max": s.delta_star_max,
-        },
-        "td-path-formula": {"max_n": s.td_path_max_n},
-        "nk2-knn-witness": {"max_n": s.nk2_knn_max_n},
-        "alpha-chi-nkn": {"max_s": s.alpha_chi_max_s},
-        "iso-invariance": {
-            "max_n": s.iso_max_n,
-            "relabelings": s.iso_relabelings,
-            "seed": s.default_seed,
-        },
-    }
-    if name not in table:
-        raise KeyError(f"unknown check {name!r}")
-    return table[name]
+def _per_graph(params: dict) -> list[dict]:
+    return [{"g6": g6} for g6 in _graph_family(params)]
 
 
-def instances_for(name: str, params: dict, budgets: Budgets = DEFAULT_BUDGETS) -> list[dict]:
-    def family() -> list[str]:
-        if "graphs" in params:
-            return list(params["graphs"])
-        return [to_graph6(g) for g in graphs_upto(params["max_n"])]
+def _per_order(params: dict) -> list[dict]:
+    return [{"n": n} for n in range(1, params["max_n"] + 1)]
 
-    if name in ("chain-inequality", "ramsey-binding", "fvs-alpha-tw-bound"):
-        out = [{"g6": g6} for g6 in family()]
-        if name == "ramsey-binding":
-            out.append({"fact": [6, 3, 3], "expect": True})
-            out.append({"fact": [5, 3, 3], "expect": False})
-        return out
-    if name == "sclaw-increment":
-        if "graphs" in params:
-            return [{"g6": g6} for g6 in params["graphs"]]
-        out = [{"g6": to_graph6(g)} for g in graphs_upto(params["max_n"], min_n=1)]
+
+def _ramsey_instances(params: dict) -> list[dict]:
+    return _per_graph(params) + [
+        {"fact": [6, 3, 3], "expect": True},
+        {"fact": [5, 3, 3], "expect": False},
+    ]
+
+
+def _sclaw_instances(params: dict) -> list[dict]:
+    out = _per_graph(params)
+    if "graphs" not in params:
         seed = params["seed"]
         for i in range(params["random_count"]):
             g = random_graph(params["random_n"], 0.5, seed + i)
             out.append({"g6": to_graph6(g)})
-        return out
-    if name == "gamma-witness":
-        return [{"index": i} for i in range(1, params["max_n"] + 1)]
-    if name == "modulator-slack":
-        return [
-            {"g6": g6, "rho": rho, "c": c, "kind": kind}
-            for g6 in family()
-            for rho in params["rhos"]
-            for c in params["cs"]
-            for kind in params["kinds"]
-        ]
-    if name == "modulator-minimality":
-        return [
-            {"g6": g6, "spec": spec}
-            for g6 in family()
-            for spec in params["specs"]
-        ]
-    if name == "modulator-identities":
-        return [{"g6": g6} for g6 in family()]
-    if name == "mwis-equivalence":
-        if "graphs" in params:
-            return [
-                {"g6": g6, "wseed": params["seed"] + i, "mode": "oct"}
-                for i, g6 in enumerate(params["graphs"])
-            ]
-        out = []
-        seed = params["seed"]
-        for idx, g in enumerate(graphs_upto(params["max_n"])):
-            g6 = to_graph6(g)
-            for s in range(params["weight_seeds"]):
-                out.append({"g6": g6, "wseed": seed + 1000 * s + idx, "mode": "oct"})
-        for i in range(params["random_count"]):
-            rng = random.Random(seed + 500_000 + i)
-            n = rng.randint(1, params["random_max_n"])
-            g = random_graph(n, rng.uniform(0.1, 0.9), seed + 600_000 + i)
-            out.append({"g6": to_graph6(g), "wseed": seed + 700_000 + i, "mode": "oct"})
-        for i in range(params["bipartite_count"]):
-            g = _random_bipartite(params["bipartite_max_n"], seed + 800_000 + i)
-            out.append({"g6": to_graph6(g), "wseed": seed + 900_000 + i, "mode": "bipartite"})
-        return out
-    if name == "delta-not-inheritable":
-        return [{"q": q} for q in range(params["q_min"], params["q_max"] + 1)]
-    if name == "td-path-formula":
-        return [{"n": n} for n in range(1, params["max_n"] + 1)]
-    if name == "nk2-knn-witness":
-        return [{"n": n} for n in range(1, params["max_n"] + 1)]
-    if name == "alpha-chi-nkn":
-        out = [{"graph": f"K{s}", "expect": 1} for s in range(1, params["max_s"] + 1)]
-        out.append({"graph": "2K2", "expect": 2})
-        out.append({"graph": "3K3", "expect_at_least": 3})
-        return out
-    if name == "iso-invariance":
-        return [
-            {"g6": g6, "relabelings": params["relabelings"], "seed": params["seed"]}
-            for g6 in family()
-        ]
-    raise KeyError(f"unknown check {name!r}")
+    return out
 
 
-# -- evaluators --------------------------------------------------------------
+def _slack_instances(params: dict) -> list[dict]:
+    return [
+        {"g6": g6, "rho": rho, "c": c, "kind": kind}
+        for g6 in _graph_family(params)
+        for rho in params["rhos"]
+        for c in params["cs"]
+        for kind in params["kinds"]
+    ]
+
+
+def _minimality_instances(params: dict) -> list[dict]:
+    return [{"g6": g6, "spec": spec} for g6 in _graph_family(params) for spec in params["specs"]]
+
+
+def _mwis_instances(params: dict) -> list[dict]:
+    if "graphs" in params:
+        return [
+            {"g6": g6, "wseed": params["seed"] + i, "mode": "oct"}
+            for i, g6 in enumerate(params["graphs"])
+        ]
+    out = []
+    seed = params["seed"]
+    for idx, g in enumerate(graphs_upto(params["max_n"])):
+        g6 = to_graph6(g)
+        for s in range(params["weight_seeds"]):
+            out.append({"g6": g6, "wseed": seed + 1000 * s + idx, "mode": "oct"})
+    for i in range(params["random_count"]):
+        rng = random.Random(seed + 500_000 + i)
+        n = rng.randint(1, params["random_max_n"])
+        g = random_graph(n, rng.uniform(0.1, 0.9), seed + 600_000 + i)
+        out.append({"g6": to_graph6(g), "wseed": seed + 700_000 + i, "mode": "oct"})
+    for i in range(params["bipartite_count"]):
+        g = _random_bipartite(params["bipartite_max_n"], seed + 800_000 + i)
+        out.append({"g6": to_graph6(g), "wseed": seed + 900_000 + i, "mode": "bipartite"})
+    return out
+
+
+def _alpha_chi_instances(params: dict) -> list[dict]:
+    out = [{"graph": f"K{s}", "expect": 1} for s in range(1, params["max_s"] + 1)]
+    out.append({"graph": "2K2", "expect": 2})
+    out.append({"graph": "3K3", "expect_at_least": 3})
+    return out
+
+
+def _iso_instances(params: dict) -> list[dict]:
+    return [
+        {"g6": g6, "relabelings": params["relabelings"], "seed": params["seed"]}
+        for g6 in _graph_family(params)
+    ]
+
+
+# ---------------------------------------------------------------------------
+# Evaluators: each returns None when its fact holds on the instance, else a
+# failure detail.  The docstring states the fact.
 
 
 def _eval_chain(inst, params, budgets) -> str | None:
+    """tw <= pw <= td <= vc + 1 for both cost kinds."""
     g = from_graph6(inst["g6"])
     for kind in (CARD, ALPHA):
-        tw = lambda_treewidth(g, kind, budgets).value
-        pw = lambda_pathwidth(g, kind, budgets).value
-        td = lambda_treedepth(g, kind, budgets).value
-        if kind is CARD:
-            vc = vertex_cover_number(g, budgets)[0]
-        else:
-            vc = alpha_vertex_cover(g, budgets)
+        tw, pw, td, vc = (parameter(name, kind)(g, budgets)[0] for name in ("tw", "pw", "td", "vc"))
         if not (tw <= pw <= td <= vc + 1):
             return f"{kind.value}: tw={tw} pw={pw} td={td} vc={vc}"
     return None
 
 
 def _eval_ramsey_binding(inst, params, budgets) -> str | None:
+    """rho <= C(omega + alpha-rho, omega) - 1 for rho in vc, fvs, tw, pw, td;
+    plus exact R(3,3) facts."""
     if "fact" in inst:
         n, a, b = inst["fact"]
         got = ramsey_property_check(n, a, b)
@@ -300,34 +237,20 @@ def _eval_ramsey_binding(inst, params, budgets) -> str | None:
             return f"ramsey_property_check({n},{a},{b}) = {got}, expected {inst['expect']}"
         return None
     g = from_graph6(inst["g6"])
+    if not g.n:
+        return None  # f needs omega >= 1; the empty graph binds nothing
     omega = clique_number(g)
-    values = {
-        "vc": (vertex_cover_number(g, budgets)[0], alpha_vertex_cover(g, budgets)),
-        "fvs": (feedback_vertex_number(g, budgets)[0], alpha_feedback_vertex(g, budgets)),
-        "tw": (
-            lambda_treewidth(g, CARD, budgets).value,
-            lambda_treewidth(g, ALPHA, budgets).value,
-        ),
-        "pw": (
-            lambda_pathwidth(g, CARD, budgets).value,
-            lambda_pathwidth(g, ALPHA, budgets).value,
-        ),
-        "td": (
-            lambda_treedepth(g, CARD, budgets).value,
-            lambda_treedepth(g, ALPHA, budgets).value,
-        ),
-    }
-    for rho, (plain, alpha_variant) in values.items():
-        bound = binding_f(omega, alpha_variant) if g.n else 0
-        if g.n and plain > bound:
-            return (
-                f"{rho}={plain} > f(omega={omega}) = {bound} with "
-                f"alpha-{rho}={alpha_variant}"
-            )
+    for rho in ("vc", "fvs", "tw", "pw", "td"):
+        plain, alpha_variant = (parameter(rho, kind)(g, budgets)[0] for kind in (CARD, ALPHA))
+        bound = binding_f(omega, alpha_variant)
+        if plain > bound:
+            return f"{rho}={plain} > f(omega={omega}) = {bound} with alpha-{rho}={alpha_variant}"
     return None
 
 
 def _eval_sclaw(inst, params, budgets) -> str | None:
+    """the s-claw / P5 / net substitutions raise alpha-pw / alpha-td / alpha-pw by
+    exactly 1."""
     g = from_graph6(inst["g6"])
     apw = lambda_pathwidth(g, ALPHA, budgets).value
     atd = lambda_treedepth(g, ALPHA, budgets).value
@@ -347,6 +270,8 @@ def _eval_sclaw(inst, params, budgets) -> str | None:
 
 
 def _eval_gamma(inst, params, budgets) -> str | None:
+    """the iterated s-claw family: alpha-pw(S_n) = n, omega = n, chordal,
+    td <= 2 omega, {P6,C4,C5,C6}-free, alpha-tw = 1."""
     index = inst["index"]
     g = gamma_family(index, budgets)
     expected_order = 1
@@ -389,6 +314,7 @@ def _eval_gamma(inst, params, budgets) -> str | None:
 
 
 def _eval_modulator_slack(inst, params, budgets) -> str | None:
+    """lambda-rho <= lambda-mu[rho:c] + c."""
     g = from_graph6(inst["g6"])
     spec = ModulatorSpec(inst["rho"], inst["c"])
     kind = CostKind.parse(inst["kind"])
@@ -396,12 +322,15 @@ def _eval_modulator_slack(inst, params, budgets) -> str | None:
 
 
 def _eval_modulator_minimality(inst, params, budgets) -> str | None:
+    """the exchange step: swapping a maximum independent set into a minimum
+    modulator cannot shrink it."""
     g = from_graph6(inst["g6"])
     spec = ModulatorSpec.parse(inst["spec"])
     return check_modulator_minimality(g, spec, budgets)
 
 
 def _eval_modulator_identities(inst, params, budgets) -> str | None:
+    """mu[tw:1] = mu[td:1] = vc, mu[tw:2] = fvs, mu[chi:2] = oct."""
     g = from_graph6(inst["g6"])
     vc, vc_witness = vertex_cover_number(g, budgets)
     fvs = feedback_vertex_number(g, budgets)[0]
@@ -428,6 +357,7 @@ def _eval_modulator_identities(inst, params, budgets) -> str | None:
 
 
 def _eval_mwis(inst, params, budgets) -> str | None:
+    """OCT-based and bipartite MWIS agree with the exact oracle."""
     g = from_graph6(inst["g6"])
     weights = _seeded_weights(g.n, inst["wseed"], params["weight_max"])
     wg = WeightedGraph(g, weights)
@@ -458,6 +388,7 @@ def _eval_mwis(inst, params, budgets) -> str | None:
 
 
 def _eval_fvs_alpha_tw(inst, params, budgets) -> str | None:
+    """alpha-tw <= alpha(G[S]) + 1 for a minimum feedback vertex set S."""
     g = from_graph6(inst["g6"])
     _, s = feedback_vertex_number(g, budgets)
     s_mask = mask_of(s)
@@ -473,6 +404,8 @@ def _eval_fvs_alpha_tw(inst, params, budgets) -> str | None:
 
 
 def _eval_delta_not_inheritable(inst, params, budgets) -> str | None:
+    """stars violate the slack inequality for (delta, 0): the one direction
+    that genuinely fails."""
     q = inst["q"]
     g = star(q)
     spec = ModulatorSpec("delta", 0)
@@ -487,6 +420,7 @@ def _eval_delta_not_inheritable(inst, params, budgets) -> str | None:
 
 
 def _eval_td_path(inst, params, budgets) -> str | None:
+    """td(P_n) = ceil(log2(n+1))."""
     n = inst["n"]
     g = path_graph(n)
     expected = n.bit_length()  # ceil(log2(n+1)) for n >= 1
@@ -502,6 +436,7 @@ def _eval_td_path(inst, params, budgets) -> str | None:
 
 
 def _eval_nk2_knn(inst, params, budgets) -> str | None:
+    """nK2 and K_{n,n} have clique number 2 and vertex cover number n."""
     n = inst["n"]
     for label, g in ((f"{n}K2", copies(n, complete_graph(2))), (f"K_{n},{n}", complete_bipartite(n, n))):
         vc = vertex_cover_number(g, budgets)[0]
@@ -514,6 +449,7 @@ def _eval_nk2_knn(inst, params, budgets) -> str | None:
 
 
 def _eval_alpha_chi(inst, params, budgets) -> str | None:
+    """alpha-chi(K_s) = 1, alpha-chi(2K2) = 2, alpha-chi(3K3) >= 3."""
     from .graphs import named_graph
 
     g = named_graph(inst["graph"])
@@ -528,31 +464,20 @@ def _eval_alpha_chi(inst, params, budgets) -> str | None:
 
 
 def _iso_parameters(g: Graph, budgets: Budgets) -> dict[str, int]:
-    out = {
-        "order": g.n,
-        "alpha": independence_number(g),
-        "omega": clique_number(g),
-        "chi": chromatic_number(g),
-        "delta": max_degree(g),
-        "matching": max_matching_size(g),
-        "degeneracy": degeneracy(g, CARD).value,
-        "alpha-degeneracy": degeneracy(g, ALPHA).value,
-        "vc": vertex_cover_number(g, budgets)[0],
-        "fvs": feedback_vertex_number(g, budgets)[0],
-        "oct": oct_number(g, budgets)[0],
-        "alpha-chi": alpha_chromatic(g, budgets).value,
-    }
-    if g.n >= 1:
-        out["local-alpha"] = local_independence_number(g)
-    for kind in (CARD, ALPHA):
-        out[f"tw-{kind.value}"] = lambda_treewidth(g, kind, budgets).value
-        out[f"pw-{kind.value}"] = lambda_pathwidth(g, kind, budgets).value
-        out[f"td-{kind.value}"] = lambda_treedepth(g, kind, budgets).value
+    out = {}
+    for name, entries in PARAMETERS.items():
+        for kind, entry in zip((CARD, ALPHA), entries):
+            if entry is not None:
+                out[name if kind is CARD else f"alpha-{name}"] = entry(g, budgets)[0]
     return out
 
 
 def _eval_iso_invariance(inst, params, budgets) -> str | None:
+    """every parameter of the table, under each kind it has, is invariant
+    under seeded relabelings."""
     g = from_graph6(inst["g6"])
+    if not g.n:
+        return None  # one labelling; local-alpha is undefined on it
     base = _iso_parameters(g, budgets)
     for i in range(inst["relabelings"]):
         perm = random_permutation(g.n, inst["seed"] + 31 * i)
@@ -564,24 +489,135 @@ def _eval_iso_invariance(inst, params, budgets) -> str | None:
     return None
 
 
-_EVALUATORS = {
-    "chain-inequality": _eval_chain,
-    "ramsey-binding": _eval_ramsey_binding,
-    "sclaw-increment": _eval_sclaw,
-    "gamma-witness": _eval_gamma,
-    "modulator-slack": _eval_modulator_slack,
-    "modulator-minimality": _eval_modulator_minimality,
-    "modulator-identities": _eval_modulator_identities,
-    "mwis-equivalence": _eval_mwis,
-    "fvs-alpha-tw-bound": _eval_fvs_alpha_tw,
-    "delta-not-inheritable": _eval_delta_not_inheritable,
-    "td-path-formula": _eval_td_path,
-    "nk2-knn-witness": _eval_nk2_knn,
-    "alpha-chi-nkn": _eval_alpha_chi,
-    "iso-invariance": _eval_iso_invariance,
+# ---------------------------------------------------------------------------
+# The registry
+
+
+@dataclass(frozen=True)
+class Check:
+    """One registered check.
+
+    ``defaults`` gives its params from the suite sizes; ``instances`` builds
+    its instance family from the params; ``evaluate`` decides one instance
+    and states the asserted fact in its docstring; ``meta``, when set, adds
+    report metadata.  A check with ``family`` also reads a ``graphs`` param,
+    a list of graph6 strings that replaces its enumerated family.
+    """
+
+    defaults: Callable[[SuiteParams], dict]
+    instances: Callable[[dict], list[dict]]
+    evaluate: Callable[[dict, dict, Budgets], str | None]
+    family: bool = False
+    meta: Callable[[dict, Budgets], dict] | None = None
+
+
+def _minimality_meta(params: dict, budgets: Budgets) -> dict:
+    h = {}
+    for text in params["specs"]:
+        spec = ModulatorSpec.parse(text)
+        h[text] = empirical_h(spec.rho, spec.c, budgets)
+    return {"h": h}
+
+
+CHECKS: dict[str, Check] = {
+    "chain-inequality": Check(
+        lambda s: {"max_n": s.chain_max_n}, _per_graph, _eval_chain, family=True
+    ),
+    "ramsey-binding": Check(
+        lambda s: {"max_n": s.ramsey_max_n}, _ramsey_instances, _eval_ramsey_binding, family=True
+    ),
+    "sclaw-increment": Check(
+        lambda s: {
+            "max_n": s.sclaw_max_n,
+            "random_n": s.sclaw_random_n,
+            "random_count": s.sclaw_random_count,
+            "seed": s.default_seed,
+        },
+        _sclaw_instances,
+        _eval_sclaw,
+        family=True,
+    ),
+    "gamma-witness": Check(
+        lambda s: {"max_n": s.gamma_max_index},
+        lambda p: [{"index": i} for i in range(1, p["max_n"] + 1)],
+        _eval_gamma,
+    ),
+    "modulator-slack": Check(
+        lambda s: {
+            "max_n": s.modulator_max_n,
+            "rhos": ["omega", "chi", "tw", "pw", "td"],
+            "cs": [0, 1, 2],
+            "kinds": ["card", "alpha"],
+        },
+        _slack_instances,
+        _eval_modulator_slack,
+        family=True,
+    ),
+    "modulator-minimality": Check(
+        lambda s: {"max_n": s.modulator_max_n, "specs": ["tw:1", "tw:2", "chi:2"]},
+        _minimality_instances,
+        _eval_modulator_minimality,
+        family=True,
+        meta=_minimality_meta,
+    ),
+    "modulator-identities": Check(
+        lambda s: {"max_n": s.modulator_max_n}, _per_graph, _eval_modulator_identities, family=True
+    ),
+    "mwis-equivalence": Check(
+        lambda s: {
+            "max_n": s.mwis_max_n,
+            "weight_seeds": s.mwis_weight_seeds,
+            "random_count": s.mwis_random_count,
+            "random_max_n": s.mwis_random_max_n,
+            "bipartite_count": s.mwis_bipartite_count,
+            "bipartite_max_n": s.mwis_bipartite_max_n,
+            "weight_max": s.mwis_weight_max,
+            "seed": s.default_seed,
+        },
+        _mwis_instances,
+        _eval_mwis,
+        family=True,
+    ),
+    "fvs-alpha-tw-bound": Check(
+        lambda s: {"max_n": s.modulator_max_n}, _per_graph, _eval_fvs_alpha_tw, family=True
+    ),
+    "delta-not-inheritable": Check(
+        lambda s: {"q_min": s.delta_star_min, "q_max": s.delta_star_max},
+        lambda p: [{"q": q} for q in range(p["q_min"], p["q_max"] + 1)],
+        _eval_delta_not_inheritable,
+    ),
+    "td-path-formula": Check(lambda s: {"max_n": s.td_path_max_n}, _per_order, _eval_td_path),
+    "nk2-knn-witness": Check(lambda s: {"max_n": s.nk2_knn_max_n}, _per_order, _eval_nk2_knn),
+    "alpha-chi-nkn": Check(
+        lambda s: {"max_s": s.alpha_chi_max_s}, _alpha_chi_instances, _eval_alpha_chi
+    ),
+    "iso-invariance": Check(
+        lambda s: {
+            "max_n": s.iso_max_n,
+            "relabelings": s.iso_relabelings,
+            "seed": s.default_seed,
+        },
+        _iso_instances,
+        _eval_iso_invariance,
+        family=True,
+    ),
 }
 
-CHECK_NAMES = tuple(sorted(_EVALUATORS))
+CHECK_NAMES = tuple(sorted(CHECKS))
+
+
+def _check(name: str) -> Check:
+    if name not in CHECKS:
+        raise KeyError(f"unknown check {name!r}")
+    return CHECKS[name]
+
+
+def default_params(name: str, suite: SuiteParams = DEFAULT_SUITE) -> dict:
+    return _check(name).defaults(suite)
+
+
+def instances_for(name: str, params: dict, budgets: Budgets = DEFAULT_BUDGETS) -> list[dict]:
+    return _check(name).instances(params)
 
 
 def _instance_id(inst: dict) -> str:
@@ -594,7 +630,7 @@ def _instance_id(inst: dict) -> str:
 def _eval_one(args):
     name, inst, params, budgets = args
     try:
-        detail = _EVALUATORS[name](inst, params, budgets)
+        detail = CHECKS[name].evaluate(inst, params, budgets)
     except Exception as exc:  # surfaced as a failure, not a crash
         detail = f"evaluator error: {type(exc).__name__}: {exc}"
     return detail
@@ -607,9 +643,15 @@ def run_check(
     jobs: int = 1,
     log_path: str | None = None,
 ) -> CheckReport:
-    if spec.name not in _EVALUATORS:
-        raise KeyError(f"unknown check {spec.name!r}")
-    params = default_params(spec.name, suite)
+    check = _check(spec.name)
+    params = check.defaults(suite)
+    declared = set(params) | ({"graphs"} if check.family else set())
+    undeclared = sorted(set(spec.params) - declared)
+    if undeclared:
+        raise KeyError(
+            f"check {spec.name!r} reads no param {', '.join(undeclared)} "
+            f"(it reads {', '.join(sorted(declared))})"
+        )
     params.update(spec.params)
     start = time.perf_counter()
     instances = instances_for(spec.name, params, budgets)
@@ -625,12 +667,7 @@ def run_check(
         if detail is not None
     ]
     elapsed_ms = int((time.perf_counter() - start) * 1000)
-    meta = {}
-    if spec.name == "modulator-minimality":
-        meta["h"] = {
-            text: empirical_h(ModulatorSpec.parse(text).rho, ModulatorSpec.parse(text).c, budgets)
-            for text in params["specs"]
-        }
+    meta = check.meta(params, budgets) if check.meta else {}
     report = CheckReport(spec.name, len(instances), failures, elapsed_ms, meta)
     if log_path:
         with open(log_path, "w") as fh:

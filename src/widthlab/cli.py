@@ -18,36 +18,11 @@ import time
 from .checks import CHECK_NAMES, CheckSpec, default_params, graphs_upto, run_check
 from .config import DEFAULT_BUDGETS, DEFAULT_SUITE, load_config
 from .constructions import SubstitutionKind, gamma_family, subdivided_claw, substitute
-from .decomp import CostKind, chordal_clique_tree, cost
+from .decomp import CostKind
 from .formats import FormatError, emit, parse
 from .graphs import BudgetExceededError, Graph, named_graph
-from .invariants import (
-    chromatic_number,
-    clique_number,
-    independence_number,
-    local_independence_number,
-    max_degree,
-    max_matching_size,
-    max_independent_set,
-)
-from .modulators import (
-    ModulatorSpec,
-    feedback_vertex_number,
-    modulator_number,
-    oct_number,
-    vertex_cover_number,
-)
+from .modulators import ALPHA, ModulatorSpec, modulator_number, parameter
 from .mwis import WeightedGraph, mwis_bipartite, mwis_exact, mwis_via_oct
-from .widths import (
-    alpha_chromatic,
-    degeneracy,
-    lambda_pathwidth,
-    lambda_treedepth,
-    lambda_treewidth,
-)
-
-CARD = CostKind.CARDINALITY
-ALPHA = CostKind.INDEPENDENCE
 
 
 class UsageError(Exception):
@@ -77,72 +52,17 @@ def _witness_json(witness):
     return witness
 
 
-def _resolve_parameter_name(name: str, kind: CostKind) -> tuple[str, CostKind]:
-    """Map 'alpha-tw' style names onto (base name, independence kind)."""
-    if name == "alpha-chi":
-        return name, ALPHA
-    if name.startswith("alpha-") and name != "alpha":
-        return name[len("alpha-") :], ALPHA
-    return name, kind
-
-
-def _compute_parameter(g: Graph, name: str, kind: CostKind):
-    """Returns (value, witness-or-None)."""
-    if name in ("n", "order"):
-        return g.n, None
-    if name == "alpha":
-        return independence_number(g), max_independent_set(g)
-    if name == "omega":
-        return clique_number(g), None
-    if name == "chi":
-        return chromatic_number(g), None
-    if name in ("delta", "max-degree"):
-        return max_degree(g), None
-    if name == "local-alpha":
-        return local_independence_number(g), None
-    if name == "matching":
-        return max_matching_size(g), None
-    if name == "alpha-chi":
-        result = alpha_chromatic(g)
-        return result.value, result.witness
-    if name == "tw":
-        result = lambda_treewidth(g, kind)
-        return result.value, result.witness
-    if name == "pw":
-        result = lambda_pathwidth(g, kind)
-        return result.value, result.witness
-    if name == "td":
-        result = lambda_treedepth(g, kind)
-        return result.value, result.witness
-    if name == "degeneracy":
-        result = degeneracy(g, kind)
-        return result.value, result.witness
-    if name == "vc":
-        if kind is ALPHA:
-            return modulator_number(g, ModulatorSpec("tw", 1), ALPHA)
-        return vertex_cover_number(g)
-    if name == "fvs":
-        if kind is ALPHA:
-            return modulator_number(g, ModulatorSpec("tw", 2), ALPHA)
-        return feedback_vertex_number(g)
-    if name == "oct":
-        if kind is ALPHA:
-            return modulator_number(g, ModulatorSpec("chi", 2), ALPHA)
-        return oct_number(g)
-    if name == "alpha-tw-clique-tree":
-        td = chordal_clique_tree(g)
-        return cost(g, td, ALPHA), td
-    if ":" in name:
-        spec = ModulatorSpec.parse(name.removeprefix("mu:"))
-        return modulator_number(g, spec, kind)
-    raise UsageError(f"unknown parameter {name!r}")
-
-
 def cmd_param(args) -> int:
     g = _read_graph(args)
-    name, kind = _resolve_parameter_name(args.parameter, CostKind.parse(args.kind))
+    name, kind = args.parameter, CostKind.parse(args.kind)
+    if name.startswith("alpha-"):
+        name, kind = name.removeprefix("alpha-"), ALPHA
+    name = {"n": "order", "max-degree": "delta"}.get(name, name)
     start = time.perf_counter()
-    value, witness = _compute_parameter(g, name, kind)
+    if ":" in name:
+        value, witness = modulator_number(g, ModulatorSpec.parse(name.removeprefix("mu:")), kind)
+    else:
+        value, witness = parameter(name, kind)(g, DEFAULT_BUDGETS)
     elapsed_ms = int((time.perf_counter() - start) * 1000)
     out = {
         "parameter": args.parameter,
@@ -165,18 +85,16 @@ def cmd_verify(args) -> int:
             f"unknown check {args.check!r}; see `widthlab list-checks`"
         )
     params = {}
-    defaults = default_params(args.check, suite)
     if args.max_n is not None:
-        for key in ("max_n",):
-            if key in defaults:
-                params[key] = args.max_n
-    if args.seed is not None and "seed" in defaults:
+        params["max_n"] = args.max_n
+    # --seed also seeds the random: family, so checks without a seed accept it.
+    if args.seed is not None and "seed" in default_params(args.check, suite):
         params["seed"] = args.seed
-    if args.rho is not None and "rhos" in defaults:
+    if args.rho is not None:
         params["rhos"] = [args.rho]
-    if args.c is not None and "cs" in defaults:
+    if args.c is not None:
         params["cs"] = [args.c]
-    if args.kind is not None and "kinds" in defaults:
+    if args.kind is not None:
         params["kinds"] = [args.kind]
     if args.family is not None:
         params["graphs"] = _resolve_family(args.family, args.seed)
@@ -350,6 +268,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (FormatError, BudgetExceededError, ValueError, KeyError) as exc:
+        if isinstance(exc, KeyError) and exc.args:
+            exc = exc.args[0]  # str() of a KeyError quotes its message
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -64,9 +64,15 @@ DEFAULT_SUITE = SuiteParams()
 
 def load_config(path: str) -> tuple[Budgets, SuiteParams]:
     """Read budget/suite overrides from a JSON object with optional
-    ``budgets`` and ``suite`` sections."""
-    with open(path) as fh:
-        data = json.load(fh)
-    budgets = dataclasses.replace(DEFAULT_BUDGETS, **data.get("budgets", {}))
-    suite = dataclasses.replace(DEFAULT_SUITE, **data.get("suite", {}))
+    ``budgets`` and ``suite`` sections.  Raises ValueError on a file that
+    cannot be read or a key that names nothing."""
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+        if not isinstance(data, dict) or set(data) - {"budgets", "suite"}:
+            raise TypeError("expected a JSON object with optional 'budgets' and 'suite' sections")
+        budgets = dataclasses.replace(DEFAULT_BUDGETS, **data.get("budgets", {}))
+        suite = dataclasses.replace(DEFAULT_SUITE, **data.get("suite", {}))
+    except (OSError, TypeError) as exc:
+        raise ValueError(f"bad config {path}: {exc}") from None
     return budgets, suite

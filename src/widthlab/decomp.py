@@ -331,6 +331,17 @@ def td_decomp_from_vertex_cover(g: Graph, cover: int) -> RootedForest:
     return RootedForest(tuple(parent))
 
 
+def _check_inner(g: Graph, s: int, inner: Decomposition, inner_vertices: tuple[int, ...]):
+    """Raise unless ``inner`` is a valid decomposition of g - s whose vertex
+    i is ``inner_vertices[i]`` of g."""
+    rest, old = g.induced(g.full_mask & ~s)
+    if old != tuple(inner_vertices):
+        raise ValueError("inner decomposition vertex map does not match g - s")
+    violations = validate(rest, inner)
+    if violations:
+        raise InvalidDecompositionError(violations)
+
+
 def extend_tree_decomposition(
     g: Graph, s: int, inner: TreeDecomposition, inner_vertices: tuple[int, ...]
 ) -> TreeDecomposition:
@@ -338,12 +349,7 @@ def extend_tree_decomposition(
 
     ``inner_vertices[i]`` is the g-vertex carried by vertex i of g - s.
     """
-    rest, old = g.induced(g.full_mask & ~s)
-    if old != tuple(inner_vertices):
-        raise ValueError("inner decomposition vertex map does not match g - s")
-    violations = validate_tree_decomposition(rest, inner)
-    if violations:
-        raise InvalidDecompositionError(violations)
+    _check_inner(g, s, inner, inner_vertices)
     if not inner.bags:
         return TreeDecomposition((s,) if s else (), ())
     bags = tuple(
@@ -355,12 +361,7 @@ def extend_tree_decomposition(
 def extend_path_decomposition(
     g: Graph, s: int, inner: PathDecomposition, inner_vertices: tuple[int, ...]
 ) -> PathDecomposition:
-    rest, old = g.induced(g.full_mask & ~s)
-    if old != tuple(inner_vertices):
-        raise ValueError("inner decomposition vertex map does not match g - s")
-    violations = validate_path_decomposition(rest, inner)
-    if violations:
-        raise InvalidDecompositionError(violations)
+    _check_inner(g, s, inner, inner_vertices)
     if not inner.bags:
         return PathDecomposition((s,) if s else ())
     return PathDecomposition(
@@ -372,12 +373,7 @@ def extend_treedepth_decomposition(
     g: Graph, s: int, inner: RootedForest, inner_vertices: tuple[int, ...]
 ) -> RootedForest:
     """Chain the vertices of s above the roots of a forest for g - s."""
-    rest, old = g.induced(g.full_mask & ~s)
-    if old != tuple(inner_vertices):
-        raise ValueError("inner decomposition vertex map does not match g - s")
-    violations = validate_treedepth_decomposition(rest, inner)
-    if violations:
-        raise InvalidDecompositionError(violations)
+    _check_inner(g, s, inner, inner_vertices)
     chain = sorted(bits(s))
     parent: list[int | None] = [None] * g.n
     for prev, nxt in zip(chain, chain[1:]):

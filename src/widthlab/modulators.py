@@ -1,4 +1,5 @@
-"""Modulator numbers, cover-type solvers, and the Ramsey binding function.
+"""Modulator numbers, cover-type solvers, the parameter table, and the
+Ramsey binding function.
 
 A (rho, c)-modulator of G is a vertex set S with rho(G - S) <= c; its
 cardinality and independence variants minimise |S| and alpha(G[S]).  With
@@ -12,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 from itertools import combinations
+from collections.abc import Callable
 
 from .config import Budgets, DEFAULT_BUDGETS
 from .decomp import CostKind
@@ -24,9 +26,13 @@ from .invariants import (
     is_k_colourable,
     local_independence_number,
     max_degree,
+    max_independent_set,
+    max_matching_size,
 )
 from . import widths
 
+CARD = CostKind.CARDINALITY
+ALPHA = CostKind.INDEPENDENCE
 RHO_NAMES = ("tw", "pw", "td", "chi", "omega", "delta")
 
 
@@ -55,22 +61,6 @@ class ModulatorSpec:
 
 # ---------------------------------------------------------------------------
 # Target parameter evaluation
-
-
-def rho_value(g: Graph, rho: str, budgets: Budgets = DEFAULT_BUDGETS) -> int:
-    if rho == "tw":
-        return widths.lambda_treewidth(g, CostKind.CARDINALITY, budgets).value
-    if rho == "pw":
-        return widths.lambda_pathwidth(g, CostKind.CARDINALITY, budgets).value
-    if rho == "td":
-        return widths.lambda_treedepth(g, CostKind.CARDINALITY, budgets).value
-    if rho == "chi":
-        return chromatic_number(g)
-    if rho == "omega":
-        return clique_number(g)
-    if rho == "delta":
-        return max_degree(g)
-    raise ValueError(f"unknown target parameter {rho!r}")
 
 
 def rho_at_most(
@@ -113,29 +103,7 @@ def rho_at_most(
     sub = g if mask == g.full_mask else g.induced(mask)[0]
     if rho == "chi":
         return is_k_colourable(sub, c)
-    return rho_value(sub, rho, budgets) <= c
-
-
-def lambda_rho(
-    g: Graph, rho: str, kind: CostKind, budgets: Budgets = DEFAULT_BUDGETS
-) -> int:
-    """The lambda-variant of a target parameter's canonical hyperparameter."""
-    if rho == "tw":
-        return widths.lambda_treewidth(g, kind, budgets).value
-    if rho == "pw":
-        return widths.lambda_pathwidth(g, kind, budgets).value
-    if rho == "td":
-        return widths.lambda_treedepth(g, kind, budgets).value
-    if kind is CostKind.CARDINALITY:
-        return rho_value(g, rho, budgets)
-    if rho == "chi":
-        return widths.alpha_chromatic(g, budgets).value
-    if rho == "omega":
-        # max over cliques X of alpha(G[X]): any single vertex gives 1.
-        return 1 if g.n else 0
-    if rho == "delta":
-        return local_independence_number(g) if g.n else 0
-    raise ValueError(f"unknown target parameter {rho!r}")
+    return parameter(rho)(sub, budgets)[0] <= c
 
 
 # ---------------------------------------------------------------------------
@@ -293,14 +261,77 @@ def oct_number(
     )
 
 
-def alpha_vertex_cover(g: Graph, budgets: Budgets = DEFAULT_BUDGETS) -> int:
-    """min alpha(G[X]) over vertex covers X (the alpha-variant of vc)."""
-    return modulator_number(g, ModulatorSpec("tw", 1), CostKind.INDEPENDENCE, budgets)[0]
+# ---------------------------------------------------------------------------
+# Parameter table
+#
+# Each parameter maps to its cardinality entry and its alpha-variant (None
+# where it has none).  An entry takes (g, budgets) and returns (value,
+# witness or None).  Entries look their solvers up by module global at call
+# time, so a solver replaced on its module is the one that runs.
+
+Entry = Callable[[Graph, Budgets], tuple[int, object]]
 
 
-def alpha_feedback_vertex(g: Graph, budgets: Budgets = DEFAULT_BUDGETS) -> int:
-    """min alpha(G[X]) over feedback vertex sets X."""
-    return modulator_number(g, ModulatorSpec("tw", 2), CostKind.INDEPENDENCE, budgets)[0]
+def _pair(result) -> tuple[int, object]:
+    return result.value, result.witness
+
+
+def _independent_set(g: Graph, budgets: Budgets) -> tuple[int, tuple[int, ...]]:
+    witness = max_independent_set(g)
+    return len(witness), witness
+
+
+def _alpha_modulator(rho: str, c: int) -> Entry:
+    spec = ModulatorSpec(rho, c)
+    return lambda g, b: modulator_number(g, spec, ALPHA, b)
+
+
+PARAMETERS: dict[str, tuple[Entry, Entry | None]] = {
+    "order": (lambda g, b: (g.n, None), None),
+    "alpha": (_independent_set, None),
+    # alpha-omega is max over cliques X of alpha(G[X]): any vertex gives 1.
+    "omega": (lambda g, b: (clique_number(g), None), lambda g, b: (1 if g.n else 0, None)),
+    "chi": (
+        lambda g, b: (chromatic_number(g), None),
+        lambda g, b: _pair(widths.alpha_chromatic(g, b)),
+    ),
+    "delta": (
+        lambda g, b: (max_degree(g), None),
+        lambda g, b: (local_independence_number(g) if g.n else 0, None),
+    ),
+    "local-alpha": (lambda g, b: (local_independence_number(g), None), None),
+    "matching": (lambda g, b: (max_matching_size(g), None), None),
+    "degeneracy": (
+        lambda g, b: _pair(widths.degeneracy(g, CARD)),
+        lambda g, b: _pair(widths.degeneracy(g, ALPHA)),
+    ),
+    "tw": (
+        lambda g, b: _pair(widths.lambda_treewidth(g, CARD, b)),
+        lambda g, b: _pair(widths.lambda_treewidth(g, ALPHA, b)),
+    ),
+    "pw": (
+        lambda g, b: _pair(widths.lambda_pathwidth(g, CARD, b)),
+        lambda g, b: _pair(widths.lambda_pathwidth(g, ALPHA, b)),
+    ),
+    "td": (
+        lambda g, b: _pair(widths.lambda_treedepth(g, CARD, b)),
+        lambda g, b: _pair(widths.lambda_treedepth(g, ALPHA, b)),
+    ),
+    "vc": (lambda g, b: vertex_cover_number(g, b), _alpha_modulator("tw", 1)),
+    "fvs": (lambda g, b: feedback_vertex_number(g, b), _alpha_modulator("tw", 2)),
+    "oct": (lambda g, b: oct_number(g, b), _alpha_modulator("chi", 2)),
+}
+
+
+def parameter(name: str, kind: CostKind = CARD) -> Entry:
+    """The table entry of ``name`` under ``kind``."""
+    if name not in PARAMETERS:
+        raise ValueError(f"unknown parameter {name!r}")
+    card, alpha = PARAMETERS[name]
+    entry = alpha if kind is ALPHA else card
+    if entry is None:
+        raise ValueError(f"{name!r} has no alpha-variant")
+    return entry
 
 
 # ---------------------------------------------------------------------------
@@ -427,7 +458,7 @@ def check_modulator_slack(
     budgets: Budgets = DEFAULT_BUDGETS,
 ) -> str | None:
     """lambda-rho(G) <= lambda-mu_{rho,c}(G) + c; None when it holds."""
-    lhs = lambda_rho(g, spec.rho, kind, budgets)
+    lhs = parameter(spec.rho, kind)(g, budgets)[0]
     mu, witness = modulator_number(g, spec, kind, budgets)
     if lhs <= mu + spec.c:
         return None

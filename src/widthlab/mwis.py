@@ -120,25 +120,6 @@ class FlowNetwork:
         level[v] = -1
         return 0
 
-    def min_cut_source_side(self) -> set[int]:
-        """Nodes reachable from the source in the residual network
-        (call after max_flow)."""
-        seen = {self.source}
-        stack = [self.source]
-        while stack:
-            v = stack.pop()
-            for e in self.nxt[v]:
-                u = self.head[e]
-                if self.cap[e] > 0 and u not in seen:
-                    seen.add(u)
-                    stack.append(u)
-        return seen
-
-
-def max_flow(net: FlowNetwork) -> tuple[int, set[int]]:
-    value = net.max_flow()
-    return value, net.min_cut_source_side()
-
 
 # ---------------------------------------------------------------------------
 # Exact oracle

@@ -1,8 +1,12 @@
 """The check registry and the command-line interface."""
 
+import contextlib
+import hashlib
+import io
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -241,3 +245,140 @@ def test_cli_list_checks():
 def test_cli_usage_error_exit_2():
     code, _, _ = run_cli("param")  # missing required args
     assert code == 2
+
+
+def _param(tmp_path, g6: str, *argv: str):
+    """In-process ``widthlab param``: (exit code, JSON without elapsed_ms)."""
+    from widthlab.cli import main
+
+    path = tmp_path / "g.g6"
+    path.write_text(g6 + "\n")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(["param", *argv, "--input", str(path), "--witness"])
+    data = json.loads(out.getvalue()) if code == 0 else {}
+    data.pop("elapsed_ms", None)
+    return code, data
+
+
+def test_param_alpha_kind_rule(tmp_path, capsys):
+    from widthlab.cli import main
+
+    # Under kind alpha, chi / omega / delta give their lambda-variants:
+    # alpha-chi, 1, and the local independence number.
+    for g6, chi, omega, delta in (("Dhc", 2, 1, 2), ("C~", 1, 1, 1)):  # C5, K4
+        for form in (("--kind", "alpha"), ()):
+            for name, expected in (("chi", chi), ("omega", omega), ("delta", delta)):
+                argv = (name, *form) if form else (f"alpha-{name}",)
+                code, data = _param(tmp_path, g6, *argv)
+                assert code == 0 and data["value"] == expected and data["kind"] == "alpha", argv
+        # A parameter without an alpha-variant is a usage error under kind alpha.
+        for argv in (("alpha-alpha",), ("alpha-matching",), ("order", "--kind", "alpha"),
+                     ("local-alpha", "--kind", "alpha")):
+            assert _param(tmp_path, g6, *argv)[0] == 2, argv
+    assert main(["param", "alpha-alpha", "--input", str(tmp_path / "g.g6")]) == 2
+    assert "error: 'alpha' has no alpha-variant" in capsys.readouterr().err
+
+
+# K0, C5, K4, K_{1,3} and the net, as graph6.
+PIN_GRAPHS = ("?", "Dhc", "C~", "Cs", "ECSw")
+PIN_NAMES = (
+    "order", "n", "alpha", "omega", "chi", "delta", "max-degree", "local-alpha", "matching",
+    "degeneracy", "tw", "pw", "td", "vc", "fvs", "oct", "alpha-chi", "tw:1", "mu:chi:2",
+)
+# Rows that changed on purpose: each name's value under kind alpha on
+# PIN_GRAPHS; None where the name has no alpha-variant and exits 2.
+KIND_RULE = {
+    "chi": (0, 2, 1, 1, 2),
+    "omega": (0, 1, 1, 1, 1),
+    "delta": (0, 2, 1, 3, 2),
+    "max-degree": (0, 2, 1, 3, 2),
+    **{name: None for name in ("order", "n", "alpha", "matching", "local-alpha")},
+}
+
+
+def test_param_json_pinned(tmp_path):
+    from widthlab.modulators import PARAMETERS
+
+    assert set(PARAMETERS) <= set(PIN_NAMES)
+    lines = []
+    for i, g6 in enumerate(PIN_GRAPHS):
+        for name in PIN_NAMES:
+            forms = [(name,), (name, "--kind", "alpha")]
+            if not name.startswith("alpha-"):
+                forms.append((f"alpha-{name}",))
+            for argv in forms:
+                code, data = _param(tmp_path, g6, *argv)
+                if name in KIND_RULE and argv != (name,):
+                    expected = KIND_RULE[name]
+                    assert (code, data.get("value")) == (
+                        (2, None) if expected is None else (0, expected[i])
+                    ), (g6, argv)
+                    if name == "chi":
+                        assert data["witness"] == _param(tmp_path, g6, "alpha-chi")[1]["witness"]
+                    continue
+                lines.append(f"{g6} {' '.join(argv)} {code} {json.dumps(data, sort_keys=True)}")
+    # Every other row is byte-identical to the output before the parameter
+    # table existed (190 rows).
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert len(lines) == 190
+    assert digest == "2218632763e51f5dc8294e7e87b09586f5530714bbe3404dc76b391bc373b893"
+
+
+def test_run_check_rejects_undeclared_params():
+    with pytest.raises(KeyError, match="bogus"):
+        run_check(CheckSpec("td-path-formula", {"bogus": 1}))
+    with pytest.raises(KeyError, match="graphs"):
+        run_check(CheckSpec("td-path-formula", {"graphs": ["@"]}))
+
+
+def test_cli_verify_rejects_flags_a_check_ignores(capsys):
+    from widthlab.cli import main
+
+    for argv in (
+        ["td-path-formula", "--family", "stars:2-4"],
+        ["alpha-chi-nkn", "--max-n", "2"],
+        ["td-path-formula", "--rho", "tw"],
+    ):
+        assert main(["verify", *argv]) == 2, argv
+        assert capsys.readouterr().err.startswith("error: check ")
+    # --seed also seeds a random: family, so a seedless check accepts it.
+    assert main(["verify", "td-path-formula", "--max-n", "3", "--seed", "1"]) == 0
+
+
+@pytest.mark.parametrize(
+    "content",
+    [None, "[1, 2]", '{"budgets": {"tw_cardd": 3}}', '{"suite": {"chain_maxn": 3}}'],
+    ids=["missing", "json-list", "unknown-budget", "unknown-suite"],
+)
+def test_cli_bad_config_exits_2(tmp_path, capsys, content):
+    from widthlab.cli import main
+
+    path = tmp_path / "settings.json"
+    if content is not None:
+        path.write_text(content)
+    assert main(["verify", "td-path-formula", "--max-n", "3", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_config_overrides_apply(tmp_path):
+    from widthlab.config import load_config
+
+    path = tmp_path / "settings.json"
+    path.write_text('{"budgets": {"tw_card": 3}, "suite": {"td_path_max_n": 4}}')
+    budgets, suite = load_config(str(path))
+    assert budgets.tw_card == 3 and suite.td_path_max_n == 4
+
+
+def test_readme_lists_registered_checks():
+    from widthlab.checks import CHECKS
+
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    section = readme.split("## Registered checks", 1)[1].split("\n## ", 1)[0]
+    rows = [line.split("|")[1:3] for line in section.splitlines() if line.startswith("| ")]
+    table = {name.strip(): fact.strip() for name, fact in rows[2:]}  # after the header
+    assert sorted(table) == sorted(CHECK_NAMES)
+    for name, fact in table.items():
+        doc = " ".join(CHECKS[name].evaluate.__doc__.split())
+        assert doc.rstrip(".") == fact, name

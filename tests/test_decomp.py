@@ -204,6 +204,21 @@ def test_extend_decompositions():
     assert lifted.depth() <= 3
 
 
+def test_extend_rejects_bad_inner():
+    # c4 - {0} is the path 1-2-3; each inner decomposition below misses the
+    # edge 2-3, and (0, 1, 2) is not the vertex map of c4 - {0}.
+    c4, s = cycle_graph(4), mask_of([0])
+    for extend, inner in (
+        (extend_tree_decomposition, TreeDecomposition((0b011, 0b100), ((0, 1),))),
+        (extend_path_decomposition, PathDecomposition((0b011, 0b100))),
+        (extend_treedepth_decomposition, RootedForest((None, None, None))),
+    ):
+        with pytest.raises(InvalidDecompositionError):
+            extend(c4, s, inner, (1, 2, 3))
+        with pytest.raises(ValueError, match="vertex map"):
+            extend(c4, s, inner, (0, 1, 2))
+
+
 def test_extend_with_empty_set_is_cost_identity(small_graphs):
     for g in small_graphs[:25]:
         bags = TreeDecomposition((g.full_mask,), ())

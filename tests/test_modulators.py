@@ -11,6 +11,7 @@ from oracles import (
     mask_is_cover,
 )
 
+from widthlab.config import DEFAULT_BUDGETS
 from widthlab.decomp import CostKind
 from widthlab.graphs import (
     BudgetExceededError,
@@ -26,15 +27,14 @@ from widthlab.graphs import (
 from widthlab.modulators import (
     RHO_NAMES,
     ModulatorSpec,
-    alpha_vertex_cover,
     binding_f,
     check_modulator_minimality,
     check_modulator_slack,
     feedback_vertex_number,
-    lambda_rho,
     minimum_modulators,
     modulator_number,
     oct_number,
+    parameter,
     ramsey_property_check,
     ramsey_upper,
     rho_at_most,
@@ -89,7 +89,7 @@ def test_cover_solvers_against_bruteforce(small_graphs):
 
 def test_alpha_modulators_against_bruteforce(small_graphs):
     for g in small_graphs[:40]:
-        assert alpha_vertex_cover(g) == brute_modulator(
+        assert parameter("vc", ALPHA)(g, DEFAULT_BUDGETS)[0] == brute_modulator(
             g, lambda rest: mask_is_cover(g, rest), ALPHA
         )
         got = modulator_number(g, ModulatorSpec("chi", 2), ALPHA)[0]
@@ -150,7 +150,7 @@ def test_ramsey_binding_per_graph_n4():
         for g in enumerate_graphs(n):
             omega = clique_number(g)
             for kind_pair in (
-                (vertex_cover_number(g)[0], alpha_vertex_cover(g)),
+                (vertex_cover_number(g)[0], parameter("vc", ALPHA)(g, DEFAULT_BUDGETS)[0]),
                 (
                     lambda_treewidth(g, CARD).value,
                     lambda_treewidth(g, ALPHA).value,
@@ -181,16 +181,17 @@ def test_slack_fails_for_max_degree_on_stars():
 
 
 def test_rho_at_most_shortcuts_match_values(small_graphs):
-    from widthlab.modulators import rho_value
-
     for g in small_graphs[:30]:
         for rho in ("tw", "pw", "td", "chi", "omega", "delta"):
-            value = rho_value(g, rho)
+            value = parameter(rho)(g, DEFAULT_BUDGETS)[0]
             for c in range(0, 4):
                 assert rho_at_most(g, rho, c) == (value <= c)
 
 
 def test_lambda_rho_dispatch(zoo):
+    def lambda_rho(g, rho, kind):
+        return parameter(rho, kind)(g, DEFAULT_BUDGETS)[0]
+
     assert lambda_rho(zoo["C5"], "tw", ALPHA) == 2
     assert lambda_rho(zoo["K4"], "omega", CARD) == 4
     assert lambda_rho(zoo["K4"], "omega", ALPHA) == 1

@@ -19,7 +19,7 @@ from oracles import (
     tw_by_separator_branching,
 )
 
-from widthlab.config import Budgets
+from widthlab.config import DEFAULT_BUDGETS, Budgets
 from widthlab.decomp import CostKind, cost, validate
 from widthlab.graphs import (
     BudgetExceededError,
@@ -44,7 +44,7 @@ from widthlab.widths import (
     lambda_treedepth,
     lambda_treewidth,
 )
-from widthlab.modulators import vertex_cover_number, alpha_vertex_cover
+from widthlab.modulators import parameter
 
 CARD = CostKind.CARDINALITY
 ALPHA = CostKind.INDEPENDENCE
@@ -270,11 +270,7 @@ def test_chain_inequality_small(small_graphs):
             tw = lambda_treewidth(g, kind).value
             pw = lambda_pathwidth(g, kind).value
             td = lambda_treedepth(g, kind).value
-            vc = (
-                vertex_cover_number(g)[0]
-                if kind is CARD
-                else alpha_vertex_cover(g)
-            )
+            vc = parameter("vc", kind)(g, DEFAULT_BUDGETS)[0]
             assert tw <= pw <= td <= vc + 1
 
 
