@@ -476,8 +476,6 @@ def _eval_iso_invariance(inst, params, budgets) -> str | None:
     """every parameter of the table, under each kind it has, is invariant
     under seeded relabelings."""
     g = from_graph6(inst["g6"])
-    if not g.n:
-        return None  # one labelling; local-alpha is undefined on it
     base = _iso_parameters(g, budgets)
     for i in range(inst["relabelings"]):
         perm = random_permutation(g.n, inst["seed"] + 31 * i)

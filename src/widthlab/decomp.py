@@ -183,6 +183,10 @@ def validate_tree_decomposition(g: Graph, td: TreeDecomposition) -> list[Violati
             out.append(Violation("tree-bad-edge", f"edge ({a},{b})"))
             return out
     # The tree must be acyclic and connected (vacuously fine when empty).
+    nbrs: list[list[int]] = [[] for _ in range(k)]
+    for a, b in td.edges:
+        nbrs[a].append(b)
+        nbrs[b].append(a)
     if len(td.edges) != max(k - 1, 0):
         out.append(
             Violation("tree-not-tree", f"{k} nodes but {len(td.edges)} edges")
@@ -190,10 +194,6 @@ def validate_tree_decomposition(g: Graph, td: TreeDecomposition) -> list[Violati
     else:
         seen = set()
         stack = [0] if k else []
-        nbrs: list[list[int]] = [[] for _ in range(k)]
-        for a, b in td.edges:
-            nbrs[a].append(b)
-            nbrs[b].append(a)
         while stack:
             x = stack.pop()
             if x in seen:
@@ -213,10 +213,6 @@ def validate_tree_decomposition(g: Graph, td: TreeDecomposition) -> list[Violati
             out.append(Violation("edge-uncovered", f"edge {u}-{v} in no bag"))
     # Connected occurrence of every vertex.
     if not any(v.kind == "tree-not-tree" for v in out):
-        nbrs = [[] for _ in range(k)]
-        for a, b in td.edges:
-            nbrs[a].append(b)
-            nbrs[b].append(a)
         for v in bits(covered & g.full_mask):
             nodes = [i for i, bag in enumerate(td.bags) if bag >> v & 1]
             seen = {nodes[0]}
@@ -394,7 +390,9 @@ def tree_decomp_from_fvs(g: Graph, s: int) -> TreeDecomposition:
     bags = []
     edges = []
     node_of_vertex: dict[int, int] = {}
+    component_entries = []  # each component's first bag; its bags are contiguous
     for comp in rest.components():
+        component_entries.append(len(bags))
         comp_root = next(bits(comp))
         comp_edges = [
             (u, v) for u in bits(comp) for v in bits(rest.adj[u]) if u < v
@@ -427,22 +425,6 @@ def tree_decomp_from_fvs(g: Graph, s: int) -> TreeDecomposition:
     if not bags:
         return TreeDecomposition((s,) if s else (), ())
     # Join the per-component subtrees into one tree.
-    component_entries = []
-    seen_nodes = set()
-    for i in range(len(bags)):
-        if i not in seen_nodes:
-            component_entries.append(i)
-            stack = [i]
-            nbrs: dict[int, list[int]] = {}
-            for a, b in edges:
-                nbrs.setdefault(a, []).append(b)
-                nbrs.setdefault(b, []).append(a)
-            while stack:
-                x = stack.pop()
-                if x in seen_nodes:
-                    continue
-                seen_nodes.add(x)
-                stack.extend(nbrs.get(x, []))
     for a, b in zip(component_entries, component_entries[1:]):
         edges.append((a, b))
     return TreeDecomposition(tuple(bags), tuple(edges))

@@ -63,21 +63,55 @@ def independence_number(g: Graph) -> int:
     return SubsetAlpha(g)(g.full_mask)
 
 
+def lex_min_witness(mask: int, value: int, opt, step) -> tuple[int, ...]:
+    """The lexicographically smallest optimal witness, by self-reduction.
+
+    ``opt(m)`` is the optimum on the vertex set m and ``value`` is
+    ``opt(mask)``.  The vertices of ``mask`` are tried in increasing order;
+    ``step(v, m)`` returns ``(gain, rest)``, and v joins the witness exactly
+    when ``gain`` is non-zero and ``gain + opt(rest) == value``, after which
+    the search goes on in ``rest`` for ``value - gain``.  A rejected vertex
+    stays in the mask.  Two steps serve every solver: *take* ``(w[v], m -
+    N[v])`` builds a maximum (weight) independent set, and *delete* ``(1, m -
+    v)`` a minimum cover, with ``opt(m) = |m| - keep(m)``.
+    """
+    chosen = []
+    for v in bits(mask):
+        if not value:
+            break
+        if not mask >> v & 1:
+            continue
+        gain, rest = step(v, mask)
+        if gain and gain + opt(rest) == value:
+            chosen.append(v)
+            value -= gain
+            mask = rest
+    return tuple(chosen)
+
+
 def max_independent_set(g: Graph) -> tuple[int, ...]:
     """A maximum independent set; lexicographically smallest among optima."""
     alpha = SubsetAlpha(g)
-    chosen = []
-    mask = g.full_mask
-    while mask:
-        target = alpha(mask)
-        v = next(bits(mask))
-        rest = mask & ~(g.adj[v] | 1 << v)
-        if 1 + alpha(rest) == target:
-            chosen.append(v)
-            mask = rest
-        else:
-            mask &= ~(1 << v)
-    return tuple(chosen)
+    return lex_min_witness(
+        g.full_mask, alpha(g.full_mask), alpha, lambda v, m: (1, m & ~(g.adj[v] | 1 << v))
+    )
+
+
+def independent_subsets(g: Graph, mask: int) -> list[int]:
+    """All independent subsets of mask (including the empty set), as masks,
+    in the lexicographic order of their sorted vertex tuples."""
+    out = []
+
+    def rec(rest: int, chosen: int):
+        out.append(chosen)
+        m = rest
+        while m:
+            v = next(bits(m))
+            m &= ~(1 << v)
+            rec(m & ~g.adj[v], chosen | 1 << v)
+
+    rec(mask, 0)
+    return out
 
 
 def clique_number(g: Graph, within: int | None = None) -> int:
@@ -127,11 +161,10 @@ def max_degree(g: Graph) -> int:
 
 
 def local_independence_number(g: Graph) -> int:
-    """Maximum number of leaves of an induced star: max_v alpha(G[N(v)])."""
-    if g.n == 0:
-        raise ValueError("local independence number needs at least one vertex")
+    """Maximum number of leaves of an induced star: max_v alpha(G[N(v)]),
+    0 on the empty graph."""
     alpha = SubsetAlpha(g)
-    return max(alpha(nb) for nb in g.adj)
+    return max((alpha(nb) for nb in g.adj), default=0)
 
 
 def is_k_colourable(g: Graph, k: int) -> bool:

@@ -11,6 +11,7 @@ vertex sets, and (chi,2)-modulators the odd cycle transversals.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from math import comb
 from itertools import combinations
 from collections.abc import Callable
@@ -22,8 +23,10 @@ from .invariants import (
     SubsetAlpha,
     chromatic_number,
     clique_number,
+    independent_subsets,
     is_bipartite,
     is_k_colourable,
+    lex_min_witness,
     local_independence_number,
     max_degree,
     max_independent_set,
@@ -80,14 +83,17 @@ def rho_at_most(
     mask = g.full_mask if within is None else within
     if not mask:
         return c >= 0
-    if rho == "omega":
-        return clique_number(g, mask) <= c
     if rho == "delta":
         return max((adj[v] & mask).bit_count() for v in bits(mask)) <= c
-    if c <= 0 and rho in ("tw", "pw", "td", "chi"):
+    if c <= 0:
         return False
-    if c == 1 and rho in ("tw", "pw", "td", "chi"):
+    if c == 1:
         return not any(adj[v] & mask for v in bits(mask))
+    if c == 2 and rho == "omega":
+        # Triangle-free: no edge uv has a common neighbour.
+        return not any(adj[u] & adj[v] & mask for v in bits(mask) for u in bits(adj[v] & mask))
+    if rho == "omega":
+        return clique_number(g, mask) <= c
     if c == 2 and rho == "tw":
         return _mask_is_acyclic(g, mask)
     if c == 2 and rho == "td":
@@ -110,15 +116,22 @@ def rho_at_most(
 # Generic modulator solver
 
 
-def _subsets_lex(n: int):
-    """All subsets of range(n) as sorted tuples in lexicographic order."""
-
-    def rec(prefix: tuple[int, ...], start: int):
-        yield prefix
-        for v in range(start, n):
-            yield from rec(prefix + (v,), v + 1)
-
-    yield from rec((), 0)
+def _minimum_modulators(
+    g: Graph, spec: ModulatorSpec, budgets: Budgets, within: int, cap: int
+) -> tuple[int, list[tuple[int, ...]]]:
+    """The least size of a (rho, c)-modulator of G[within], and the first
+    ``cap`` modulators of that size, in lexicographic order."""
+    vertices = tuple(bits(within))
+    for k in range(len(vertices) + 1):
+        found = []
+        for combo in combinations(vertices, k):
+            if rho_at_most(g, spec.rho, spec.c, budgets, within=within & ~mask_of(combo)):
+                found.append(combo)
+                if len(found) >= cap:
+                    break
+        if found:
+            return k, found
+    raise AssertionError("S = within is always a modulator")
 
 
 def modulator_number(
@@ -136,34 +149,29 @@ def modulator_number(
         raise BudgetExceededError(
             f"modulator_number: n={g.n} exceeds budget {budgets.modulator}"
         )
-    is_mod_cache: dict[int, bool] = {}
-
-    def is_modulator(s_mask: int) -> bool:
-        cached = is_mod_cache.get(s_mask)
-        if cached is None:
-            cached = rho_at_most(g, spec.rho, spec.c, budgets, within=g.full_mask & ~s_mask)
-            is_mod_cache[s_mask] = cached
-        return cached
-
     if kind is CostKind.CARDINALITY:
-        for k in range(g.n + 1):
-            for combo in combinations(range(g.n), k):
-                if is_modulator(mask_of(combo)):
-                    return k, combo
-        raise AssertionError("S = V(G) is always a modulator")
+        value, (witness,) = _minimum_modulators(g, spec, budgets, g.full_mask, 1)
+        return value, witness
 
+    # Depth-first over sorted tuples in lexicographic order.  alpha only
+    # grows along a branch, so a branch ends once alpha(S) is no better than
+    # the incumbent or S is a modulator; the first optimum found is the
+    # lexicographically smallest.
     alpha = SubsetAlpha(g)
-    best = None
-    witness: tuple[int, ...] = ()
-    for subset in _subsets_lex(g.n):
-        a = alpha(mask_of(subset))
-        if best is not None and a >= best:
-            continue
-        if is_modulator(mask_of(subset)):
-            best = a
-            witness = subset
-            if best == 0:
-                break
+    best, witness = g.n + 1, ()
+
+    def search(subset: tuple[int, ...], s_mask: int):
+        nonlocal best, witness
+        a = alpha(s_mask)
+        if a >= best:
+            return
+        if rho_at_most(g, spec.rho, spec.c, budgets, within=g.full_mask & ~s_mask):
+            best, witness = a, subset
+            return
+        for v in range(subset[-1] + 1 if subset else 0, g.n):
+            search(subset + (v,), s_mask | 1 << v)
+
+    search((), 0)
     return best, witness
 
 
@@ -176,7 +184,7 @@ def _mask_is_acyclic(g: Graph, mask: int) -> bool:
     return edges == mask.bit_count() - len(g.components(mask))
 
 
-def _max_induced(g: Graph, good, within: int) -> int:
+def _max_induced(good, within: int) -> int:
     """Largest subset F of ``within`` with good(F), by branch and bound."""
     order = sorted(bits(within))
     best = 0
@@ -197,68 +205,38 @@ def _max_induced(g: Graph, good, within: int) -> int:
     return best
 
 
+def _cover_number(g: Graph, keep, budgets: Budgets, name: str) -> tuple[int, tuple[int, ...]]:
+    """n - keep(V), where keep(m) is the largest good subset of m, with the
+    lexicographically smallest witness."""
+    if g.n > budgets.cover_solvers:
+        raise BudgetExceededError(f"{name}: n={g.n} exceeds budget {budgets.cover_solvers}")
+
+    def cover(m: int) -> int:
+        return m.bit_count() - keep(m)
+
+    value = cover(g.full_mask)
+    return value, lex_min_witness(g.full_mask, value, cover, lambda v, m: (1, m & ~(1 << v)))
+
+
 def vertex_cover_number(
     g: Graph, budgets: Budgets = DEFAULT_BUDGETS
 ) -> tuple[int, tuple[int, ...]]:
     """vc(G) = n - alpha(G), with the lexicographically smallest witness."""
-    if g.n > budgets.cover_solvers:
-        raise BudgetExceededError(
-            f"vertex_cover_number: n={g.n} exceeds budget {budgets.cover_solvers}"
-        )
-    alpha = SubsetAlpha(g)
-    target = g.n - alpha(g.full_mask)
-    chosen: list[int] = []
-    deleted = 0
-    for v in range(g.n):
-        if len(chosen) == target:
-            break
-        trial = deleted | 1 << v
-        rest = g.full_mask & ~trial
-        if (rest.bit_count() - alpha(rest)) <= target - len(chosen) - 1:
-            chosen.append(v)
-            deleted = trial
-    return target, tuple(chosen)
-
-
-def _cover_type_number(g, good, budget_n, budgets, name):
-    if g.n > budget_n:
-        raise BudgetExceededError(f"{name}: n={g.n} exceeds budget {budget_n}")
-    keep = _max_induced(g, good, g.full_mask)
-    target = g.n - keep
-    chosen: list[int] = []
-    deleted = 0
-    for v in range(g.n):
-        if len(chosen) == target:
-            break
-        trial = deleted | 1 << v
-        if _max_induced(g, good, g.full_mask & ~trial) >= g.n - target:
-            chosen.append(v)
-            deleted = trial
-    return target, tuple(chosen)
+    return _cover_number(g, SubsetAlpha(g), budgets, "vertex_cover_number")
 
 
 def feedback_vertex_number(
     g: Graph, budgets: Budgets = DEFAULT_BUDGETS
 ) -> tuple[int, tuple[int, ...]]:
-    return _cover_type_number(
-        g,
-        lambda m: _mask_is_acyclic(g, m),
-        budgets.cover_solvers,
-        budgets,
-        "feedback_vertex_number",
-    )
+    keep = partial(_max_induced, lambda f: _mask_is_acyclic(g, f))
+    return _cover_number(g, keep, budgets, "feedback_vertex_number")
 
 
 def oct_number(
     g: Graph, budgets: Budgets = DEFAULT_BUDGETS
 ) -> tuple[int, tuple[int, ...]]:
-    return _cover_type_number(
-        g,
-        lambda m: is_bipartite(g, m)[0],
-        budgets.cover_solvers,
-        budgets,
-        "oct_number",
-    )
+    keep = partial(_max_induced, lambda f: is_bipartite(g, f)[0])
+    return _cover_number(g, keep, budgets, "oct_number")
 
 
 # ---------------------------------------------------------------------------
@@ -281,6 +259,10 @@ def _independent_set(g: Graph, budgets: Budgets) -> tuple[int, tuple[int, ...]]:
     return len(witness), witness
 
 
+def _local_alpha(g: Graph, budgets: Budgets) -> tuple[int, None]:
+    return local_independence_number(g), None
+
+
 def _alpha_modulator(rho: str, c: int) -> Entry:
     spec = ModulatorSpec(rho, c)
     return lambda g, b: modulator_number(g, spec, ALPHA, b)
@@ -295,11 +277,8 @@ PARAMETERS: dict[str, tuple[Entry, Entry | None]] = {
         lambda g, b: (chromatic_number(g), None),
         lambda g, b: _pair(widths.alpha_chromatic(g, b)),
     ),
-    "delta": (
-        lambda g, b: (max_degree(g), None),
-        lambda g, b: (local_independence_number(g) if g.n else 0, None),
-    ),
-    "local-alpha": (lambda g, b: (local_independence_number(g), None), None),
+    "delta": (lambda g, b: (max_degree(g), None), _local_alpha),
+    "local-alpha": (_local_alpha, None),
     "matching": (lambda g, b: (max_matching_size(g), None), None),
     "degeneracy": (
         lambda g, b: _pair(widths.degeneracy(g, CARD)),
@@ -396,34 +375,11 @@ def minimum_modulators(
     cap: int = 100_000,
 ):
     """All minimum-cardinality (rho, c)-modulators, lexicographic order."""
-    value, _ = modulator_number(g, spec, CostKind.CARDINALITY, budgets)
-    out = []
-    for combo in combinations(range(g.n), value):
-        if rho_at_most(g, spec.rho, spec.c, budgets, within=g.full_mask & ~mask_of(combo)):
-            out.append(combo)
-            if len(out) >= cap:
-                break
-    return value, out
-
-
-def _maximum_independent_subsets(g: Graph, s_mask: int):
-    """All maximum independent sets of G[s_mask], as masks."""
-    alpha = SubsetAlpha(g)
-    target = alpha(s_mask)
-    found = []
-
-    def rec(rest: int, chosen: int, size: int):
-        if size == target:
-            found.append(chosen)
-            return
-        if size + alpha(rest) < target:
-            return
-        v = next(bits(rest))
-        rec(rest & ~(g.adj[v] | 1 << v), chosen | 1 << v, size + 1)
-        rec(rest & ~(1 << v), chosen, size)
-
-    rec(s_mask, 0, 0)
-    return target, found
+    if g.n > budgets.modulator:
+        raise BudgetExceededError(
+            f"minimum_modulators: n={g.n} exceeds budget {budgets.modulator}"
+        )
+    return _minimum_modulators(g, spec, budgets, g.full_mask, cap)
 
 
 def check_modulator_minimality(
@@ -438,11 +394,13 @@ def check_modulator_minimality(
     _, mods = minimum_modulators(g, spec, budgets)
     for s in mods:
         s_mask = mask_of(s)
-        size_i, max_inds = _maximum_independent_subsets(g, s_mask)
-        for i_mask in max_inds:
+        subsets = independent_subsets(g, s_mask)
+        size_i = max(i_mask.bit_count() for i_mask in subsets)
+        for i_mask in subsets:
+            if i_mask.bit_count() < size_i:
+                continue
             keep = (g.full_mask & ~s_mask) | i_mask
-            sub, _ = g.induced(keep)
-            inner, _ = modulator_number(sub, spec, CostKind.CARDINALITY, budgets)
+            inner, _ = _minimum_modulators(g, spec, budgets, keep, 1)
             if inner < size_i:
                 return (
                     f"S={sorted(s)} I={sorted(bits(i_mask))}: "

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .config import Budgets, DEFAULT_BUDGETS
 from .graphs import BudgetExceededError, Graph, bits, mask_of
-from .invariants import SubsetAlpha, is_bipartite, odd_cycle
+from .invariants import SubsetAlpha, independent_subsets, is_bipartite, lex_min_witness, odd_cycle
 
 
 @dataclass(frozen=True)
@@ -158,19 +158,7 @@ def mwis_exact(wg: WeightedGraph, budgets: Budgets = DEFAULT_BUDGETS) -> MwisRes
     # smallest among such optima.
     positive = mask_of(v for v in range(g.n) if weights[v] > 0)
     total = solve(positive)
-    chosen: list[int] = []
-    mask = positive
-    remaining = total
-    while mask and remaining:
-        v = next(bits(mask))
-        with_v = weights[v] + solve(mask & ~(g.adj[v] | 1 << v))
-        if with_v == solve(mask):
-            chosen.append(v)
-            remaining -= weights[v]
-            mask &= ~(g.adj[v] | 1 << v)
-        else:
-            mask &= ~(1 << v)
-    return MwisResult(total, tuple(chosen))
+    return MwisResult(total, lex_min_witness(positive, total, solve, _take(g, weights)))
 
 
 # ---------------------------------------------------------------------------
@@ -195,22 +183,17 @@ def _bipartite_value(g: Graph, weights, colour, mask: int) -> int:
     return total - net.max_flow()
 
 
+def _take(g: Graph, weights):
+    """The take step of ``lex_min_witness``: v joins the independent set."""
+    return lambda v, m: (weights[v], m & ~(g.adj[v] | 1 << v))
+
+
 def _forced_witness(g: Graph, weights, colour, mask: int, value: int) -> tuple[int, ...]:
     """The lexicographically smallest independent set of G[mask] of weight
-    ``value`` (its MWIS weight) with no zero-weight member, by forcing
-    vertices in one at a time."""
-    chosen: list[int] = []
-    for v in range(g.n):
-        if value == 0:
-            break
-        if not mask >> v & 1 or weights[v] == 0:
-            continue
-        keep = mask & ~(g.adj[v] | 1 << v)
-        if weights[v] + _bipartite_value(g, weights, colour, keep) == value:
-            chosen.append(v)
-            value -= weights[v]
-            mask = keep
-    return tuple(chosen)
+    ``value`` (its MWIS weight) with no zero-weight member."""
+    return lex_min_witness(
+        mask, value, lambda m: _bipartite_value(g, weights, colour, m), _take(g, weights)
+    )
 
 
 def mwis_bipartite(wg: WeightedGraph, budgets: Budgets = DEFAULT_BUDGETS) -> MwisResult:
@@ -271,23 +254,6 @@ def find_oct_with_bounded_alpha(
     return best[1] if best is not None else None
 
 
-def _independent_subsets(g: Graph, mask: int):
-    """All independent subsets of mask (including the empty set), as masks,
-    in deterministic order."""
-    out = []
-
-    def rec(rest: int, chosen: int):
-        out.append(chosen)
-        m = rest
-        while m:
-            v = next(bits(m))
-            m &= ~(1 << v)
-            rec(m & ~g.adj[v], chosen | 1 << v)
-
-    rec(mask, 0)
-    return out
-
-
 def mwis_via_oct(
     wg: WeightedGraph, k: int, budgets: Budgets = DEFAULT_BUDGETS
 ) -> MwisResult:
@@ -307,7 +273,7 @@ def mwis_via_oct(
     outside = g.full_mask & ~s_mask
     colour = is_bipartite(g, outside)[1]
     scored = []
-    for i_mask in _independent_subsets(g, s_mask):
+    for i_mask in independent_subsets(g, s_mask):
         rest = outside & ~g.neighbourhood(i_mask)
         inner = _bipartite_value(g, weights, colour, rest)
         scored.append((wg.weight_of(bits(i_mask)) + inner, i_mask, rest, inner))

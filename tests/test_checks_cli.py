@@ -135,6 +135,9 @@ def test_family_all_exact_count():
     assert len(graphs) == 34
     report = run_check(CheckSpec("chain-inequality", {"graphs": graphs}))
     assert report.passed and report.instances_tested == 34
+    # K0 is a family member like any other: every table entry is defined on it.
+    report = run_check(CheckSpec("iso-invariance", {"graphs": ["?"]}))
+    assert report.passed and report.instances_tested == 1
 
 
 def test_cli_param_errors(tmp_path):
@@ -309,6 +312,10 @@ def test_param_json_pinned(tmp_path):
                 forms.append((f"alpha-{name}",))
             for argv in forms:
                 code, data = _param(tmp_path, g6, *argv)
+                if (g6, argv) == ("?", ("local-alpha",)):
+                    # Changed on purpose: local-alpha of K0 is 0, as alpha-delta.
+                    assert (code, data.get("value")) == (0, 0)
+                    continue
                 if name in KIND_RULE and argv != (name,):
                     expected = KIND_RULE[name]
                     assert (code, data.get("value")) == (
@@ -319,10 +326,10 @@ def test_param_json_pinned(tmp_path):
                     continue
                 lines.append(f"{g6} {' '.join(argv)} {code} {json.dumps(data, sort_keys=True)}")
     # Every other row is byte-identical to the output before the parameter
-    # table existed (190 rows).
+    # table existed (189 rows).
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-    assert len(lines) == 190
-    assert digest == "2218632763e51f5dc8294e7e87b09586f5530714bbe3404dc76b391bc373b893"
+    assert len(lines) == 189
+    assert digest == "200b8f648ea45bd171892cfb8b4f661ed9923106a8080ee2272cc7ad0f2f3165"
 
 
 def test_run_check_rejects_undeclared_params():

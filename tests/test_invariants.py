@@ -1,6 +1,5 @@
 """Base parameters against brute-force oracles, plus structural predicates."""
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import brute_alpha, brute_chi, brute_matching, brute_omega, mask_is_bipartite
@@ -82,8 +81,7 @@ def test_local_independence():
     assert local_independence_number(star(3)) == 3
     assert local_independence_number(complete_graph(4)) == 1
     assert local_independence_number(cycle_graph(5)) == 2
-    with pytest.raises(ValueError):
-        local_independence_number(Graph(0, ()))
+    assert local_independence_number(Graph(0, ())) == 0
 
 
 def test_local_independence_matches_bruteforce(small_graphs):

@@ -1,6 +1,7 @@
 """Modulator numbers, cover solvers, Ramsey bounds, and the lemma checks."""
 
 import hashlib
+import random
 
 import pytest
 
@@ -12,7 +13,7 @@ from oracles import (
 )
 
 from widthlab.config import DEFAULT_BUDGETS
-from widthlab.decomp import CostKind
+from widthlab.decomp import CostKind, tree_decomp_from_fvs
 from widthlab.graphs import (
     BudgetExceededError,
     Graph,
@@ -21,9 +22,12 @@ from widthlab.graphs import (
     copies,
     cycle_graph,
     enumerate_graphs,
+    mask_of,
     path_graph,
+    random_graph,
     star,
 )
+from widthlab.invariants import clique_number, max_independent_set
 from widthlab.modulators import (
     RHO_NAMES,
     ModulatorSpec,
@@ -40,6 +44,7 @@ from widthlab.modulators import (
     rho_at_most,
     vertex_cover_number,
 )
+from widthlab.mwis import WeightedGraph, mwis_exact
 
 CARD = CostKind.CARDINALITY
 ALPHA = CostKind.INDEPENDENCE
@@ -225,6 +230,10 @@ def test_rho_at_most_within_matches_induced():
                         assert rho_at_most(g, rho, c, within=mask) == rho_at_most(
                             sub, rho, c
                         ), (g.adj, mask, rho, c)
+                for c in range(4):
+                    assert rho_at_most(g, "omega", c, within=mask) == (
+                        clique_number(g, mask) <= c
+                    ), (g.adj, mask, c)
 
 
 PINNED_SPECS = ("tw:1", "tw:2", "td:2", "pw:2", "chi:2", "omega:2")
@@ -251,3 +260,39 @@ def _modulator_outputs() -> str:
 def test_modulator_witnesses_pinned():
     digest = hashlib.sha256(_modulator_outputs().encode()).hexdigest()
     assert digest == MODULATOR_DIGEST
+
+
+# sha256 of _witness_outputs(), recorded from the solvers that ran one
+# hand-written self-reduction loop each: the witnesses of the cover solvers,
+# the maximum (weight) independent sets, the decomposition built on the fvs
+# witness and the exchange-step verdicts must not change.
+WITNESS_DIGEST = "76d77d31af9b507caa4ecc36cef566e3fe2ec059de5f8540b7d280d3f2e2c8e9"
+EXCHANGE_SPECS = ("tw:1", "tw:2", "chi:2", "pw:2", "omega:2")
+
+
+def _witness_outputs() -> str:
+    rng = random.Random(2026)
+    graphs = [g for n in range(8) for g in enumerate_graphs(n)]
+    graphs += [
+        random_graph(n, p, seed) for n in range(8, 15) for p in (0.25, 0.5) for seed in range(2)
+    ]
+    lines = []
+    for g in graphs:
+        fvs = feedback_vertex_number(g)
+        out = [
+            vertex_cover_number(g),
+            fvs,
+            oct_number(g),
+            max_independent_set(g),
+            mwis_exact(WeightedGraph(g, tuple(rng.randint(0, 9) for _ in range(g.n)))),
+            mwis_exact(WeightedGraph(g, (1,) * g.n)),
+            tree_decomp_from_fvs(g, mask_of(fvs[1])),
+        ]
+        if g.n <= 6:
+            out += [check_modulator_minimality(g, ModulatorSpec.parse(t)) for t in EXCHANGE_SPECS]
+        lines.append(repr(out))
+    return "\n".join(lines)
+
+
+def test_cover_and_independent_set_witnesses_pinned():
+    assert hashlib.sha256(_witness_outputs().encode()).hexdigest() == WITNESS_DIGEST
