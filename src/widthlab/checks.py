@@ -248,24 +248,30 @@ def _eval_ramsey_binding(inst, params, budgets) -> str | None:
     return None
 
 
+def _decide_value(h, at_most, value, shown, label, budgets) -> str | None:
+    """Settle lambda(h) == value under ALPHA by the decision pair at value - 1
+    and value; ``shown`` is how the failure text writes the expected value."""
+    if at_most(h, ALPHA, value - 1, budgets):
+        return f"{label} <= {value - 1}, expected {shown}"
+    if not at_most(h, ALPHA, value, budgets):
+        return f"{label} > {shown}, expected {shown}"
+    return None
+
+
 def _eval_sclaw(inst, params, budgets) -> str | None:
     """the s-claw / P5 / net substitutions raise alpha-pw / alpha-td / alpha-pw by
     exactly 1."""
     g = from_graph6(inst["g6"])
     apw = lambda_pathwidth(g, ALPHA, budgets).value
     atd = lambda_treedepth(g, ALPHA, budgets).value
-    sclaw = substitute(g, SubstitutionKind.S_CLAW)
-    got = lambda_pathwidth(sclaw, ALPHA, budgets).value
-    if got != apw + 1:
-        return f"alpha-pw(s(G))={got}, expected {apw}+1"
-    p5 = substitute(g, SubstitutionKind.P5)
-    got = lambda_treedepth(p5, ALPHA, budgets).value
-    if got != atd + 1:
-        return f"alpha-td(p5(G))={got}, expected {atd}+1"
-    net = substitute(g, SubstitutionKind.NET)
-    got = lambda_pathwidth(net, ALPHA, budgets).value
-    if got != apw + 1:
-        return f"alpha-pw(net(G))={got}, expected {apw}+1"
+    for kind, k, at_most, label in (
+        (SubstitutionKind.S_CLAW, apw, lambda_pw_at_most, "alpha-pw(s(G))"),
+        (SubstitutionKind.P5, atd, lambda_td_at_most, "alpha-td(p5(G))"),
+        (SubstitutionKind.NET, apw, lambda_pw_at_most, "alpha-pw(net(G))"),
+    ):
+        detail = _decide_value(substitute(g, kind), at_most, k + 1, f"{k}+1", label, budgets)
+        if detail:
+            return detail
     return None
 
 
@@ -301,15 +307,8 @@ def _eval_gamma(inst, params, budgets) -> str | None:
     if g.n <= budgets.td_decision:
         if not lambda_td_at_most(g, CARD, 2 * omega, budgets):
             return f"td(S_{index}) > 2*omega = {2 * omega}"
-    if g.n <= budgets.pw_exact:
-        apw = lambda_pathwidth(g, ALPHA, budgets).value
-        if apw != index:
-            return f"alpha-pw(S_{index}) = {apw}, expected {index}"
-    elif g.n <= budgets.pw_decision:
-        if lambda_pw_at_most(g, ALPHA, index - 1, budgets):
-            return f"alpha-pw(S_{index}) <= {index - 1}, expected {index}"
-        if not lambda_pw_at_most(g, ALPHA, index, budgets):
-            return f"alpha-pw(S_{index}) > {index}, expected {index}"
+    if g.n <= budgets.pw_decision:
+        return _decide_value(g, lambda_pw_at_most, index, index, f"alpha-pw(S_{index})", budgets)
     return None
 
 

@@ -76,8 +76,9 @@ def rho_at_most(
     """rho(G[within]) <= c, ``within`` defaulting to all of V.
 
     The small thresholds that the modulator solver hammers on are decided on
-    ``g.adj`` directly; only the exact fallbacks (pw at c >= 2, tw and td at
-    c >= 3, chi at c >= 3) build the induced subgraph.
+    ``g.adj`` directly; only the fallbacks (pw at c >= 2, tw and td at
+    c >= 3, chi at c >= 3) build the induced subgraph.  pw and td ask their
+    decision forms; tw, which has none, takes the exact subset DP.
     """
     adj = g.adj
     mask = g.full_mask if within is None else within
@@ -109,7 +110,11 @@ def rho_at_most(
     sub = g if mask == g.full_mask else g.induced(mask)[0]
     if rho == "chi":
         return is_k_colourable(sub, c)
-    return parameter(rho)(sub, budgets)[0] <= c
+    if rho == "pw":
+        return widths.lambda_pw_at_most(sub, CARD, c, budgets)
+    if rho == "td":
+        return widths.lambda_td_at_most(sub, CARD, c, budgets)
+    return parameter(rho)(sub, budgets)[0] <= c  # tw
 
 
 # ---------------------------------------------------------------------------

@@ -75,6 +75,30 @@ def test_run_check_failure_carries_graph6():
     assert "delta" in detail
 
 
+def test_sclaw_increment_failure_paths(monkeypatch):
+    # Each decision of the pair must be able to fail: a substitution that
+    # adds nothing trips the lower one, one applied twice the upper one.
+    import widthlab.checks as checks
+
+    real = checks.substitute
+    monkeypatch.setattr(checks, "substitute", lambda g, kind: g)
+    report = run_check(CheckSpec("sclaw-increment", {"graphs": ["@", "Bw"]}))
+    assert [detail for _, detail in report.failures] == ["alpha-pw(s(G)) <= 1, expected 1+1"] * 2
+    monkeypatch.setattr(checks, "substitute", lambda g, kind: real(real(g, kind), kind))
+    report = run_check(CheckSpec("sclaw-increment", {"graphs": ["@"]}))
+    assert [detail for _, detail in report.failures] == ["alpha-pw(s(G)) > 1+1, expected 1+1"]
+
+
+def test_sclaw_increment_beyond_exact_pathwidth_budget():
+    # Random G on 5 vertices give s-claw substitutions on 19 vertices, past
+    # the exact alpha-pw budget but inside the decision budget.
+    report = run_check(
+        CheckSpec("sclaw-increment", {"random_n": 5, "random_count": 3, "seed": 20250810})
+    )
+    assert report.instances_tested == 10
+    assert report.passed, report.failures
+
+
 def test_run_check_deterministic_and_parallel_identical():
     spec = CheckSpec("td-path-formula", {"max_n": 8})
     a = run_check(spec).to_json(include_timing=False)

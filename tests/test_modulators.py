@@ -191,6 +191,13 @@ def test_rho_at_most_shortcuts_match_values(small_graphs):
             value = parameter(rho)(g, DEFAULT_BUDGETS)[0]
             for c in range(0, 4):
                 assert rho_at_most(g, rho, c) == (value <= c)
+    # pw and td above their shortcuts go to the decision forms.
+    for n in range(7):
+        for g in enumerate_graphs(n):
+            for rho in ("pw", "td"):
+                value = parameter(rho)(g, DEFAULT_BUDGETS)[0]
+                for c in range(2, 5):
+                    assert rho_at_most(g, rho, c) == (value <= c), (g.adj, rho, c)
 
 
 def test_lambda_rho_dispatch(zoo):

@@ -19,7 +19,7 @@ from oracles import (
     tw_by_separator_branching,
 )
 
-from widthlab.config import DEFAULT_BUDGETS, Budgets
+from widthlab.config import DEFAULT_BUDGETS, DEFAULT_SUITE, Budgets
 from widthlab.decomp import CostKind, cost, validate
 from widthlab.graphs import (
     BudgetExceededError,
@@ -238,6 +238,23 @@ def test_decision_forms_match_exact_random_medium():
             for k in (pw - 1, pw, td - 1, td):
                 assert lambda_pw_at_most(g, kind, k) == (pw <= k)
                 assert lambda_td_at_most(g, kind, k) == (td <= k)
+
+
+def test_decision_pairs_match_exact_on_substitutions():
+    # sclaw-increment settles alpha-pw / alpha-td of the substituted graphs
+    # (5 to 16 vertices) by the decision pair at v - 1 and v, past the sizes
+    # the tests above reach.
+    bases = [g for n in range(1, 4) for g in enumerate_graphs(n)]
+    bases += [random_graph(4, 0.5, DEFAULT_SUITE.default_seed + i) for i in range(3)]
+    for g in bases:
+        for sub_kind, exact, at_most in (
+            (SubstitutionKind.S_CLAW, lambda_pathwidth, lambda_pw_at_most),
+            (SubstitutionKind.NET, lambda_pathwidth, lambda_pw_at_most),
+            (SubstitutionKind.P5, lambda_treedepth, lambda_td_at_most),
+        ):
+            h = substitute(g, sub_kind)
+            v = exact(h, ALPHA).value
+            assert at_most(h, ALPHA, v) and not at_most(h, ALPHA, v - 1), (g.adj, sub_kind)
 
 
 def test_budgets_are_enforced():
