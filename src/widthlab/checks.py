@@ -275,14 +275,20 @@ def _eval_sclaw(inst, params, budgets) -> str | None:
     return None
 
 
+def _gamma_order(index: int) -> int:
+    """|V(S_index)|: the s-claw substitution takes n vertices to 3n + 4."""
+    order = 1
+    for _ in range(index - 1):
+        order = 3 * order + 4
+    return order
+
+
 def _eval_gamma(inst, params, budgets) -> str | None:
     """the iterated s-claw family: alpha-pw(S_n) = n, omega = n, chordal,
     td <= 2 omega, {P6,C4,C5,C6}-free, alpha-tw = 1."""
     index = inst["index"]
     g = gamma_family(index, budgets)
-    expected_order = 1
-    for _ in range(index - 1):
-        expected_order = 3 * expected_order + 4
+    expected_order = _gamma_order(index)
     if g.n != expected_order:
         return f"|V(S_{index})| = {g.n}, expected {expected_order}"
     omega = clique_number(g)
@@ -516,6 +522,20 @@ def _minimality_meta(params: dict, budgets: Budgets) -> dict:
     return {"h": h}
 
 
+def _gamma_meta(params: dict, budgets: Budgets) -> dict:
+    """Per fact that ``_eval_gamma`` decides only within a decision budget,
+    the indices whose S_n exceeds that budget."""
+    skipped = {}
+    for fact, limit in (
+        ("td <= 2 omega", budgets.td_decision),
+        ("alpha-pw(S_n) = n", budgets.pw_decision),
+    ):
+        over = [i for i in range(1, params["max_n"] + 1) if _gamma_order(i) > limit]
+        if over:
+            skipped[fact] = over
+    return {"skipped": skipped} if skipped else {}
+
+
 CHECKS: dict[str, Check] = {
     "chain-inequality": Check(
         lambda s: {"max_n": s.chain_max_n}, _per_graph, _eval_chain, family=True
@@ -538,6 +558,7 @@ CHECKS: dict[str, Check] = {
         lambda s: {"max_n": s.gamma_max_index},
         lambda p: [{"index": i} for i in range(1, p["max_n"] + 1)],
         _eval_gamma,
+        meta=_gamma_meta,
     ),
     "modulator-slack": Check(
         lambda s: {

@@ -21,14 +21,25 @@ Algorithms (all exact for monotone bag costs):
     path decomposition produces bags inside the original ones.
   The DP reads bag costs from a dense table over all 2^n subsets (popcounts,
   or alpha filled in one pass).  It already keeps 2^n-entry arrays, so the
-  table adds no new size limit there; every other solver visits a sparse
-  family of subsets and keeps the memoised ``SubsetAlpha`` oracle.
+  table adds no new size limit there.
 * pathwidth decision form: a pruned depth-first search over feasible
   prefixes.
-* treedepth: recursion on (connected component, ancestor set), choosing the
-  component's root; leaf cost is lambda over ancestors plus the leaf.
+* treedepth: recursion on a connected component below its ancestor set,
+  choosing the component's root; a root-to-leaf path costs lambda of the
+  ancestors plus the path.  Under cardinality that is |ancestors| plus the
+  path length, so the memo keys on the component alone and each level adds
+  one; under alpha it keys on (component, ancestor set) and reads alpha
+  from the dense table (n <= td_exact, 14 by default: at most 2^14
+  entries).  Every path pays at least floor = max over v of
+  cost(ancestors + v), and under cardinality two once the component has an
+  edge, so the root loop stops at the first root that reaches floor.  If
+  cost(ancestors + component) is already floor, every root reaches it and
+  the lowest one is taken without recursing.
 * degeneracy: greedy peeling of a vertex with the cheapest closed
   neighbourhood cost; exact because the cost is monotone under subsets.
+
+The decision forms and degeneracy visit a sparse family of subsets and keep
+the memoised ``SubsetAlpha`` oracle instead of a dense table.
 """
 
 from __future__ import annotations
@@ -294,30 +305,56 @@ def lambda_treedepth(
     n = g.n
     if n == 0:
         return WidthResult(0, RootedForest(()), kind)
-    bag_cost = _bag_cost_fn(g, kind)
     adj = g.adj
-    memo: dict[tuple[int, int], tuple[int, int]] = {}
+    if kind is CostKind.CARDINALITY:
+        # A subtree costs |above| plus the height of its component alone, so
+        # solve forgets the ancestors and adds one per level.
+        cost = int.bit_count
+        keep, lift = 0, 1
+    else:
+        cost = _alpha_table(adj).__getitem__
+        keep, lift = -1, 0
+    memo: dict[int, tuple[int, int]] = {}
 
     def solve(comp: int, above: int) -> tuple[int, int]:
-        """Best (cost, root) for a connected component under ancestor set."""
-        key = (comp, above)
+        """Best (cost, root) for a connected component under ancestor set;
+        under cardinality ``above`` is always empty and the cost a height."""
+        if comp & (comp - 1) == 0:
+            return cost(above | comp), comp.bit_length() - 1
+        key = comp | above << n
         cached = memo.get(key)
         if cached is not None:
             return cached
-        best, best_root = None, -1
-        for v in bits(comp):
-            stacked = above | 1 << v
-            here = bag_cost(stacked)
-            if best is not None and here >= best:
-                continue
-            rest = comp & ~(1 << v)
-            value = here
-            for sub in components(adj, rest):
-                value = max(value, solve(sub, stacked)[0])
-                if best is not None and value >= best:
-                    break
-            if best is None or value < best:
-                best, best_root = value, v
+        roots = []  # (cost(above + v), v as a one-bit mask)
+        floor = 0
+        m = comp
+        while m:
+            low = m & -m
+            m ^= low
+            here = cost(above | low)
+            roots.append((here, low))
+            if here > floor:
+                floor = here
+        # Every root-to-leaf path pays at least floor; under cardinality it
+        # also holds a second vertex, as the component has an edge.
+        floor += lift
+        if cost(above | comp) == floor:  # every root reaches floor
+            best, best_root = floor, (comp & -comp).bit_length() - 1
+        else:
+            best, best_root = n + 1, -1
+            for here, low in roots:
+                if here >= best:
+                    continue
+                below = (above | low) & keep
+                value = here
+                for sub in components(adj, comp ^ low):
+                    value = max(value, solve(sub, below)[0] + lift)
+                    if value >= best:
+                        break
+                if value < best:
+                    best, best_root = value, low.bit_length() - 1
+                    if best == floor:
+                        break
         memo[key] = (best, best_root)
         return best, best_root
 
@@ -328,7 +365,7 @@ def lambda_treedepth(
         parent[root] = parent_vertex
         rest = comp & ~(1 << root)
         for sub in components(adj, rest):
-            build(sub, above | 1 << root, root)
+            build(sub, (above | 1 << root) & keep, root)
 
     value = 0
     for comp in g.components():

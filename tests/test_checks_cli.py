@@ -99,6 +99,18 @@ def test_sclaw_increment_beyond_exact_pathwidth_budget():
     assert report.passed, report.failures
 
 
+def test_gamma_witness_reports_facts_past_decision_budgets():
+    # S_4 has 79 vertices, past td_decision and pw_decision: the report
+    # still passes, and its meta names the facts left undecided there.
+    report = run_check(CheckSpec("gamma-witness", {"max_n": 4}))
+    assert report.passed, report.failures
+    assert report.to_json(include_timing=False)["meta"] == {
+        "skipped": {"td <= 2 omega": [4], "alpha-pw(S_n) = n": [4]}
+    }
+    # Up to S_3 every fact is decided and the report carries no meta.
+    assert "meta" not in run_check(CheckSpec("gamma-witness")).to_json()
+
+
 def test_run_check_deterministic_and_parallel_identical():
     spec = CheckSpec("td-path-formula", {"max_n": 8})
     a = run_check(spec).to_json(include_timing=False)

@@ -6,6 +6,8 @@ instead, and tiny instances are additionally checked against exhaustive
 enumeration of decompositions.
 """
 
+import hashlib
+
 import pytest
 
 from oracles import (
@@ -107,6 +109,24 @@ def test_treedepth_agrees_with_forest_enumeration_n5():
     for g in enumerate_graphs(5):
         for kind in BOTH:
             assert lambda_treedepth(g, kind).value == td_by_all_forests(g, kind)
+
+
+# sha256 of _treedepth_outputs(), recorded from the solver that memoised
+# every (component, ancestor set) pair and tried every root: the forests are
+# part of the output (CLI JSON), so values and tie-breaking must not change.
+TD_DIGEST = "540c287c843f1d4ca4805080cf3f513585e9c2d7689a16c9949144df80ada50d"
+
+
+def _treedepth_outputs() -> str:
+    graphs = [g for n in range(8) for g in enumerate_graphs(n)]
+    graphs += [
+        random_graph(n, p, seed) for n in range(8, 14) for p in (0.25, 0.5) for seed in range(2)
+    ]
+    return "\n".join(repr(lambda_treedepth(g, kind)) for g in graphs for kind in BOTH)
+
+
+def test_treedepth_witnesses_pinned():
+    assert hashlib.sha256(_treedepth_outputs().encode()).hexdigest() == TD_DIGEST
 
 
 def test_degeneracy_matches_maxmin_bruteforce(small_graphs):
