@@ -49,7 +49,7 @@ from .modulators import (
     rho_at_most,
     vertex_cover_number,
 )
-from .mwis import WeightedGraph, find_oct_with_bounded_alpha, mwis_bipartite, mwis_exact, mwis_via_oct
+from .mwis import WeightedGraph, mwis_bipartite, mwis_exact, mwis_via_oct
 from .widths import (
     alpha_chromatic,
     lambda_pathwidth,
@@ -376,17 +376,16 @@ def _eval_mwis(inst, params, budgets) -> str | None:
     if inst["mode"] == "bipartite":
         other = mwis_bipartite(wg, budgets)
     else:
-        k = 0
-        oct_set = None
-        while oct_set is None:
-            oct_set = find_oct_with_bounded_alpha(g, k, budgets)
-            if oct_set is None:
-                k += 1
-        other = mwis_via_oct(wg, k, budgets)
+        # alpha(G[S]) <= |S| <= n, so k = n never cuts the search, and the
+        # search returns the same minimum-alpha transversal for every k at
+        # or above that minimum: one search per instance.
+        other = mwis_via_oct(wg, g.n, budgets)
     picked = mask_of(other.vertices)
     for v in other.vertices:
         if g.adj[v] & picked:
             return f"{inst['mode']} witness {other.vertices} not independent"
+    if other.weight != sum(weights[v] for v in other.vertices):
+        return f"{inst['mode']} witness weight mismatch"
     if other.weight != exact.weight:
         return f"{inst['mode']} weight {other.weight} != exact {exact.weight}"
     return None

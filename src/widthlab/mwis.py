@@ -217,8 +217,13 @@ def find_oct_with_bounded_alpha(
 
     Branches on the vertices of an odd cycle of the current graph; the
     alpha(G[S]) <= k constraint is monotone, so partial sets exceeding k
-    are pruned.  Among admissible transversals the one minimising
-    (alpha(G[S]), S lexicographically) is returned.
+    are pruned.  The result attains the minimum alpha(G[S]) over all odd
+    cycle transversals; among the transversals of that alpha which the
+    branching reaches, it is the lexicographically smallest.  It need not
+    be the smallest of all such transversals: on a triangle 1-2-3 with a
+    pendant 0 on 3 it is (1,), though (0, 3) also has alpha 1.  Pruning
+    only ever cuts on alpha, which grows along a branch, so every k at or
+    above that minimum returns the same set, and every k below it None.
     """
     if g.n > budgets.oct_alpha:
         raise BudgetExceededError(

@@ -89,6 +89,22 @@ def test_sclaw_increment_failure_paths(monkeypatch):
     assert [detail for _, detail in report.failures] == ["alpha-pw(s(G)) > 1+1, expected 1+1"]
 
 
+def test_mwis_equivalence_checks_the_oct_witness_weight(monkeypatch):
+    # An OCT route that reports the right weight with an empty witness is
+    # independent and agrees with the oracle on the value; only the witness
+    # weight test can catch it.
+    import widthlab.checks as checks
+    from widthlab.mwis import MwisResult, mwis_exact
+
+    monkeypatch.setattr(
+        checks, "mwis_via_oct", lambda wg, k, budgets: MwisResult(mwis_exact(wg).weight, ())
+    )
+    report = run_check(CheckSpec("mwis-equivalence", {"max_n": 4}))
+    assert not report.passed
+    assert report.failures
+    assert {detail for _, detail in report.failures} == {"oct witness weight mismatch"}
+
+
 def test_sclaw_increment_beyond_exact_pathwidth_budget():
     # Random G on 5 vertices give s-claw substitutions on 19 vertices, past
     # the exact alpha-pw budget but inside the decision budget.

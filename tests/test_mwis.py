@@ -143,18 +143,39 @@ def test_find_oct_known():
     assert find_oct_with_bounded_alpha(cycle_graph(5), -1) is None
 
 
-def test_find_oct_attains_minimum_alpha(small_graphs):
+def _graphs_upto_7():
+    return [g for n in range(8) for g in enumerate_graphs(n)]
+
+
+def test_find_oct_attains_minimum_alpha():
     # With an unconstrained bound, the search returns a transversal whose
     # independence number equals the alpha-variant of the OCT modulator
     # number (the minimum is attained on an inclusion-minimal transversal).
     from widthlab.decomp import CostKind
     from widthlab.modulators import ModulatorSpec, modulator_number
 
-    for g in small_graphs[:40]:
+    for g in _graphs_upto_7():
         s = find_oct_with_bounded_alpha(g, g.n)
         alpha = SubsetAlpha(g)
         expected = modulator_number(g, ModulatorSpec("chi", 2), CostKind.INDEPENDENCE)[0]
         assert alpha(mask_of(s)) == expected
+
+
+def test_find_oct_same_for_every_admissible_k():
+    # mwis-equivalence calls the OCT route once, at k = n; that stands for
+    # every k only while each k at or above the minimum alpha a gives the
+    # same transversal and each k below a gives none.
+    rng = random.Random(2026)
+    graphs = _graphs_upto_7() + [random_graph(n, 0.5, 300 + n) for n in range(8, 15)]
+    for g in graphs:
+        s = find_oct_with_bounded_alpha(g, g.n)
+        a = SubsetAlpha(g)(mask_of(s))
+        for k in range(a):
+            assert find_oct_with_bounded_alpha(g, k) is None
+        for k in range(a, g.n):
+            assert find_oct_with_bounded_alpha(g, k) == s
+        wg = WeightedGraph(g, tuple(rng.randint(0, 9) for _ in range(g.n)))
+        assert mwis_via_oct(wg, a) == mwis_via_oct(wg, g.n)
 
 
 def test_mwis_network_cut_value():
