@@ -58,6 +58,24 @@ class SubsetAlpha:
         return value
 
 
+def alpha_table(adj) -> list[int]:
+    """alpha of the subgraph induced on every subset, indexed by bitmask: the
+    dense form of ``SubsetAlpha`` for callers that visit most subsets.
+
+    With v the lowest vertex of s, a maximum independent set of s either
+    avoids v or takes v and nothing else of N[v]; both subsets are
+    numerically smaller than s, so one pass in numeric order fills the table.
+    """
+    alpha = [0] * (1 << len(adj))
+    closed = [nb | 1 << v for v, nb in enumerate(adj)]
+    for s in range(1, len(alpha)):
+        low = s & -s
+        skip = alpha[s ^ low]
+        take = alpha[s & ~closed[low.bit_length() - 1]] + 1
+        alpha[s] = skip if skip > take else take
+    return alpha
+
+
 def independence_number(g: Graph) -> int:
     """alpha(G), the maximum size of an independent set."""
     return SubsetAlpha(g)(g.full_mask)

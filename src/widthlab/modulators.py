@@ -21,6 +21,7 @@ from .decomp import CostKind
 from .graphs import BudgetExceededError, Graph, bits, mask_of
 from .invariants import (
     SubsetAlpha,
+    alpha_table,
     chromatic_number,
     clique_number,
     independent_subsets,
@@ -161,13 +162,14 @@ def modulator_number(
     # Depth-first over sorted tuples in lexicographic order.  alpha only
     # grows along a branch, so a branch ends once alpha(S) is no better than
     # the incumbent or S is a modulator; the first optimum found is the
-    # lexicographically smallest.
-    alpha = SubsetAlpha(g)
+    # lexicographically smallest.  The search visits many subsets, so alpha
+    # comes from the dense table (n <= the modulator budget, 16 by default).
+    alpha = alpha_table(g.adj)
     best, witness = g.n + 1, ()
 
     def search(subset: tuple[int, ...], s_mask: int):
         nonlocal best, witness
-        a = alpha(s_mask)
+        a = alpha[s_mask]
         if a >= best:
             return
         if rho_at_most(g, spec.rho, spec.c, budgets, within=g.full_mask & ~s_mask):

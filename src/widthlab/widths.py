@@ -24,22 +24,27 @@ Algorithms (all exact for monotone bag costs):
   table adds no new size limit there.
 * pathwidth decision form: a pruned depth-first search over feasible
   prefixes.
-* treedepth: recursion on a connected component below its ancestor set,
-  choosing the component's root; a root-to-leaf path costs lambda of the
-  ancestors plus the path.  Under cardinality that is |ancestors| plus the
-  path length, so the memo keys on the component alone and each level adds
-  one; under alpha it keys on (component, ancestor set) and reads alpha
-  from the dense table (n <= td_exact, 14 by default: at most 2^14
-  entries).  Every path pays at least floor = max over v of
-  cost(ancestors + v), and under cardinality two once the component has an
-  edge, so the root loop stops at the first root that reaches floor.  If
-  cost(ancestors + component) is already floor, every root reaches it and
-  the lowest one is taken without recursing.
+* treedepth under cardinality: one pass over all 2^n subsets in numeric
+  order (the O*(2^n) baseline of Fomin, Giannopoulou & Pilipczuk,
+  "Computing tree-depth faster than 2^n", Algorithmica 2015).  A
+  disconnected s takes the larger height of its lowest vertex's component
+  and the rest; a connected s takes 1 + min over v of td(s - v), with the
+  lowest such v as its root.  The forest is rebuilt from the root table.
+* treedepth under alpha: recursion on a connected component below its
+  ancestor set, choosing the component's root; a root-to-leaf path costs
+  alpha of the ancestors plus the path, so the memo keys on (component,
+  ancestor set).  Every path pays at least floor = max over v of
+  alpha(ancestors + v), so the root loop stops at the first root that
+  reaches floor; if alpha(ancestors + component) is already floor, every
+  root reaches it and the lowest one is taken without recursing.
 * degeneracy: greedy peeling of a vertex with the cheapest closed
   neighbourhood cost; exact because the cost is monotone under subsets.
 
-The decision forms and degeneracy visit a sparse family of subsets and keep
-the memoised ``SubsetAlpha`` oracle instead of a dense table.
+The exact tw, pw and td solvers keep 2^n-entry tables, within their
+budgets (tw_card, tw_alpha, pw_exact, td_exact), and read alpha from the
+dense ``invariants.alpha_table``.  The decision forms, which run past those
+sizes, and degeneracy visit a sparse family of subsets and keep the
+memoised ``SubsetAlpha`` oracle.
 """
 
 from __future__ import annotations
@@ -55,7 +60,7 @@ from .decomp import (
     TreeDecomposition,
 )
 from .graphs import BudgetExceededError, Graph, bits, components
-from .invariants import SubsetAlpha
+from .invariants import SubsetAlpha, alpha_table
 
 
 @dataclass(frozen=True)
@@ -80,23 +85,6 @@ def _check_budget(op: str, n: int, limit: int):
 # The subset DP shared by treewidth and pathwidth
 
 
-def _alpha_table(adj) -> list[int]:
-    """alpha of the subgraph induced on every subset, indexed by bitmask.
-
-    With v the lowest vertex of s, a maximum independent set of s either
-    avoids v or takes v and nothing else of N[v]; both subsets are
-    numerically smaller than s, so one pass in numeric order fills the table.
-    """
-    alpha = [0] * (1 << len(adj))
-    closed = [nb | 1 << v for v, nb in enumerate(adj)]
-    for s in range(1, len(alpha)):
-        low = s & -s
-        skip = alpha[s ^ low]
-        take = alpha[s & ~closed[low.bit_length() - 1]] + 1
-        alpha[s] = skip if skip > take else take
-    return alpha
-
-
 def _subset_dp(g: Graph, kind: CostKind, bag) -> tuple[int, list[int], list[int]]:
     """Minimise the largest bag cost over the orderings of all vertices.
 
@@ -112,7 +100,7 @@ def _subset_dp(g: Graph, kind: CostKind, bag) -> tuple[int, list[int], list[int]
     if kind is CostKind.CARDINALITY:
         bag_cost = [s.bit_count() for s in range(full + 1)]
     else:
-        bag_cost = _alpha_table(g.adj)
+        bag_cost = alpha_table(g.adj)
     worst = n + 1  # above every bag cost
     f = [worst] * (full + 1)
     choice = [0] * (full + 1)
@@ -298,27 +286,54 @@ def lambda_pw_at_most(
 # Treedepth
 
 
-def lambda_treedepth(
-    g: Graph, kind: CostKind, budgets: Budgets = DEFAULT_BUDGETS
-) -> WidthResult:
-    _check_budget("lambda_treedepth", g.n, budgets.td_exact)
-    n = g.n
-    if n == 0:
-        return WidthResult(0, RootedForest(()), kind)
-    adj = g.adj
-    if kind is CostKind.CARDINALITY:
-        # A subtree costs |above| plus the height of its component alone, so
-        # solve forgets the ancestors and adds one per level.
-        cost = int.bit_count
-        keep, lift = 0, 1
-    else:
-        cost = _alpha_table(adj).__getitem__
-        keep, lift = -1, 0
+def _treedepth_table(adj) -> tuple[list[int], list[int]]:
+    """td of the subgraph induced on every subset and, for the connected
+    ones, the lowest root that attains it, indexed by bitmask.
+
+    With c the component of s that holds its lowest vertex, td(s) is
+    max(td(c), td(s - c)) when c != s, and 1 + min over v in s of td(s - v)
+    when s is connected.  Both read only proper subsets of s, which are
+    numerically smaller, so one pass in numeric order fills the table.
+    """
+    size = 1 << len(adj)
+    height = [0] * size
+    root = [0] * size
+    for s in range(1, size):
+        comp = frontier = s & -s
+        while frontier:
+            grow = 0
+            while frontier:
+                u = frontier & -frontier
+                grow |= adj[u.bit_length() - 1]
+                frontier ^= u
+            frontier = grow & s & ~comp
+            comp |= frontier
+        if comp != s:
+            a, b = height[comp], height[s ^ comp]
+            height[s] = a if a > b else b
+            continue
+        best = size
+        m = s
+        while m:
+            low = m & -m
+            m ^= low
+            h = height[s ^ low]
+            if h < best:
+                best, best_root = h, low
+        height[s] = best + 1
+        root[s] = best_root.bit_length() - 1
+    return height, root
+
+
+def _alpha_treedepth(adj):
+    """solve(comp, above): the least alpha cost of a forest on the connected
+    component comp below the ancestor set above, and its lowest optimal root.
+    """
+    n = len(adj)
+    cost = alpha_table(adj).__getitem__
     memo: dict[int, tuple[int, int]] = {}
 
     def solve(comp: int, above: int) -> tuple[int, int]:
-        """Best (cost, root) for a connected component under ancestor set;
-        under cardinality ``above`` is always empty and the cost a height."""
         if comp & (comp - 1) == 0:
             return cost(above | comp), comp.bit_length() - 1
         key = comp | above << n
@@ -326,7 +341,7 @@ def lambda_treedepth(
         if cached is not None:
             return cached
         roots = []  # (cost(above + v), v as a one-bit mask)
-        floor = 0
+        floor = 0  # every root-to-leaf path pays at least this
         m = comp
         while m:
             low = m & -m
@@ -335,9 +350,6 @@ def lambda_treedepth(
             roots.append((here, low))
             if here > floor:
                 floor = here
-        # Every root-to-leaf path pays at least floor; under cardinality it
-        # also holds a second vertex, as the component has an edge.
-        floor += lift
         if cost(above | comp) == floor:  # every root reaches floor
             best, best_root = floor, (comp & -comp).bit_length() - 1
         else:
@@ -345,10 +357,9 @@ def lambda_treedepth(
             for here, low in roots:
                 if here >= best:
                     continue
-                below = (above | low) & keep
                 value = here
                 for sub in components(adj, comp ^ low):
-                    value = max(value, solve(sub, below)[0] + lift)
+                    value = max(value, solve(sub, above | low)[0])
                     if value >= best:
                         break
                 if value < best:
@@ -358,14 +369,31 @@ def lambda_treedepth(
         memo[key] = (best, best_root)
         return best, best_root
 
-    parent: list[int | None] = [None] * n
+    return solve
+
+
+def lambda_treedepth(
+    g: Graph, kind: CostKind, budgets: Budgets = DEFAULT_BUDGETS
+) -> WidthResult:
+    _check_budget("lambda_treedepth", g.n, budgets.td_exact)
+    if g.n == 0:
+        return WidthResult(0, RootedForest(()), kind)
+    adj = g.adj
+    if kind is CostKind.CARDINALITY:
+        height, roots = _treedepth_table(adj)
+
+        def solve(comp: int, above: int) -> tuple[int, int]:
+            return height[comp], roots[comp]
+
+    else:
+        solve = _alpha_treedepth(adj)
+    parent: list[int | None] = [None] * g.n
 
     def build(comp: int, above: int, parent_vertex: int | None):
         root = solve(comp, above)[1]
         parent[root] = parent_vertex
-        rest = comp & ~(1 << root)
-        for sub in components(adj, rest):
-            build(sub, (above | 1 << root) & keep, root)
+        for sub in components(adj, comp & ~(1 << root)):
+            build(sub, above | 1 << root, root)
 
     value = 0
     for comp in g.components():

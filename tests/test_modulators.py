@@ -269,6 +269,26 @@ def test_modulator_witnesses_pinned():
     assert digest == MODULATOR_DIGEST
 
 
+# sha256 of _alpha_modulator_outputs(), recorded from the alpha search that
+# read alpha(S) from a memoised SubsetAlpha oracle: it carries the witness
+# pin past n = 6, where MODULATOR_DIGEST stops.
+ALPHA_MODULATOR_DIGEST = "57d7fc142a633cd4114359454a9f851da1200fabc275e0699443922281f05187"
+
+
+def _alpha_modulator_outputs() -> str:
+    graphs = list(enumerate_graphs(7))
+    graphs += [
+        random_graph(n, p, seed) for n in range(8, 13) for p in (0.25, 0.5) for seed in range(2)
+    ]
+    specs = [ModulatorSpec.parse(t) for t in ("tw:1", "tw:2", "chi:2")]
+    return "\n".join(repr(modulator_number(g, spec, ALPHA)) for g in graphs for spec in specs)
+
+
+def test_alpha_modulator_witnesses_pinned():
+    digest = hashlib.sha256(_alpha_modulator_outputs().encode()).hexdigest()
+    assert digest == ALPHA_MODULATOR_DIGEST
+
+
 # sha256 of _witness_outputs(), recorded from the solvers that ran one
 # hand-written self-reduction loop each: the witnesses of the cover solvers,
 # the maximum (weight) independent sets, the decomposition built on the fvs

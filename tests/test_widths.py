@@ -35,9 +35,9 @@ from widthlab.graphs import (
     star,
 )
 from widthlab.constructions import SubstitutionKind, substitute
-from widthlab.invariants import SubsetAlpha, is_chordal
+from widthlab.invariants import SubsetAlpha, alpha_table, is_chordal
 from widthlab.widths import (
-    _alpha_table,
+    _treedepth_table,
     alpha_chromatic,
     degeneracy,
     lambda_pathwidth,
@@ -95,7 +95,7 @@ def test_dense_alpha_table_matches_subset_alpha():
     for n in (9, 10, 11, 12):
         g = random_graph(n, 0.35, 700 + n)
         oracle = SubsetAlpha(g)
-        assert _alpha_table(g.adj) == [oracle(s) for s in range(1 << n)]
+        assert alpha_table(g.adj) == [oracle(s) for s in range(1 << n)]
 
 
 def test_treedepth_agrees_with_forest_enumeration():
@@ -127,6 +127,31 @@ def _treedepth_outputs() -> str:
 
 def test_treedepth_witnesses_pinned():
     assert hashlib.sha256(_treedepth_outputs().encode()).hexdigest() == TD_DIGEST
+
+
+def test_treedepth_table_on_every_subset():
+    # Every entry, not only the full vertex set: the height of each mask is
+    # the treedepth of the subgraph it induces, and the independent decision
+    # form accepts that height and rejects one less.
+    for n in (8, 9, 10):
+        for p in (0.3, 0.6):
+            g = random_graph(n, p, 900 + n)
+            height, _ = _treedepth_table(g.adj)
+            for mask in range(1 << n):
+                sub = g.induced(mask)[0]
+                k = height[mask]
+                assert k == lambda_treedepth(sub, CARD).value, (g.adj, mask)
+                assert lambda_td_at_most(sub, CARD, k), (g.adj, mask)
+                assert not lambda_td_at_most(sub, CARD, k - 1), (g.adj, mask)
+
+
+def test_treedepth_matches_decision_pair_up_to_td_exact():
+    for n in range(12, DEFAULT_BUDGETS.td_exact + 1):
+        for p in (0.2, 0.4):
+            g = random_graph(n, p, 950 + n)
+            k = lambda_treedepth(g, CARD).value
+            assert lambda_td_at_most(g, CARD, k), (n, p)
+            assert not lambda_td_at_most(g, CARD, k - 1), (n, p)
 
 
 def test_degeneracy_matches_maxmin_bruteforce(small_graphs):
