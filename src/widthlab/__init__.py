@@ -9,9 +9,6 @@ from .decomp import (
     TreeDecomposition,
     chordal_clique_tree,
     cost,
-    extend_path_decomposition,
-    extend_tree_decomposition,
-    extend_treedepth_decomposition,
     path_decomp_from_treedepth,
     td_decomp_from_vertex_cover,
     tree_decomp_from_fvs,

@@ -16,7 +16,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from .config import Budgets, SuiteParams, DEFAULT_BUDGETS, DEFAULT_SUITE
-from .constructions import SubstitutionKind, gamma_family, substitute
+from .constructions import SubstitutionKind, check_gamma_budget, gamma_family, substitute
 from .decomp import CostKind, chordal_clique_tree, cost, tree_decomp_from_fvs
 from .formats import to_graph6, from_graph6
 from .graphs import (
@@ -26,6 +26,7 @@ from .graphs import (
     complete_bipartite,
     complete_graph,
     copies,
+    cycle_graph,
     enumerate_graphs,
     mask_of,
     path_graph,
@@ -136,23 +137,23 @@ def _graph_family(params: dict) -> list[str]:
     return [to_graph6(g) for g in graphs_upto(params["max_n"])]
 
 
-def _per_graph(params: dict) -> list[dict]:
+def _per_graph(params: dict, budgets: Budgets) -> list[dict]:
     return [{"g6": g6} for g6 in _graph_family(params)]
 
 
-def _per_order(params: dict) -> list[dict]:
+def _per_order(params: dict, budgets: Budgets) -> list[dict]:
     return [{"n": n} for n in range(1, params["max_n"] + 1)]
 
 
-def _ramsey_instances(params: dict) -> list[dict]:
-    return _per_graph(params) + [
+def _ramsey_instances(params: dict, budgets: Budgets) -> list[dict]:
+    return _per_graph(params, budgets) + [
         {"fact": [6, 3, 3], "expect": True},
         {"fact": [5, 3, 3], "expect": False},
     ]
 
 
-def _sclaw_instances(params: dict) -> list[dict]:
-    out = _per_graph(params)
+def _sclaw_instances(params: dict, budgets: Budgets) -> list[dict]:
+    out = _per_graph(params, budgets)
     if "graphs" not in params:
         seed = params["seed"]
         for i in range(params["random_count"]):
@@ -161,7 +162,7 @@ def _sclaw_instances(params: dict) -> list[dict]:
     return out
 
 
-def _slack_instances(params: dict) -> list[dict]:
+def _slack_instances(params: dict, budgets: Budgets) -> list[dict]:
     return [
         {"g6": g6, "rho": rho, "c": c, "kind": kind}
         for g6 in _graph_family(params)
@@ -171,11 +172,11 @@ def _slack_instances(params: dict) -> list[dict]:
     ]
 
 
-def _minimality_instances(params: dict) -> list[dict]:
+def _minimality_instances(params: dict, budgets: Budgets) -> list[dict]:
     return [{"g6": g6, "spec": spec} for g6 in _graph_family(params) for spec in params["specs"]]
 
 
-def _mwis_instances(params: dict) -> list[dict]:
+def _mwis_instances(params: dict, budgets: Budgets) -> list[dict]:
     if "graphs" in params:
         return [
             {"g6": g6, "wseed": params["seed"] + i, "mode": "oct"}
@@ -198,14 +199,20 @@ def _mwis_instances(params: dict) -> list[dict]:
     return out
 
 
-def _alpha_chi_instances(params: dict) -> list[dict]:
+def _alpha_chi_instances(params: dict, budgets: Budgets) -> list[dict]:
     out = [{"graph": f"K{s}", "expect": 1} for s in range(1, params["max_s"] + 1)]
     out.append({"graph": "2K2", "expect": 2})
     out.append({"graph": "3K3", "expect_at_least": 3})
     return out
 
 
-def _iso_instances(params: dict) -> list[dict]:
+def _gamma_instances(params: dict, budgets: Budgets) -> list[dict]:
+    """S_1 .. S_max_n.  An over-budget max_n fails before any S_n is built."""
+    check_gamma_budget(params["max_n"], budgets)
+    return [{"index": i} for i in range(1, params["max_n"] + 1)]
+
+
+def _iso_instances(params: dict, budgets: Budgets) -> list[dict]:
     return [
         {"g6": g6, "relabelings": params["relabelings"], "seed": params["seed"]}
         for g6 in _graph_family(params)
@@ -283,6 +290,14 @@ def _gamma_order(index: int) -> int:
     return order
 
 
+_GAMMA_FORBIDDEN = (
+    ("P6", path_graph(6)),
+    ("C4", cycle_graph(4)),
+    ("C5", cycle_graph(5)),
+    ("C6", cycle_graph(6)),
+)
+
+
 def _eval_gamma(inst, params, budgets) -> str | None:
     """the iterated s-claw family: alpha-pw(S_n) = n, omega = n, chordal,
     td <= 2 omega, {P6,C4,C5,C6}-free, alpha-tw = 1."""
@@ -301,13 +316,7 @@ def _eval_gamma(inst, params, budgets) -> str | None:
     alpha_tw_cost = cost(g, clique_tree, ALPHA)
     if alpha_tw_cost != 1:
         return f"clique tree of S_{index} has independence cost {alpha_tw_cost}"
-    for name in ("P6", "C4", "C5", "C6"):
-        pattern = {
-            "P6": path_graph(6),
-            "C4": Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)]),
-            "C5": Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]),
-            "C6": Graph.from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)]),
-        }[name]
+    for name, pattern in _GAMMA_FORBIDDEN:
         if contains_induced(g, pattern):
             return f"S_{index} contains an induced {name}"
     if g.n <= budgets.td_decision:
@@ -500,14 +509,15 @@ class Check:
     """One registered check.
 
     ``defaults`` gives its params from the suite sizes; ``instances`` builds
-    its instance family from the params; ``evaluate`` decides one instance
-    and states the asserted fact in its docstring; ``meta``, when set, adds
+    its instance family from the params, failing before any member is built
+    when the family exceeds a budget; ``evaluate`` decides one instance and
+    states the asserted fact in its docstring; ``meta``, when set, adds
     report metadata.  A check with ``family`` also reads a ``graphs`` param,
     a list of graph6 strings that replaces its enumerated family.
     """
 
     defaults: Callable[[SuiteParams], dict]
-    instances: Callable[[dict], list[dict]]
+    instances: Callable[[dict, Budgets], list[dict]]
     evaluate: Callable[[dict, dict, Budgets], str | None]
     family: bool = False
     meta: Callable[[dict, Budgets], dict] | None = None
@@ -555,7 +565,7 @@ CHECKS: dict[str, Check] = {
     ),
     "gamma-witness": Check(
         lambda s: {"max_n": s.gamma_max_index},
-        lambda p: [{"index": i} for i in range(1, p["max_n"] + 1)],
+        _gamma_instances,
         _eval_gamma,
         meta=_gamma_meta,
     ),
@@ -600,7 +610,7 @@ CHECKS: dict[str, Check] = {
     ),
     "delta-not-inheritable": Check(
         lambda s: {"q_min": s.delta_star_min, "q_max": s.delta_star_max},
-        lambda p: [{"q": q} for q in range(p["q_min"], p["q_max"] + 1)],
+        lambda p, budgets: [{"q": q} for q in range(p["q_min"], p["q_max"] + 1)],
         _eval_delta_not_inheritable,
     ),
     "td-path-formula": Check(lambda s: {"max_n": s.td_path_max_n}, _per_order, _eval_td_path),
@@ -634,7 +644,7 @@ def default_params(name: str, suite: SuiteParams = DEFAULT_SUITE) -> dict:
 
 
 def instances_for(name: str, params: dict, budgets: Budgets = DEFAULT_BUDGETS) -> list[dict]:
-    return _check(name).instances(params)
+    return _check(name).instances(params, budgets)
 
 
 def _instance_id(inst: dict) -> str:

@@ -67,14 +67,19 @@ def substitute(g: Graph, kind: SubstitutionKind) -> Graph:
     raise ValueError(f"unknown substitution kind {kind!r}")
 
 
-def gamma_family(index: int, budgets: Budgets = DEFAULT_BUDGETS) -> Graph:
-    """S_1 = K_1 and S_n = s(S_{n-1}): chordal, omega = n, alpha-pw = n."""
-    if index < 1:
-        raise ValueError("gamma family index starts at 1")
+def check_gamma_budget(index: int, budgets: Budgets) -> None:
+    """Raise unless S_index is within the ``gamma_max_index`` budget."""
     if index > budgets.gamma_max_index:
         raise BudgetExceededError(
             f"gamma_family: index {index} exceeds budget {budgets.gamma_max_index}"
         )
+
+
+def gamma_family(index: int, budgets: Budgets = DEFAULT_BUDGETS) -> Graph:
+    """S_1 = K_1 and S_n = s(S_{n-1}): chordal, omega = n, alpha-pw = n."""
+    if index < 1:
+        raise ValueError("gamma family index starts at 1")
+    check_gamma_budget(index, budgets)
     g = Graph(1, (0,))
     for _ in range(index - 1):
         g = substitute(g, SubstitutionKind.S_CLAW)

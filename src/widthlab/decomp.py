@@ -2,7 +2,10 @@
 
 Bags and hyperedges are vertex bitmasks of the host graph.  Validators
 return structured violation lists (empty means valid), so tests can assert
-exactly which condition broke.
+exactly which condition broke.  The constructive transforms build a tree
+decomposition from a feedback vertex set, a clique tree of a chordal graph,
+a path decomposition from a treedepth forest, and a treedepth forest from a
+vertex cover.
 """
 
 from __future__ import annotations
@@ -10,7 +13,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .graphs import Graph, bits, mask_of
+from .graphs import Graph, bits
 from .invariants import SubsetAlpha, is_chordal, maximal_cliques_chordal
 
 
@@ -62,12 +65,6 @@ class TreeDecomposition:
             "bags": [sorted(bits(b)) for b in self.bags],
         }
 
-    @staticmethod
-    def from_json(data: dict) -> "TreeDecomposition":
-        bags = tuple(mask_of(b) for b in data["bags"])
-        edges = tuple((int(a), int(b)) for a, b in data["edges"])
-        return TreeDecomposition(bags, edges)
-
 
 @dataclass(frozen=True)
 class PathDecomposition:
@@ -84,10 +81,6 @@ class PathDecomposition:
 
     def to_json(self) -> dict:
         return {"bags": [sorted(bits(b)) for b in self.bags]}
-
-    @staticmethod
-    def from_json(data: dict) -> "PathDecomposition":
-        return PathDecomposition(tuple(mask_of(b) for b in data["bags"]))
 
 
 @dataclass(frozen=True)
@@ -125,12 +118,6 @@ class RootedForest:
             best = max(best, 1 + self.ancestors_mask(v).bit_count())
         return best
 
-    def transitive_closure(self) -> Graph:
-        edges = []
-        for v in range(self.n):
-            edges.extend((u, v) for u in bits(self.ancestors_mask(v)))
-        return Graph.from_edges(self.n, edges)
-
     def root_to_leaf_sets(self) -> tuple[int, ...]:
         """Vertex sets of the root-to-leaf paths, in DFS leaf order.
 
@@ -157,12 +144,6 @@ class RootedForest:
 
     def to_json(self) -> dict:
         return {"parent": [p if p is not None else None for p in self.parent]}
-
-    @staticmethod
-    def from_json(data: dict) -> "RootedForest":
-        return RootedForest(
-            tuple(None if p is None else int(p) for p in data["parent"])
-        )
 
 
 Decomposition = TreeDecomposition | PathDecomposition | RootedForest
@@ -324,60 +305,6 @@ def td_decomp_from_vertex_cover(g: Graph, cover: int) -> RootedForest:
     last = chain[-1] if chain else None
     for v in bits(g.full_mask & ~cover):
         parent[v] = last
-    return RootedForest(tuple(parent))
-
-
-def _check_inner(g: Graph, s: int, inner: Decomposition, inner_vertices: tuple[int, ...]):
-    """Raise unless ``inner`` is a valid decomposition of g - s whose vertex
-    i is ``inner_vertices[i]`` of g."""
-    rest, old = g.induced(g.full_mask & ~s)
-    if old != tuple(inner_vertices):
-        raise ValueError("inner decomposition vertex map does not match g - s")
-    violations = validate(rest, inner)
-    if violations:
-        raise InvalidDecompositionError(violations)
-
-
-def extend_tree_decomposition(
-    g: Graph, s: int, inner: TreeDecomposition, inner_vertices: tuple[int, ...]
-) -> TreeDecomposition:
-    """Lift a decomposition of g - s to one of g by adding s to every bag.
-
-    ``inner_vertices[i]`` is the g-vertex carried by vertex i of g - s.
-    """
-    _check_inner(g, s, inner, inner_vertices)
-    if not inner.bags:
-        return TreeDecomposition((s,) if s else (), ())
-    bags = tuple(
-        mask_of(inner_vertices[v] for v in bits(bag)) | s for bag in inner.bags
-    )
-    return TreeDecomposition(bags, inner.edges)
-
-
-def extend_path_decomposition(
-    g: Graph, s: int, inner: PathDecomposition, inner_vertices: tuple[int, ...]
-) -> PathDecomposition:
-    _check_inner(g, s, inner, inner_vertices)
-    if not inner.bags:
-        return PathDecomposition((s,) if s else ())
-    return PathDecomposition(
-        tuple(mask_of(inner_vertices[v] for v in bits(bag)) | s for bag in inner.bags)
-    )
-
-
-def extend_treedepth_decomposition(
-    g: Graph, s: int, inner: RootedForest, inner_vertices: tuple[int, ...]
-) -> RootedForest:
-    """Chain the vertices of s above the roots of a forest for g - s."""
-    _check_inner(g, s, inner, inner_vertices)
-    chain = sorted(bits(s))
-    parent: list[int | None] = [None] * g.n
-    for prev, nxt in zip(chain, chain[1:]):
-        parent[nxt] = prev
-    sink = chain[-1] if chain else None
-    for v, p in enumerate(inner.parent):
-        gv = inner_vertices[v]
-        parent[gv] = inner_vertices[p] if p is not None else sink
     return RootedForest(tuple(parent))
 
 

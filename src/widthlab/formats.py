@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .graphs import Graph
+from .graphs import Graph, _triangle_code, graph_from_triangle_code
 
 
 class FormatError(ValueError):
@@ -11,7 +11,8 @@ class FormatError(ValueError):
 
 # ---------------------------------------------------------------------------
 # graph6: a size header, then 6-bit chunks of the upper triangle in
-# column-major order, zero-padded, each chunk offset by 63.  The header is
+# column-major order (the bit layout of the canonical codes in graphs.py),
+# zero-padded, each chunk offset by 63.  The header is
 # one byte for n <= 62 and "~" plus three bytes (18 bits of n) up to
 # GRAPH6_MAX_N.
 
@@ -27,19 +28,12 @@ def _graph6_size(n: int) -> str:
 def to_graph6(g: Graph) -> str:
     if g.n > GRAPH6_MAX_N:
         raise FormatError(f"graph6 writer supports n <= {GRAPH6_MAX_N}, got {g.n}")
-    out = [_graph6_size(g.n)]
-    chunk = 0
-    filled = 0
-    for j in range(1, g.n):
-        for i in range(j):
-            chunk = chunk << 1 | (g.adj[i] >> j & 1)
-            filled += 1
-            if filled == 6:
-                out.append(chr(chunk + 63))
-                chunk = filled = 0
-    if filled:
-        out.append(chr((chunk << (6 - filled)) + 63))
-    return "".join(out)
+    nbits = g.n * (g.n - 1) // 2
+    nchunks = (nbits + 5) // 6
+    body = _triangle_code(g, range(g.n)) << (nchunks * 6 - nbits)
+    return _graph6_size(g.n) + "".join(
+        chr((body >> shift & 63) + 63) for shift in range(nchunks * 6 - 6, -6, -6)
+    )
 
 
 def from_graph6(text: str) -> Graph:
@@ -79,15 +73,7 @@ def from_graph6(text: str) -> Graph:
     pad = nchunks * 6 - nbits
     if pad and bitstream & ((1 << pad) - 1):
         raise FormatError("nonzero padding bits in graph6 string")
-    bitstream >>= pad
-    edges = []
-    pos = nbits
-    for j in range(1, n):
-        for i in range(j):
-            pos -= 1
-            if bitstream >> pos & 1:
-                edges.append((i, j))
-    return Graph.from_edges(n, edges)
+    return graph_from_triangle_code(n, bitstream >> pad)
 
 
 # ---------------------------------------------------------------------------

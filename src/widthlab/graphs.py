@@ -257,11 +257,12 @@ ENUMERATION_MAX_N = 8
 def _triangle_code(g: Graph, order) -> int:
     """Encode the upper triangle, column-major (the graph6 bit order), as an
     int whose most significant bit is the pair (0,1) of the relabelled graph."""
+    rows = [g.adj[v] for v in order]
     code = 0
     for j in range(1, g.n):
         vj = order[j]
-        for i in range(j):
-            code = code << 1 | (g.adj[order[i]] >> vj & 1)
+        for row in rows[:j]:
+            code = code << 1 | (row >> vj & 1)
     return code
 
 

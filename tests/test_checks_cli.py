@@ -245,6 +245,28 @@ def test_cli_over_budget_enumeration_fails_fast(capsys):
     assert "n <= 8" in capsys.readouterr().err
 
 
+def test_cli_over_budget_gamma_witness_fails_fast(tmp_path, monkeypatch, capsys):
+    # Exit 2 before any S_n is built, also under a --config budget.
+    import widthlab.checks
+    from widthlab.cli import main
+
+    calls = []
+    real = widthlab.checks.gamma_family
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(widthlab.checks, "gamma_family", counted)
+    assert main(["verify", "gamma-witness", "--max-n", "6"]) == 2
+    assert "gamma_family: index 6 exceeds budget 5" in capsys.readouterr().err
+    path = tmp_path / "settings.json"
+    path.write_text('{"budgets": {"gamma_max_index": 2}}')
+    assert main(["verify", "gamma-witness", "--max-n", "3", "--config", str(path)]) == 2
+    assert "gamma_family: index 3 exceeds budget 2" in capsys.readouterr().err
+    assert calls == []
+
+
 def test_cli_construct():
     code, out, _ = run_cli("construct", "s-claw", "--iterate", "2")
     assert code == 0

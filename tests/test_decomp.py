@@ -1,18 +1,16 @@
-"""Decomposition validation, costs, and the constructive transforms."""
+"""Decomposition validation, costs, and the constructive transforms: fvs ->
+tree decomposition, chordal clique tree, treedepth -> path, and vertex cover
+-> treedepth."""
 
 import pytest
 
 from widthlab.decomp import (
     CostKind,
     InvalidDecompositionError,
-    PathDecomposition,
     RootedForest,
     TreeDecomposition,
     chordal_clique_tree,
     cost,
-    extend_path_decomposition,
-    extend_tree_decomposition,
-    extend_treedepth_decomposition,
     path_decomp_from_treedepth,
     td_decomp_from_vertex_cover,
     tree_decomp_from_fvs,
@@ -79,14 +77,11 @@ def test_validate_treedepth_decomposition():
 
 def test_forest_closure_depth_and_hyperedges():
     chain = RootedForest((None, 0, 1))
-    closure = chain.transitive_closure()
-    assert closure.num_edges() == 3  # K3
     assert chain.depth() == 3
     assert chain.root_to_leaf_sets() == (0b111,)
 
     two_roots = RootedForest((None, None))
     assert two_roots.depth() == 1
-    assert two_roots.transitive_closure().num_edges() == 0
 
     fork = RootedForest((None, 0, 0))
     assert fork.depth() == 2
@@ -108,9 +103,6 @@ def test_cost():
 
 def test_cardinality_cost_dominates_alpha(small_graphs):
     for g in small_graphs[:40]:
-        bags = tuple(
-            comp for comp in g.components()
-        ) or (g.full_mask,)
         td = TreeDecomposition((g.full_mask,), ())
         assert cost(g, td, ALPHA) <= cost(g, td, CARD)
 
@@ -184,66 +176,6 @@ def test_s2_cover_forest_example():
     assert cost(s2, pd, CARD) <= forest.depth()
 
 
-def test_extend_decompositions():
-    g = complete_graph(2)
-    inner = TreeDecomposition((0b1,), ())
-    extended = extend_tree_decomposition(g, mask_of([1]), inner, (0,))
-    assert extended.bags == (0b11,)
-
-    c4 = cycle_graph(4)
-    # c4 - {0} is the path 1-2-3, re-indexed to 0-1-2.
-    p3_bags = PathDecomposition((0b011, 0b110))
-    extended = extend_path_decomposition(c4, mask_of([0]), p3_bags, (1, 2, 3))
-    assert validate_tree_decomposition(c4, extended.as_tree()) == []
-
-    inner_forest = RootedForest((None, 0))
-    lifted = extend_treedepth_decomposition(
-        path_graph(3), mask_of([1]), inner_forest, (0, 2)
-    )
-    assert validate_treedepth_decomposition(path_graph(3), lifted) == []
-    assert lifted.depth() <= 3
-
-
-def test_extend_rejects_bad_inner():
-    # c4 - {0} is the path 1-2-3; each inner decomposition below misses the
-    # edge 2-3, and (0, 1, 2) is not the vertex map of c4 - {0}.
-    c4, s = cycle_graph(4), mask_of([0])
-    for extend, inner in (
-        (extend_tree_decomposition, TreeDecomposition((0b011, 0b100), ((0, 1),))),
-        (extend_path_decomposition, PathDecomposition((0b011, 0b100))),
-        (extend_treedepth_decomposition, RootedForest((None, None, None))),
-    ):
-        with pytest.raises(InvalidDecompositionError):
-            extend(c4, s, inner, (1, 2, 3))
-        with pytest.raises(ValueError, match="vertex map"):
-            extend(c4, s, inner, (0, 1, 2))
-
-
-def test_extend_with_empty_set_is_cost_identity(small_graphs):
-    for g in small_graphs[:25]:
-        bags = TreeDecomposition((g.full_mask,), ())
-        same = extend_tree_decomposition(g, 0, bags, tuple(range(g.n)))
-        for kind in (CARD, ALPHA):
-            assert cost(g, same, kind) == cost(g, bags, kind)
-
-
-def test_extend_cost_increase_bounds(small_graphs):
-    from widthlab.widths import lambda_pathwidth
-
-    for g in small_graphs[:30]:
-        if g.n < 2:
-            continue
-        s = 0b1
-        rest, old = g.induced(g.full_mask & ~s)
-        inner = lambda_pathwidth(rest, ALPHA).witness
-        lifted = extend_path_decomposition(g, s, inner, old)
-        alpha = SubsetAlpha(g)
-        inner_cost = cost(rest, inner, ALPHA)
-        assert cost(g, lifted, ALPHA) <= inner_cost + alpha(s)
-        inner_card = cost(rest, inner, CARD)
-        assert cost(g, lifted, CARD) <= inner_card + 1
-
-
 def test_tree_decomp_from_fvs():
     c5 = cycle_graph(5)
     td = tree_decomp_from_fvs(c5, mask_of([0]))
@@ -305,11 +237,3 @@ def test_chordal_clique_tree_all_small(small_graphs):
         if g.n:
             assert cost(g, td, ALPHA) == 1
 
-
-def test_json_round_trips():
-    td = TreeDecomposition((0b011, 0b110), ((0, 1),))
-    assert TreeDecomposition.from_json(td.to_json()) == td
-    pd = PathDecomposition((0b01, 0b11))
-    assert PathDecomposition.from_json(pd.to_json()) == pd
-    f = RootedForest((None, 0, 1))
-    assert RootedForest.from_json(f.to_json()) == f

@@ -11,7 +11,14 @@ from widthlab.formats import (
     to_edge_list,
     to_graph6,
 )
-from widthlab.graphs import Graph, enumerate_graphs, random_graph, star
+from widthlab.graphs import (
+    Graph,
+    _canonical_codes,
+    enumerate_graphs,
+    graph_from_triangle_code,
+    random_graph,
+    star,
+)
 
 
 def test_graph6_known_string():
@@ -37,6 +44,21 @@ def test_graph6_round_trip_all_small_graphs():
     for n in range(0, 7):
         for g in enumerate_graphs(n):
             assert from_graph6(to_graph6(g)) == g
+
+
+def test_graph6_body_is_the_canonical_code():
+    # graph6 and the canonical codes share one bit layout: the body is the
+    # code, most significant bit first, zero-padded to whole 6-bit chunks.
+    for n in range(0, 8):
+        nbits = n * (n - 1) // 2
+        width = -(-nbits // 6) * 6
+        for code in _canonical_codes(n):
+            bitstring = format(code, "b").zfill(nbits) + "0" * (width - nbits)
+            chunks = [bitstring[i : i + 6] for i in range(0, width, 6)]
+            expected = chr(n + 63) + "".join(chr(int(c, 2) + 63) for c in chunks)
+            g = graph_from_triangle_code(n, code)
+            assert to_graph6(g) == expected
+            assert from_graph6(expected) == g
 
 
 def test_graph6_multibyte_size_header():
