@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import random
 import time
+from functools import lru_cache
 from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -26,7 +27,6 @@ from .graphs import (
     complete_bipartite,
     complete_graph,
     copies,
-    cycle_graph,
     enumerate_graphs,
     mask_of,
     path_graph,
@@ -48,6 +48,7 @@ from .modulators import (
     parameter,
     ramsey_property_check,
     rho_at_most,
+    slack_failure,
     vertex_cover_number,
 )
 from .mwis import WeightedGraph, mwis_bipartite, mwis_exact, mwis_via_oct
@@ -220,6 +221,38 @@ def _iso_instances(params: dict, budgets: Budgets) -> list[dict]:
 
 
 # ---------------------------------------------------------------------------
+# Per-graph profile
+
+
+class _Profile:
+    """One labelled graph and the table entries evaluated on it so far."""
+
+    def __init__(self, g6: str, budgets: Budgets):
+        self.graph = from_graph6(g6)
+        self.budgets = budgets
+        self._entries: dict[tuple[str, CostKind], tuple[int, object]] = {}
+
+    def parameter(self, name: str, kind: CostKind) -> tuple[int, object]:
+        """``parameter(name, kind)(graph, budgets)``, evaluated once."""
+        key = (name, kind)
+        if key not in self._entries:
+            self._entries[key] = parameter(name, kind)(self.graph, self.budgets)
+        return self._entries[key]
+
+
+@lru_cache(maxsize=1)
+def _graph_profile(g6: str, budgets: Budgets) -> _Profile:
+    """The profile of the labelled graph ``g6``.
+
+    A family builder emits a graph's instances contiguously, so one slot
+    serves them all; under ``--jobs`` each worker keeps its own.  The key is
+    the labelled graph6 string, never a canonical form, so a relabelling is
+    always solved afresh.
+    """
+    return _Profile(g6, budgets)
+
+
+# ---------------------------------------------------------------------------
 # Evaluators: each returns None when its fact holds on the instance, else a
 # failure detail.  The docstring states the fact.
 
@@ -290,17 +323,14 @@ def _gamma_order(index: int) -> int:
     return order
 
 
-_GAMMA_FORBIDDEN = (
-    ("P6", path_graph(6)),
-    ("C4", cycle_graph(4)),
-    ("C5", cycle_graph(5)),
-    ("C6", cycle_graph(6)),
-)
+_P6 = path_graph(6)
 
 
 def _eval_gamma(inst, params, budgets) -> str | None:
-    """the iterated s-claw family: alpha-pw(S_n) = n, omega = n, chordal,
-    td <= 2 omega, {P6,C4,C5,C6}-free, alpha-tw = 1."""
+    """the iterated s-claw family: omega = n; chordal by a perfect
+    elimination order, hence {C4,C5,C6}-free; alpha-tw = 1 by its clique
+    tree; P6-free by an induced search; td <= 2 omega and alpha-pw(S_n) = n
+    by decision forms."""
     index = inst["index"]
     g = gamma_family(index, budgets)
     expected_order = _gamma_order(index)
@@ -316,9 +346,8 @@ def _eval_gamma(inst, params, budgets) -> str | None:
     alpha_tw_cost = cost(g, clique_tree, ALPHA)
     if alpha_tw_cost != 1:
         return f"clique tree of S_{index} has independence cost {alpha_tw_cost}"
-    for name, pattern in _GAMMA_FORBIDDEN:
-        if contains_induced(g, pattern):
-            return f"S_{index} contains an induced {name}"
+    if contains_induced(g, _P6):
+        return f"S_{index} contains an induced P6"
     if g.n <= budgets.td_decision:
         if not lambda_td_at_most(g, CARD, 2 * omega, budgets):
             return f"td(S_{index}) > 2*omega = {2 * omega}"
@@ -329,16 +358,17 @@ def _eval_gamma(inst, params, budgets) -> str | None:
 
 def _eval_modulator_slack(inst, params, budgets) -> str | None:
     """lambda-rho <= lambda-mu[rho:c] + c."""
-    g = from_graph6(inst["g6"])
+    profile = _graph_profile(inst["g6"], budgets)
     spec = ModulatorSpec(inst["rho"], inst["c"])
     kind = CostKind.parse(inst["kind"])
-    return check_modulator_slack(g, spec, kind, budgets)
+    lhs = profile.parameter(spec.rho, kind)[0]
+    return slack_failure(profile.graph, spec, kind, lhs, budgets)
 
 
 def _eval_modulator_minimality(inst, params, budgets) -> str | None:
     """the exchange step: swapping a maximum independent set into a minimum
     modulator cannot shrink it."""
-    g = from_graph6(inst["g6"])
+    g = _graph_profile(inst["g6"], budgets).graph
     spec = ModulatorSpec.parse(inst["spec"])
     return check_modulator_minimality(g, spec, budgets)
 
@@ -372,7 +402,7 @@ def _eval_modulator_identities(inst, params, budgets) -> str | None:
 
 def _eval_mwis(inst, params, budgets) -> str | None:
     """OCT-based and bipartite MWIS agree with the exact oracle."""
-    g = from_graph6(inst["g6"])
+    g = _graph_profile(inst["g6"], budgets).graph
     weights = _seeded_weights(g.n, inst["wseed"], params["weight_max"])
     wg = WeightedGraph(g, weights)
     exact = mwis_exact(wg, budgets)
@@ -387,7 +417,8 @@ def _eval_mwis(inst, params, budgets) -> str | None:
     else:
         # alpha(G[S]) <= |S| <= n, so k = n never cuts the search, and the
         # search returns the same minimum-alpha transversal for every k at
-        # or above that minimum: one search per instance.
+        # or above that minimum.  The weightings of one graph share its
+        # transversal: mwis_via_oct keeps the last graph's layout.
         other = mwis_via_oct(wg, g.n, budgets)
     picked = mask_of(other.vertices)
     for v in other.vertices:
@@ -680,6 +711,7 @@ def run_check(
             f"(it reads {', '.join(sorted(declared))})"
         )
     params.update(spec.params)
+    _graph_profile.cache_clear()  # no run reads entries solved before it started
     start = time.perf_counter()
     instances = instances_for(spec.name, params, budgets)
     tasks = [(spec.name, inst, params, budgets) for inst in instances]

@@ -423,7 +423,14 @@ def check_modulator_slack(
     budgets: Budgets = DEFAULT_BUDGETS,
 ) -> str | None:
     """lambda-rho(G) <= lambda-mu_{rho,c}(G) + c; None when it holds."""
-    lhs = parameter(spec.rho, kind)(g, budgets)[0]
+    return slack_failure(g, spec, kind, parameter(spec.rho, kind)(g, budgets)[0], budgets)
+
+
+def slack_failure(
+    g: Graph, spec: ModulatorSpec, kind: CostKind, lhs: int, budgets: Budgets = DEFAULT_BUDGETS
+) -> str | None:
+    """The slack inequality with its left-hand side lambda-rho(G) = ``lhs``
+    given: None when ``lhs`` <= lambda-mu_{rho,c}(G) + c, else the failure."""
     mu, witness = modulator_number(g, spec, kind, budgets)
     if lhs <= mu + spec.c:
         return None

@@ -9,6 +9,7 @@ independence number and finishes each on the remaining bipartite part.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .config import Budgets, DEFAULT_BUDGETS
 from .graphs import BudgetExceededError, Graph, bits, mask_of
@@ -259,33 +260,65 @@ def find_oct_with_bounded_alpha(
     return best[1] if best is not None else None
 
 
+@lru_cache(maxsize=1)
+def _oct_layout(
+    g: Graph, k: int, budgets: Budgets
+) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]] | None:
+    """The weight-independent half of ``mwis_via_oct``, or None when G has
+    no odd cycle transversal S with alpha(G[S]) <= k: the 2-colouring of
+    G - S, and every independent set I inside S (as a mask, lexicographic
+    order) with its rest (V - S) - N(I).  One slot is enough, because a
+    caller that weights one graph several times does so in a row."""
+    s = find_oct_with_bounded_alpha(g, k, budgets)
+    if s is None:
+        return None
+    s_mask = mask_of(s)
+    outside = g.full_mask & ~s_mask
+    colour = is_bipartite(g, outside)[1]
+    parts = tuple(
+        (i_mask, outside & ~g.neighbourhood(i_mask)) for i_mask in independent_subsets(g, s_mask)
+    )
+    return colour, parts
+
+
 def mwis_via_oct(
     wg: WeightedGraph, k: int, budgets: Budgets = DEFAULT_BUDGETS
 ) -> MwisResult:
     """MWIS through an odd cycle transversal of independence number <= k.
 
-    For every independent set I inside the transversal, the rest of any
+    For every independent set I inside the transversal S, the rest of any
     optimal solution lies in the bipartite graph G[V - S] - N(I); the best
-    I + I' over all I is optimal.  G - S is 2-coloured once, every I gets
-    only its value, and the witness I' is forced only for the I that reach
-    the top weight; of those, the lexicographically smallest I + I' wins.
+    I + I' over all I is optimal.  S, the 2-colouring of G - S and the sets
+    I with their rests do not depend on the weights: they are built once
+    per (graph, k, budgets) and reused while the same graph is weighted
+    again.  The I are then visited in decreasing order of the bound
+    w(I) + w(rest), and the visit stops at the first bound below the best
+    weight found, since no later I can reach it.  Every visited I gets only
+    its min-cut value; the witness I' is forced only for the I that reach
+    the top weight, and of those the lexicographically smallest I + I'
+    wins.
     """
     g, weights = wg.graph, wg.weights
-    s = find_oct_with_bounded_alpha(g, k, budgets)
-    if s is None:
+    layout = _oct_layout(g, k, budgets)
+    if layout is None:
         raise ValueError(f"no odd cycle transversal with independence number <= {k}")
-    s_mask = mask_of(s)
-    outside = g.full_mask & ~s_mask
-    colour = is_bipartite(g, outside)[1]
-    scored = []
-    for i_mask in independent_subsets(g, s_mask):
-        rest = outside & ~g.neighbourhood(i_mask)
+    colour, parts = layout
+    bounded = []
+    for i_mask, rest in parts:
+        w_i = wg.weight_of(bits(i_mask))
+        bounded.append((w_i + wg.weight_of(bits(rest)), w_i, i_mask, rest))
+    bounded.sort(key=lambda item: item[0], reverse=True)
+    top, tied = -1, []
+    for bound, w_i, i_mask, rest in bounded:
+        if bound < top:
+            break
         inner = _bipartite_value(g, weights, colour, rest)
-        scored.append((wg.weight_of(bits(i_mask)) + inner, i_mask, rest, inner))
-    top = max(weight for weight, _, _, _ in scored)
+        if w_i + inner > top:
+            top, tied = w_i + inner, []
+        if w_i + inner == top:
+            tied.append((i_mask, rest, inner))
     vertices = min(
         tuple(sorted([*bits(i_mask), *_forced_witness(g, weights, colour, rest, inner)]))
-        for weight, i_mask, rest, inner in scored
-        if weight == top
+        for i_mask, rest, inner in tied
     )
     return MwisResult(top, vertices)

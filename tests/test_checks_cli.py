@@ -463,3 +463,109 @@ def test_readme_lists_registered_checks():
     for name, fact in table.items():
         doc = " ".join(CHECKS[name].evaluate.__doc__.split())
         assert doc.rstrip(".") == fact, name
+
+
+def test_gamma_witness_rejects_an_induced_cycle_as_not_chordal(monkeypatch):
+    # The chordality test is the only step that looks for induced cycles:
+    # a stand-in for S_2 with its order and clique number but an induced C5
+    # must fail there.
+    import widthlab.checks as checks
+    from widthlab.graphs import Graph
+
+    real = checks.gamma_family
+    c5_and_two = Graph.from_edges(7, [(i, (i + 1) % 5) for i in range(5)])
+    monkeypatch.setattr(
+        checks,
+        "gamma_family",
+        lambda index, budgets: c5_and_two if index == 2 else real(index, budgets),
+    )
+    report = run_check(CheckSpec("gamma-witness", {"max_n": 2}))
+    assert report.failures == [('{"index": 2}', "S_2 is not chordal")]
+
+
+_MEMO_RUNS = [
+    ("modulator-slack", {"max_n": 4}),
+    ("modulator-minimality", {"max_n": 4}),
+    ("mwis-equivalence", {"max_n": 4, "random_count": 4, "bipartite_count": 4}),
+]
+
+
+@pytest.mark.parametrize("name, params", _MEMO_RUNS, ids=[name for name, _ in _MEMO_RUNS])
+def test_graph_memos_are_invisible(name, params):
+    # A serial run, a run over two workers, and every instance evaluated
+    # with both memos emptied first give the same report.
+    import widthlab.checks as checks
+    import widthlab.mwis as mwis
+    from widthlab.config import DEFAULT_BUDGETS
+
+    serial = run_check(CheckSpec(name, params)).to_json(include_timing=False)
+    parallel = run_check(CheckSpec(name, params), jobs=2).to_json(include_timing=False)
+    full = {**default_params(name), **params}
+    instances = checks.instances_for(name, full)
+    failures = []
+    for inst in instances:
+        checks._graph_profile.cache_clear()
+        mwis._oct_layout.cache_clear()
+        detail = checks.CHECKS[name].evaluate(inst, full, DEFAULT_BUDGETS)
+        if detail is not None:
+            failures.append((checks._instance_id(inst), detail))
+    meta = checks.CHECKS[name].meta(full, DEFAULT_BUDGETS) if checks.CHECKS[name].meta else {}
+    fresh = checks.CheckReport(name, len(instances), failures, 0, meta)
+    assert serial == parallel == fresh.to_json(include_timing=False)
+    assert serial["pass"] and serial["instances_tested"] > 0
+
+
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    real = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_slack_instances_of_one_graph_share_their_left_hand_sides(monkeypatch):
+    # 5 targets x 3 thresholds x 2 kinds: one treewidth per kind.
+    import widthlab.widths as widths
+    from widthlab.decomp import CostKind
+
+    calls = _count_calls(monkeypatch, widths, "lambda_treewidth")
+    report = run_check(CheckSpec("modulator-slack", {"graphs": ["Dhc"]}))
+    assert report.instances_tested == 30 and report.passed
+    assert [kind for _, kind, _ in calls] == [CostKind.CARDINALITY, CostKind.INDEPENDENCE]
+
+
+def test_graph_profile_follows_the_labelled_graph():
+    # Alternating two labelled graphs on the same n reads each one's own
+    # values, never the other's.
+    import widthlab.checks as checks
+    from widthlab.config import DEFAULT_BUDGETS
+    from widthlab.decomp import CostKind
+    from widthlab.formats import from_graph6
+    from widthlab.modulators import parameter
+
+    path, triangle = "Bg", "Bw"  # P3 and K3
+    for g6 in (path, triangle, path, triangle):
+        profile = checks._graph_profile(g6, DEFAULT_BUDGETS)
+        assert profile.graph == from_graph6(g6)
+        for kind in CostKind:
+            fresh = parameter("tw", kind)(profile.graph, DEFAULT_BUDGETS)
+            assert profile.parameter("tw", kind) == fresh
+
+
+def test_iso_invariance_solves_every_relabelling(monkeypatch):
+    # The profile is keyed on the labelled graph, and iso-invariance does
+    # not read it: each labelling runs each width solver under both kinds.
+    import widthlab.widths as widths
+
+    counts = {
+        name: _count_calls(monkeypatch, widths, name)
+        for name in ("lambda_treewidth", "lambda_pathwidth", "lambda_treedepth")
+    }
+    report = run_check(CheckSpec("iso-invariance", {"graphs": ["Dhc"], "relabelings": 3}))
+    assert report.passed
+    solved = {name: len(calls) for name, calls in counts.items()}
+    assert solved == dict.fromkeys(counts, 2 * (1 + 3))

@@ -274,3 +274,42 @@ def _mwis_outputs() -> str:
 
 def test_mwis_witnesses_pinned():
     assert hashlib.sha256(_mwis_outputs().encode()).hexdigest() == MWIS_DIGEST
+
+
+def test_weightings_of_one_graph_share_one_oct_search(monkeypatch):
+    import widthlab.mwis as mwis
+
+    calls = []
+    real = mwis.find_oct_with_bounded_alpha
+    monkeypatch.setattr(
+        mwis, "find_oct_with_bounded_alpha", lambda *args: calls.append(args) or real(*args)
+    )
+    mwis._oct_layout.cache_clear()
+    g = random_graph(9, 0.5, 17)
+    rng = random.Random(3)
+    for _ in range(3):
+        wg = WeightedGraph(g, tuple(rng.randint(0, 9) for _ in range(g.n)))
+        assert mwis_via_oct(wg, g.n).weight == mwis_exact(wg).weight
+    assert len(calls) == 1
+
+
+def test_oct_layout_follows_the_graph():
+    # Alternating two graphs on the same n gives the results of calls made
+    # with an empty memo: no layout of one graph serves the other.
+    import widthlab.mwis as mwis
+
+    rng = random.Random(4)
+    graphs = [random_graph(8, 0.6, 40), cycle_graph(8)]
+    calls = [
+        (WeightedGraph(g, tuple(rng.randint(0, 9) for _ in range(g.n))), k)
+        for k in (8, 1)
+        for _ in range(2)
+        for g in graphs
+    ]
+    warm = [mwis_via_oct(wg, k) for wg, k in calls]
+    fresh = []
+    for wg, k in calls:
+        mwis._oct_layout.cache_clear()
+        fresh.append(mwis_via_oct(wg, k))
+    assert warm == fresh
+    assert [result.weight for result in warm] == [mwis_exact(wg).weight for wg, _ in calls]
