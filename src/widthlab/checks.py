@@ -101,14 +101,14 @@ class CheckReport:
 # Families
 
 
-def graphs_upto(max_n: int, min_n: int = 1):
-    """All graphs on min_n .. max_n vertices.  An over-budget max_n fails
+def graphs_upto(max_n: int):
+    """All graphs on 1 .. max_n vertices.  An over-budget max_n fails
     before any smaller n is enumerated."""
     if max_n > ENUMERATION_MAX_N:
         raise BudgetExceededError(
             f"graph enumeration supports n <= {ENUMERATION_MAX_N}, got max_n={max_n}"
         )
-    for n in range(min_n, max_n + 1):
+    for n in range(1, max_n + 1):
         yield from enumerate_graphs(n)
 
 
@@ -400,18 +400,25 @@ def _eval_modulator_identities(inst, params, budgets) -> str | None:
     return None
 
 
+def _mwis_witness_failure(wg: WeightedGraph, label: str, result) -> str | None:
+    """None when ``result.vertices`` is independent in G and weighs
+    ``result.weight``, else the failure."""
+    picked = mask_of(result.vertices)
+    if any(wg.graph.adj[v] & picked for v in result.vertices):
+        return f"{label} witness {result.vertices} not independent"
+    if result.weight != sum(wg.weights[v] for v in result.vertices):
+        return f"{label} witness weight mismatch"
+    return None
+
+
 def _eval_mwis(inst, params, budgets) -> str | None:
     """OCT-based and bipartite MWIS agree with the exact oracle."""
     g = _graph_profile(inst["g6"], budgets).graph
-    weights = _seeded_weights(g.n, inst["wseed"], params["weight_max"])
-    wg = WeightedGraph(g, weights)
+    wg = WeightedGraph(g, _seeded_weights(g.n, inst["wseed"], params["weight_max"]))
     exact = mwis_exact(wg, budgets)
-    picked = mask_of(exact.vertices)
-    for v in exact.vertices:
-        if g.adj[v] & picked:
-            return f"exact witness {exact.vertices} not independent"
-    if exact.weight != sum(weights[v] for v in exact.vertices):
-        return "exact witness weight mismatch"
+    detail = _mwis_witness_failure(wg, "exact", exact)
+    if detail:
+        return detail
     if inst["mode"] == "bipartite":
         other = mwis_bipartite(wg, budgets)
     else:
@@ -420,12 +427,9 @@ def _eval_mwis(inst, params, budgets) -> str | None:
         # or above that minimum.  The weightings of one graph share its
         # transversal: mwis_via_oct keeps the last graph's layout.
         other = mwis_via_oct(wg, g.n, budgets)
-    picked = mask_of(other.vertices)
-    for v in other.vertices:
-        if g.adj[v] & picked:
-            return f"{inst['mode']} witness {other.vertices} not independent"
-    if other.weight != sum(weights[v] for v in other.vertices):
-        return f"{inst['mode']} witness weight mismatch"
+    detail = _mwis_witness_failure(wg, inst["mode"], other)
+    if detail:
+        return detail
     if other.weight != exact.weight:
         return f"{inst['mode']} weight {other.weight} != exact {exact.weight}"
     return None

@@ -169,23 +169,14 @@ def cmd_mwis(args) -> int:
             raise UsageError(f"cannot read weights: {exc}") from None
     else:
         weights = (1,) * g.n
-    try:
-        wg = WeightedGraph(g, weights)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    wg = WeightedGraph(g, weights)
     start = time.perf_counter()
     if args.algorithm == "exact":
         result = mwis_exact(wg)
     elif args.algorithm == "bipartite":
-        try:
-            result = mwis_bipartite(wg)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
+        result = mwis_bipartite(wg)
     else:
-        try:
-            result = mwis_via_oct(wg, args.k)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
+        result = mwis_via_oct(wg, args.k)
     elapsed_ms = int((time.perf_counter() - start) * 1000)
     print(
         json.dumps(

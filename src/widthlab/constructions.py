@@ -32,39 +32,23 @@ class SubstitutionKind(enum.Enum):
         raise ValueError(f"unknown substitution kind {text!r}")
 
 
+# Per kind: the number of copies of G, the number of new vertices, and the
+# edges among the new vertices.  New vertex i < copies is the hub of copy i,
+# joined to all of it.
+_GADGETS = {
+    SubstitutionKind.S_CLAW: (3, 4, ((3, 0), (3, 1), (3, 2))),
+    SubstitutionKind.P5: (2, 3, ((2, 0), (2, 1))),
+    SubstitutionKind.NET: (3, 3, ((0, 1), (0, 2), (1, 2))),
+}
+
+
 def substitute(g: Graph, kind: SubstitutionKind) -> Graph:
-    n = g.n
-    base_edges = g.edges()
-
-    def copy_edges(count: int):
-        out = []
-        for i in range(count):
-            off = i * n
-            out.extend((u + off, v + off) for u, v in base_edges)
-        return out
-
-    if kind is SubstitutionKind.S_CLAW:
-        v1, v2, v3, w = 3 * n, 3 * n + 1, 3 * n + 2, 3 * n + 3
-        edges = copy_edges(3)
-        for i, hub in enumerate((v1, v2, v3)):
-            edges.extend((hub, i * n + x) for x in range(n))
-        edges += [(w, v1), (w, v2), (w, v3)]
-        return Graph.from_edges(3 * n + 4, edges)
-    if kind is SubstitutionKind.P5:
-        v1, v2, mid = 2 * n, 2 * n + 1, 2 * n + 2
-        edges = copy_edges(2)
-        for i, hub in enumerate((v1, v2)):
-            edges.extend((hub, i * n + x) for x in range(n))
-        edges += [(mid, v1), (mid, v2)]
-        return Graph.from_edges(2 * n + 3, edges)
-    if kind is SubstitutionKind.NET:
-        x1, x2, x3 = 3 * n, 3 * n + 1, 3 * n + 2
-        edges = copy_edges(3)
-        for i, hub in enumerate((x1, x2, x3)):
-            edges.extend((hub, i * n + x) for x in range(n))
-        edges += [(x1, x2), (x1, x3), (x2, x3)]
-        return Graph.from_edges(3 * n + 3, edges)
-    raise ValueError(f"unknown substitution kind {kind!r}")
+    count, new, gadget = _GADGETS[kind]
+    n, base = g.n, count * g.n
+    edges = [(u + i * n, v + i * n) for u, v in g.edges() for i in range(count)]
+    edges += [(base + i, i * n + x) for i in range(count) for x in range(n)]
+    edges += [(base + a, base + b) for a, b in gadget]
+    return Graph.from_edges(base + new, edges)
 
 
 def check_gamma_budget(index: int, budgets: Budgets) -> None:

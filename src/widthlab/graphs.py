@@ -17,6 +17,12 @@ class BudgetExceededError(RuntimeError):
     """An exact solver was asked for an instance above its configured budget."""
 
 
+def check_budget(op: str, n: int, limit: int) -> None:
+    """Raise unless ``op`` may run on n vertices under its budget ``limit``."""
+    if n > limit:
+        raise BudgetExceededError(f"{op}: n={n} exceeds budget {limit}")
+
+
 def bits(mask: int):
     """Yield the set bit positions of ``mask`` in increasing order."""
     while mask:

@@ -11,19 +11,20 @@ vertex sets, and (chi,2)-modulators the odd cycle transversals.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from math import comb
 from itertools import combinations
 from collections.abc import Callable
 
 from .config import Budgets, DEFAULT_BUDGETS
 from .decomp import CostKind
-from .graphs import BudgetExceededError, Graph, bits, mask_of
+from .graphs import Graph, bits, check_budget, enumerate_graphs, mask_of
 from .invariants import (
     SubsetAlpha,
     alpha_table,
     chromatic_number,
     clique_number,
+    independence_number,
     independent_subsets,
     is_bipartite,
     is_k_colourable,
@@ -151,10 +152,7 @@ def modulator_number(
     Returns (value, witness), the witness lexicographically smallest among
     the optima.  Every graph has at least the trivial modulator S = V.
     """
-    if g.n > budgets.modulator:
-        raise BudgetExceededError(
-            f"modulator_number: n={g.n} exceeds budget {budgets.modulator}"
-        )
+    check_budget("modulator_number", g.n, budgets.modulator)
     if kind is CostKind.CARDINALITY:
         value, (witness,) = _minimum_modulators(g, spec, budgets, g.full_mask, 1)
         return value, witness
@@ -215,8 +213,7 @@ def _max_induced(good, within: int) -> int:
 def _cover_number(g: Graph, keep, budgets: Budgets, name: str) -> tuple[int, tuple[int, ...]]:
     """n - keep(V), where keep(m) is the largest good subset of m, with the
     lexicographically smallest witness."""
-    if g.n > budgets.cover_solvers:
-        raise BudgetExceededError(f"{name}: n={g.n} exceeds budget {budgets.cover_solvers}")
+    check_budget(name, g.n, budgets.cover_solvers)
 
     def cover(m: int) -> int:
         return m.bit_count() - keep(m)
@@ -337,38 +334,11 @@ def binding_f(p: int, k: int) -> int:
     return ramsey_upper(p + 1, k + 1) - 1
 
 
-RAMSEY_CHECK_MAX_N = 6
-
-
 def ramsey_property_check(n: int, a: int, b: int) -> bool:
     """Does every graph on n vertices have a clique of size a or an
-    independent set of size b?  Exhaustive over all labelled graphs."""
-    if n > RAMSEY_CHECK_MAX_N:
-        raise BudgetExceededError(
-            f"ramsey_property_check: n={n} exceeds budget {RAMSEY_CHECK_MAX_N}"
-        )
-    if a <= 1 or b <= 1:
-        # A K_1 or a single-vertex independent set exists whenever n >= 1;
-        # size-0 witnesses exist vacuously.
-        return n >= 1 or a <= 0 or b <= 0
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    index = {pair: t for t, pair in enumerate(pairs)}
-
-    def pair_mask(subset) -> int:
-        m = 0
-        for x, y in combinations(subset, 2):
-            m |= 1 << index[(x, y)]
-        return m
-
-    clique_masks = [pair_mask(s) for s in combinations(range(n), a)]
-    indep_masks = [pair_mask(s) for s in combinations(range(n), b)]
-    for code in range(1 << len(pairs)):
-        if any(code & m == m for m in clique_masks):
-            continue
-        if any(code & m == 0 for m in indep_masks):
-            continue
-        return False
-    return True
+    independent set of size b?  Both sizes are isomorphism invariants, so
+    one graph per class settles it; n is limited by the enumeration."""
+    return all(clique_number(g) >= a or independence_number(g) >= b for g in enumerate_graphs(n))
 
 
 # ---------------------------------------------------------------------------
@@ -382,10 +352,7 @@ def minimum_modulators(
     cap: int = 100_000,
 ):
     """All minimum-cardinality (rho, c)-modulators, lexicographic order."""
-    if g.n > budgets.modulator:
-        raise BudgetExceededError(
-            f"minimum_modulators: n={g.n} exceeds budget {budgets.modulator}"
-        )
+    check_budget("minimum_modulators", g.n, budgets.modulator)
     return _minimum_modulators(g, spec, budgets, g.full_mask, cap)
 
 
@@ -440,9 +407,7 @@ def slack_failure(
     )
 
 
-_EMPIRICAL_H_CACHE: dict[tuple[str, int], int] = {}
-
-
+@cache
 def empirical_h(rho: str, c: int, budgets: Budgets = DEFAULT_BUDGETS) -> int:
     """max omega(G) over graphs with rho(G) <= c, n <= 6.
 
@@ -452,14 +417,5 @@ def empirical_h(rho: str, c: int, budgets: Budgets = DEFAULT_BUDGETS) -> int:
     """
     if rho == "tw":
         return c
-    key = (rho, c)
-    if key not in _EMPIRICAL_H_CACHE:
-        from .graphs import enumerate_graphs
-
-        best = 0
-        for n in range(0, 7):
-            for g in enumerate_graphs(n):
-                if rho_at_most(g, rho, c, budgets):
-                    best = max(best, clique_number(g))
-        _EMPIRICAL_H_CACHE[key] = best
-    return _EMPIRICAL_H_CACHE[key]
+    graphs = (g for n in range(7) for g in enumerate_graphs(n))
+    return max((clique_number(g) for g in graphs if rho_at_most(g, rho, c, budgets)), default=0)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .config import Budgets, DEFAULT_BUDGETS
-from .graphs import BudgetExceededError, Graph, bits, mask_of
+from .graphs import Graph, bits, check_budget, mask_of
 from .invariants import SubsetAlpha, independent_subsets, is_bipartite, lex_min_witness, odd_cycle
 
 
@@ -127,10 +127,7 @@ class FlowNetwork:
 
 
 def mwis_exact(wg: WeightedGraph, budgets: Budgets = DEFAULT_BUDGETS) -> MwisResult:
-    if wg.n > budgets.mwis_exact:
-        raise BudgetExceededError(
-            f"mwis_exact: n={wg.n} exceeds budget {budgets.mwis_exact}"
-        )
+    check_budget("mwis_exact", wg.n, budgets.mwis_exact)
     g, weights = wg.graph, wg.weights
     memo: dict[int, int] = {0: 0}
 
@@ -226,10 +223,7 @@ def find_oct_with_bounded_alpha(
     only ever cuts on alpha, which grows along a branch, so every k at or
     above that minimum returns the same set, and every k below it None.
     """
-    if g.n > budgets.oct_alpha:
-        raise BudgetExceededError(
-            f"find_oct_with_bounded_alpha: n={g.n} exceeds budget {budgets.oct_alpha}"
-        )
+    check_budget("find_oct_with_bounded_alpha", g.n, budgets.oct_alpha)
     if k < 0:
         return None
     alpha = SubsetAlpha(g)

@@ -59,7 +59,7 @@ from .decomp import (
     RootedForest,
     TreeDecomposition,
 )
-from .graphs import BudgetExceededError, Graph, bits, components
+from .graphs import Graph, bits, check_budget, components
 from .invariants import SubsetAlpha, alpha_table
 
 
@@ -74,11 +74,6 @@ def _bag_cost_fn(g: Graph, kind: CostKind):
     if kind is CostKind.CARDINALITY:
         return int.bit_count
     return SubsetAlpha(g)
-
-
-def _check_budget(op: str, n: int, limit: int):
-    if n > limit:
-        raise BudgetExceededError(f"{op}: n={n} exceeds budget {limit}")
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +158,7 @@ def lambda_treewidth(
     g: Graph, kind: CostKind, budgets: Budgets = DEFAULT_BUDGETS
 ) -> WidthResult:
     limit = budgets.tw_card if kind is CostKind.CARDINALITY else budgets.tw_alpha
-    _check_budget("lambda_treewidth", g.n, limit)
+    check_budget("lambda_treewidth", g.n, limit)
     if g.n == 0:
         return WidthResult(0, TreeDecomposition((), ()), kind)
     adj = g.adj
@@ -209,7 +204,7 @@ def lambda_treewidth(
 def lambda_pathwidth(
     g: Graph, kind: CostKind, budgets: Budgets = DEFAULT_BUDGETS
 ) -> WidthResult:
-    _check_budget("lambda_pathwidth", g.n, budgets.pw_exact)
+    check_budget("lambda_pathwidth", g.n, budgets.pw_exact)
     if g.n == 0:
         return WidthResult(0, PathDecomposition(()), kind)
     closed = [nb | 1 << v for v, nb in enumerate(g.adj)]
@@ -230,7 +225,7 @@ def lambda_pw_at_most(
     whenever its bag fits the budget: moving it forward only shrinks later
     bags, so restricting the branching preserves completeness.
     """
-    _check_budget("lambda_pw_at_most", g.n, budgets.pw_decision)
+    check_budget("lambda_pw_at_most", g.n, budgets.pw_decision)
     n = g.n
     if n == 0:
         return k >= 0
@@ -375,7 +370,7 @@ def _alpha_treedepth(adj):
 def lambda_treedepth(
     g: Graph, kind: CostKind, budgets: Budgets = DEFAULT_BUDGETS
 ) -> WidthResult:
-    _check_budget("lambda_treedepth", g.n, budgets.td_exact)
+    check_budget("lambda_treedepth", g.n, budgets.td_exact)
     if g.n == 0:
         return WidthResult(0, RootedForest(()), kind)
     adj = g.adj
@@ -406,7 +401,7 @@ def lambda_td_at_most(
     g: Graph, kind: CostKind, k: int, budgets: Budgets = DEFAULT_BUDGETS
 ) -> bool:
     """Decide lambda-td(g) <= k via the component recursion with pruning."""
-    _check_budget("lambda_td_at_most", g.n, budgets.td_decision)
+    check_budget("lambda_td_at_most", g.n, budgets.td_decision)
     if g.n == 0:
         return k >= 0
     if k <= 0:
@@ -478,7 +473,7 @@ def alpha_chromatic(g: Graph, budgets: Budgets = DEFAULT_BUDGETS) -> WidthResult
     rainbow sets equals the maximum size of an independent set with pairwise
     distinct colours, since independent subsets of rainbow sets are rainbow.
     """
-    _check_budget("alpha_chromatic", g.n, budgets.alpha_chromatic)
+    check_budget("alpha_chromatic", g.n, budgets.alpha_chromatic)
     n = g.n
     if n == 0:
         return WidthResult(0, (), CostKind.INDEPENDENCE)

@@ -439,3 +439,20 @@ def burnside_graph_count(n: int) -> int:
 def brute_canonical_code(g: Graph) -> int:
     """The minimum column-major triangle code over all n! vertex orderings."""
     return min(_triangle_code(g, order) for order in permutations(range(g.n)))
+
+
+def brute_ramsey(n: int, a: int, b: int) -> bool:
+    """Does every labelled graph on n vertices, one per edge set, have a
+    clique of size a or an independent set of size b?"""
+    pairs = list(combinations(range(n), 2))
+    index = {pair: t for t, pair in enumerate(pairs)}
+
+    def pair_mask(subset) -> int:
+        return sum(1 << index[pair] for pair in combinations(subset, 2))
+
+    clique_masks = [pair_mask(s) for s in combinations(range(n), a)]
+    indep_masks = [pair_mask(s) for s in combinations(range(n), b)]
+    return all(
+        any(code & m == m for m in clique_masks) or any(code & m == 0 for m in indep_masks)
+        for code in range(1 << len(pairs))
+    )

@@ -313,6 +313,31 @@ def test_cli_mwis(tmp_path):
     assert code == 2  # C5 is not bipartite
 
 
+@pytest.mark.parametrize(
+    "argv, weights, message",
+    [
+        (["--algorithm", "bipartite"], None, "mwis_bipartite needs a bipartite input"),
+        (
+            ["--algorithm", "oct", "--k", "0"],
+            None,
+            "no odd cycle transversal with independence number <= 0",
+        ),
+        ([], "1\n2\n", "weight vector length does not match vertex count"),
+    ],
+)
+def test_cli_mwis_errors(tmp_path, capsys, argv, weights, message):
+    from widthlab.cli import main
+
+    path = tmp_path / "k3.g6"
+    path.write_text("Bw\n")
+    if weights is not None:
+        (tmp_path / "w.txt").write_text(weights)
+        argv = [*argv, "--weights", str(tmp_path / "w.txt")]
+    assert main(["mwis", "--input", str(path), *argv]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+
 def test_cli_list_checks():
     code, out, _ = run_cli("list-checks")
     assert code == 0

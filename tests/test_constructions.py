@@ -1,5 +1,7 @@
 """Substitutions and the iterated s-claw family."""
 
+import hashlib
+
 import pytest
 
 from widthlab.constructions import (
@@ -113,3 +115,24 @@ def test_deterministic_labeling():
     a = substitute(cycle_graph(4), SubstitutionKind.S_CLAW)
     b = substitute(cycle_graph(4), SubstitutionKind.S_CLAW)
     assert a == b
+
+
+# sha256 of _gadget_layouts(), recorded from the substitution that built each
+# gadget in its own branch: the vertex layout is documented output (the
+# ``construct`` command prints it), so it must not change.
+GADGET_DIGEST = "02ed50f71ecf419d213eb6b8e1dee0491642627ccdfda03027258954e1ccc127"
+
+
+def _gadget_layouts() -> str:
+    lines = [
+        repr(substitute(g, kind))
+        for n in range(6)
+        for g in enumerate_graphs(n)
+        for kind in SubstitutionKind
+    ]
+    lines += [repr(gamma_family(index).adj) for index in range(1, 5)]
+    return "\n".join(lines)
+
+
+def test_gadget_layouts_pinned():
+    assert hashlib.sha256(_gadget_layouts().encode()).hexdigest() == GADGET_DIGEST

@@ -1,5 +1,7 @@
-"""Graph type, named families, enumeration, and canonical forms."""
+"""Graph type, named families, enumeration, canonical forms, and the budget
+guard of the exact solvers."""
 
+import dataclasses
 import hashlib
 
 import pytest
@@ -7,6 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import brute_canonical_code, burnside_graph_count
 
+from widthlab.config import DEFAULT_BUDGETS
+from widthlab.decomp import CostKind
 from widthlab.graphs import (
     BudgetExceededError,
     Graph,
@@ -26,6 +30,26 @@ from widthlab.graphs import (
     random_permutation,
     star,
 )
+from widthlab.modulators import (
+    ModulatorSpec,
+    feedback_vertex_number,
+    minimum_modulators,
+    modulator_number,
+    oct_number,
+    vertex_cover_number,
+)
+from widthlab.mwis import WeightedGraph, find_oct_with_bounded_alpha, mwis_exact
+from widthlab.widths import (
+    alpha_chromatic,
+    lambda_pathwidth,
+    lambda_pw_at_most,
+    lambda_td_at_most,
+    lambda_treedepth,
+    lambda_treewidth,
+)
+
+CARD = CostKind.CARDINALITY
+ALPHA = CostKind.INDEPENDENCE
 
 
 def test_graph_validation_rejects_loops_and_asymmetry():
@@ -181,3 +205,33 @@ def test_canonical_form_is_isomorphism_invariant(n, gseed, pseed):
 
 def test_canonical_form_separates_non_isomorphic():
     assert canonical_form(path_graph(4)) != canonical_form(star(3))
+
+
+# Each guarded entry point: its name in the error, the Budgets field that
+# limits it, and a call on (g, budgets).
+TW1 = ModulatorSpec("tw", 1)
+GUARDED = [
+    ("lambda_treewidth", "tw_card", lambda g, b: lambda_treewidth(g, CARD, b)),
+    ("lambda_treewidth", "tw_alpha", lambda g, b: lambda_treewidth(g, ALPHA, b)),
+    ("lambda_pathwidth", "pw_exact", lambda g, b: lambda_pathwidth(g, CARD, b)),
+    ("lambda_pw_at_most", "pw_decision", lambda g, b: lambda_pw_at_most(g, CARD, 1, b)),
+    ("lambda_treedepth", "td_exact", lambda g, b: lambda_treedepth(g, CARD, b)),
+    ("lambda_td_at_most", "td_decision", lambda g, b: lambda_td_at_most(g, CARD, 1, b)),
+    ("alpha_chromatic", "alpha_chromatic", alpha_chromatic),
+    ("modulator_number", "modulator", lambda g, b: modulator_number(g, TW1, ALPHA, b)),
+    ("minimum_modulators", "modulator", lambda g, b: minimum_modulators(g, TW1, b)),
+    ("vertex_cover_number", "cover_solvers", vertex_cover_number),
+    ("feedback_vertex_number", "cover_solvers", feedback_vertex_number),
+    ("oct_number", "cover_solvers", oct_number),
+    ("mwis_exact", "mwis_exact", lambda g, b: mwis_exact(WeightedGraph(g, (1,) * g.n), b)),
+    ("find_oct_with_bounded_alpha", "oct_alpha", lambda g, b: find_oct_with_bounded_alpha(g, 1, b)),
+]
+
+
+@pytest.mark.parametrize("op, field, call", GUARDED, ids=[f"{op}-{f}" for op, f, _ in GUARDED])
+def test_budget_guard_message(op, field, call):
+    budgets = dataclasses.replace(DEFAULT_BUDGETS, **{field: 2})
+    call(path_graph(2), budgets)  # at the limit: runs
+    with pytest.raises(BudgetExceededError) as info:
+        call(path_graph(3), budgets)
+    assert str(info.value) == f"{op}: n=3 exceeds budget 2"

@@ -7,6 +7,7 @@ import pytest
 
 from oracles import (
     brute_modulator,
+    brute_ramsey,
     mask_is_acyclic,
     mask_is_bipartite,
     mask_is_cover,
@@ -144,7 +145,19 @@ def test_ramsey_property_check():
     assert ramsey_property_check(1, 1, 5) is True
     assert ramsey_property_check(2, 2, 2) is True
     with pytest.raises(BudgetExceededError):
-        ramsey_property_check(7, 3, 3)
+        ramsey_property_check(9, 3, 3)
+
+
+def test_ramsey_property_check_on_seven_vertices():
+    assert ramsey_property_check(7, 3, 3) is True
+    assert ramsey_property_check(7, 3, 4) is False  # R(3, 4) = 9
+
+
+def test_ramsey_property_check_agrees_with_labelled_graphs():
+    for n in range(7):
+        for a in range(8):
+            for b in range(8):
+                assert ramsey_property_check(n, a, b) == brute_ramsey(n, a, b), (n, a, b)
 
 
 def test_ramsey_binding_per_graph_n4():
