@@ -21,9 +21,8 @@ from .constructions import SubstitutionKind, check_gamma_budget, gamma_family, s
 from .decomp import CostKind, chordal_clique_tree, cost, tree_decomp_from_fvs
 from .formats import to_graph6, from_graph6
 from .graphs import (
-    ENUMERATION_MAX_N,
-    BudgetExceededError,
     Graph,
+    check_enumeration,
     complete_bipartite,
     complete_graph,
     copies,
@@ -104,10 +103,7 @@ class CheckReport:
 def graphs_upto(max_n: int):
     """All graphs on 1 .. max_n vertices.  An over-budget max_n fails
     before any smaller n is enumerated."""
-    if max_n > ENUMERATION_MAX_N:
-        raise BudgetExceededError(
-            f"graph enumeration supports n <= {ENUMERATION_MAX_N}, got max_n={max_n}"
-        )
+    check_enumeration(max_n)
     for n in range(1, max_n + 1):
         yield from enumerate_graphs(n)
 

@@ -159,6 +159,37 @@ def components(adj, mask: int) -> list[int]:
     return comps
 
 
+@lru_cache(maxsize=1)
+def reach_table(adj: tuple[int, ...]) -> list[int]:
+    """``reach[s]``, the union of the neighbourhoods of the vertices in s,
+    for every subset s of the vertices of ``adj``.
+
+    The subsets containing vertex v as their highest one come right after
+    all subsets below it, so each vertex doubles the table.  One slot is
+    enough: the exact width solvers ask for one graph several times in a
+    row.  The list is shared between callers and must be treated as
+    read-only.
+    """
+    reach = [0]
+    for nb in adj:
+        reach += [r | nb for r in reach]
+    return reach
+
+
+def reach_components(reach: list[int], mask: int) -> list[int]:
+    """``components(adj, mask)`` read from ``reach = reach_table(adj)``: the
+    same components in the same order, each grown by table lookups."""
+    comps = []
+    while mask:
+        comp, grow = 0, mask & -mask
+        while grow != comp:
+            comp = grow
+            grow = reach[comp] & mask | comp
+        comps.append(comp)
+        mask ^= comp
+    return comps
+
+
 # ---------------------------------------------------------------------------
 # Named constructions
 
@@ -453,13 +484,18 @@ def _canonical_classes(n: int) -> dict[int, list[list[int]] | tuple[()]]:
     return classes
 
 
+def check_enumeration(n: int) -> None:
+    """Raise unless ``enumerate_graphs`` supports n vertices: one guard, in
+    the ``check_budget`` format, for every enumeration request."""
+    if n < 0:
+        raise ValueError(f"enumerate_graphs: negative n={n}")
+    check_budget("enumerate_graphs", n, ENUMERATION_MAX_N)
+
+
 def enumerate_graphs(n: int):
     """All graphs on n vertices, one canonical representative per
     isomorphism class, in deterministic (code) order."""
-    if not 0 <= n <= ENUMERATION_MAX_N:
-        raise BudgetExceededError(
-            f"graph enumeration supports 0 <= n <= {ENUMERATION_MAX_N}, got {n}"
-        )
+    check_enumeration(n)
     for code in _canonical_codes(n):
         yield graph_from_triangle_code(n, code)
 

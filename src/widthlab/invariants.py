@@ -8,6 +8,8 @@ what keeps sparse 80-vertex instances (iterated s-claw graphs) fast.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .graphs import Graph, bits, components, mask_of
 
 
@@ -58,21 +60,23 @@ class SubsetAlpha:
         return value
 
 
-def alpha_table(adj) -> list[int]:
+@lru_cache(maxsize=1)
+def alpha_table(adj: tuple[int, ...]) -> list[int]:
     """alpha of the subgraph induced on every subset, indexed by bitmask: the
     dense form of ``SubsetAlpha`` for callers that visit most subsets.
 
-    With v the lowest vertex of s, a maximum independent set of s either
-    avoids v or takes v and nothing else of N[v]; both subsets are
-    numerically smaller than s, so one pass in numeric order fills the table.
+    The subsets with highest vertex v follow all subsets below v, so each
+    vertex doubles the table: s + v either avoids v, or takes v and nothing
+    of N(v), and both of those subsets lie below v.  One slot, like
+    ``graphs.reach_table``: the callers ask for one graph several times in a
+    row.  The list is shared between callers and must be treated as
+    read-only.
     """
-    alpha = [0] * (1 << len(adj))
-    closed = [nb | 1 << v for v, nb in enumerate(adj)]
-    for s in range(1, len(alpha)):
-        low = s & -s
-        skip = alpha[s ^ low]
-        take = alpha[s & ~closed[low.bit_length() - 1]] + 1
-        alpha[s] = skip if skip > take else take
+    alpha = [0]
+    for nb in adj:
+        outside = ~nb
+        take = [alpha[s & outside] + 1 for s in range(len(alpha))]
+        alpha += [a if a > t else t for a, t in zip(alpha, take)]
     return alpha
 
 

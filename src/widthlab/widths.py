@@ -41,15 +41,23 @@ Algorithms (all exact for monotone bag costs):
   neighbourhood cost; exact because the cost is monotone under subsets.
 
 The exact tw, pw and td solvers keep 2^n-entry tables, within their
-budgets (tw_card, tw_alpha, pw_exact, td_exact), and read alpha from the
-dense ``invariants.alpha_table``.  The decision forms, which run past those
-sizes, and degeneracy visit a sparse family of subsets and keep the
-memoised ``SubsetAlpha`` oracle.
+budgets (tw_card, tw_alpha, pw_exact, td_exact).  They share two per-graph
+tables, each cached for the last graph asked and read-only to every caller:
+``graphs.reach_table``, the union of the neighbourhoods of every subset, and
+``invariants.alpha_table``, alpha of every subset.  reach answers their
+connectivity questions by lookups instead of searches: the tw elimination
+bag grows low's component in placed + low with ``reach[comp] & s``, the pw
+boundary of placed is ``reach[full - placed] & placed``, and the td
+components come from ``graphs.reach_components``.  The decision forms, which
+run past those sizes, and degeneracy visit a sparse family of subsets and
+keep the breadth-first ``graphs.components`` and the memoised
+``SubsetAlpha`` oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Any
 
 from .config import Budgets, DEFAULT_BUDGETS
@@ -59,7 +67,7 @@ from .decomp import (
     RootedForest,
     TreeDecomposition,
 )
-from .graphs import Graph, bits, check_budget, components
+from .graphs import Graph, bits, check_budget, components, reach_components, reach_table
 from .invariants import SubsetAlpha, alpha_table
 
 
@@ -80,6 +88,13 @@ def _bag_cost_fn(g: Graph, kind: CostKind):
 # The subset DP shared by treewidth and pathwidth
 
 
+@lru_cache(maxsize=1)
+def _popcounts(n: int) -> list[int]:
+    """The cardinality bag costs on n vertices; one slot and read-only, like
+    the per-graph tables."""
+    return [s.bit_count() for s in range(1 << n)]
+
+
 def _subset_dp(g: Graph, kind: CostKind, bag) -> tuple[int, list[int], list[int]]:
     """Minimise the largest bag cost over the orderings of all vertices.
 
@@ -92,10 +107,7 @@ def _subset_dp(g: Graph, kind: CostKind, bag) -> tuple[int, list[int], list[int]
     """
     n = g.n
     full = (1 << n) - 1
-    if kind is CostKind.CARDINALITY:
-        bag_cost = [s.bit_count() for s in range(full + 1)]
-    else:
-        bag_cost = alpha_table(g.adj)
+    bag_cost = _popcounts(n) if kind is CostKind.CARDINALITY else alpha_table(g.adj)
     worst = n + 1  # above every bag cost
     f = [worst] * (full + 1)
     choice = [0] * (full + 1)
@@ -154,6 +166,22 @@ def _grow_boundary(closed, b: int, s: int, low: int) -> int:
 # Treewidth
 
 
+def _elimination_bags(reach: list[int]):
+    """The treewidth bag function over ``reach = reach_table(adj)``."""
+
+    def elimination_bag(placed: int, low: int) -> int:
+        # low plus the unplaced vertices reachable from it through placed:
+        # the neighbours outside s of low's component in s.
+        s = placed | low
+        comp, grow = 0, low
+        while grow != comp:
+            comp = grow
+            grow = reach[comp] & s | comp
+        return reach[comp] & ~s | low
+
+    return elimination_bag
+
+
 def lambda_treewidth(
     g: Graph, kind: CostKind, budgets: Budgets = DEFAULT_BUDGETS
 ) -> WidthResult:
@@ -161,25 +189,7 @@ def lambda_treewidth(
     check_budget("lambda_treewidth", g.n, limit)
     if g.n == 0:
         return WidthResult(0, TreeDecomposition((), ()), kind)
-    adj = g.adj
-
-    def elimination_bag(placed: int, low: int) -> int:
-        # low plus the unplaced vertices reachable from it through placed.
-        comp = frontier = low
-        outside = 0
-        while frontier:
-            grow = 0
-            while frontier:
-                u = frontier & -frontier
-                grow |= adj[u.bit_length() - 1]
-                frontier ^= u
-            grow &= ~comp
-            outside |= grow & ~placed
-            frontier = grow & placed
-            comp |= frontier
-        return outside | low
-
-    value, order, bags = _subset_dp(g, kind, elimination_bag)
+    value, order, bags = _subset_dp(g, kind, _elimination_bags(reach_table(g.adj)))
     position = {v: i for i, v in enumerate(order)}
     edges = []
     loose = []
@@ -207,12 +217,12 @@ def lambda_pathwidth(
     check_budget("lambda_pathwidth", g.n, budgets.pw_exact)
     if g.n == 0:
         return WidthResult(0, PathDecomposition(()), kind)
-    closed = [nb | 1 << v for v, nb in enumerate(g.adj)]
-    boundary = [0] * (1 << g.n)
-    for s in range(1, len(boundary)):
-        low = s & -s
-        boundary[s] = _grow_boundary(closed, boundary[s ^ low], s, low)
-    value, _, bags = _subset_dp(g, kind, lambda placed, low: boundary[placed] | low)
+    reach = reach_table(g.adj)
+    full = g.full_mask
+    # The boundary of placed: its vertices with a neighbour outside it.
+    value, _, bags = _subset_dp(
+        g, kind, lambda placed, low: reach[full ^ placed] & placed | low
+    )
     return WidthResult(value, PathDecomposition(tuple(bags)), kind)
 
 
@@ -290,19 +300,15 @@ def _treedepth_table(adj) -> tuple[list[int], list[int]]:
     when s is connected.  Both read only proper subsets of s, which are
     numerically smaller, so one pass in numeric order fills the table.
     """
-    size = 1 << len(adj)
+    reach = reach_table(adj)
+    size = len(reach)
     height = [0] * size
     root = [0] * size
     for s in range(1, size):
-        comp = frontier = s & -s
-        while frontier:
-            grow = 0
-            while frontier:
-                u = frontier & -frontier
-                grow |= adj[u.bit_length() - 1]
-                frontier ^= u
-            frontier = grow & s & ~comp
-            comp |= frontier
+        comp, grow = 0, s & -s
+        while grow != comp:
+            comp = grow
+            grow = reach[comp] & s | comp
         if comp != s:
             a, b = height[comp], height[s ^ comp]
             height[s] = a if a > b else b
@@ -325,12 +331,13 @@ def _alpha_treedepth(adj):
     component comp below the ancestor set above, and its lowest optimal root.
     """
     n = len(adj)
-    cost = alpha_table(adj).__getitem__
+    cost = alpha_table(adj)
+    reach = reach_table(adj)
     memo: dict[int, tuple[int, int]] = {}
 
     def solve(comp: int, above: int) -> tuple[int, int]:
         if comp & (comp - 1) == 0:
-            return cost(above | comp), comp.bit_length() - 1
+            return cost[above | comp], comp.bit_length() - 1
         key = comp | above << n
         cached = memo.get(key)
         if cached is not None:
@@ -341,11 +348,11 @@ def _alpha_treedepth(adj):
         while m:
             low = m & -m
             m ^= low
-            here = cost(above | low)
+            here = cost[above | low]
             roots.append((here, low))
             if here > floor:
                 floor = here
-        if cost(above | comp) == floor:  # every root reaches floor
+        if cost[above | comp] == floor:  # every root reaches floor
             best, best_root = floor, (comp & -comp).bit_length() - 1
         else:
             best, best_root = n + 1, -1
@@ -353,10 +360,14 @@ def _alpha_treedepth(adj):
                 if here >= best:
                     continue
                 value = here
-                for sub in components(adj, comp ^ low):
-                    value = max(value, solve(sub, above | low)[0])
-                    if value >= best:
-                        break
+                below = above | low
+                for sub in reach_components(reach, comp ^ low):
+                    # A single vertex is one leaf: no call needed.
+                    h = cost[below | sub] if sub & (sub - 1) == 0 else solve(sub, below)[0]
+                    if h > value:
+                        value = h
+                        if value >= best:
+                            break
                 if value < best:
                     best, best_root = value, low.bit_length() - 1
                     if best == floor:
@@ -382,16 +393,17 @@ def lambda_treedepth(
 
     else:
         solve = _alpha_treedepth(adj)
+    reach = reach_table(adj)
     parent: list[int | None] = [None] * g.n
 
     def build(comp: int, above: int, parent_vertex: int | None):
         root = solve(comp, above)[1]
         parent[root] = parent_vertex
-        for sub in components(adj, comp & ~(1 << root)):
+        for sub in reach_components(reach, comp & ~(1 << root)):
             build(sub, above | 1 << root, root)
 
     value = 0
-    for comp in g.components():
+    for comp in reach_components(reach, g.full_mask):
         value = max(value, solve(comp, 0)[0])
         build(comp, 0, None)
     return WidthResult(value, RootedForest(tuple(parent)), kind)

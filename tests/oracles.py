@@ -94,6 +94,25 @@ def pw_by_orderings(g: Graph, kind: CostKind) -> int:
     return best
 
 
+def elimination_bag(adj, placed: int, low: int) -> int:
+    """The treewidth bag of the one-bit mask ``low`` placed after ``placed``:
+    low plus the unplaced vertices it reaches through placed ones, by
+    breadth-first search over the adjacency masks."""
+    comp = frontier = low
+    outside = 0
+    while frontier:
+        grow = 0
+        while frontier:
+            u = frontier & -frontier
+            grow |= adj[u.bit_length() - 1]
+            frontier ^= u
+        grow &= ~comp
+        outside |= grow & ~placed
+        frontier = grow & placed
+        comp |= frontier
+    return outside | low
+
+
 def _valid_tree_decomposition(g: Graph, bags, tree_edges) -> bool:
     covered = 0
     for b in bags:

@@ -14,6 +14,7 @@ from oracles import (
     alpha_chromatic_by_functions,
     degeneracy_maxmin_induced,
     degeneracy_maxmin_subgraphs,
+    elimination_bag,
     pw_by_all_decompositions,
     pw_by_orderings,
     td_by_all_forests,
@@ -27,16 +28,21 @@ from widthlab.graphs import (
     BudgetExceededError,
     Graph,
     complete_graph,
+    components,
     copies,
     cycle_graph,
     enumerate_graphs,
     path_graph,
     random_graph,
+    reach_components,
+    reach_table,
     star,
 )
 from widthlab.constructions import SubstitutionKind, substitute
 from widthlab.invariants import SubsetAlpha, alpha_table, is_chordal
 from widthlab.widths import (
+    _elimination_bags,
+    _grow_boundary,
     _treedepth_table,
     alpha_chromatic,
     degeneracy,
@@ -98,6 +104,49 @@ def test_dense_alpha_table_matches_subset_alpha():
         assert alpha_table(g.adj) == [oracle(s) for s in range(1 << n)]
 
 
+def test_table_kernels_match_bfs_references():
+    # On every subset: the treewidth bag read from the reach table, the
+    # pathwidth boundary reach[full - s] & s and the table-driven components
+    # equal the breadth-first searches they replace, in the same order.
+    graphs = [g for n in range(1, 7) for g in enumerate_graphs(n)]
+    graphs += [random_graph(12, p, 60 + seed) for p in (0.2, 0.45) for seed in range(2)]
+    for g in graphs:
+        reach = reach_table(g.adj)
+        bag = _elimination_bags(reach)
+        closed = [nb | 1 << v for v, nb in enumerate(g.adj)]
+        full = g.full_mask
+        boundary = [0] * (full + 1)
+        for s in range(1, full + 1):
+            low = s & -s
+            boundary[s] = _grow_boundary(closed, boundary[s ^ low], s, low)
+            assert reach[full ^ s] & s == boundary[s], (g.adj, s)
+            assert reach_components(reach, s) == components(g.adj, s), (g.adj, s)
+            m = s
+            while m:
+                low = m & -m
+                m ^= low
+                assert bag(s ^ low, low) == elimination_bag(g.adj, s ^ low, low), (g.adj, s)
+
+
+def test_per_graph_tables_are_isolated():
+    # The reach and alpha tables keep one graph each: interleaving graphs of
+    # one size gives the results of fresh calls, and no solver writes into
+    # the shared alpha table.
+    a, b = random_graph(8, 0.4, 31), random_graph(8, 0.4, 32)
+    solvers = (lambda_treewidth, lambda_pathwidth, lambda_treedepth)
+
+    def fresh(g):
+        reach_table.cache_clear()
+        alpha_table.cache_clear()
+        return [repr(f(g, kind)) for f in solvers for kind in BOTH]
+
+    expected = {g: fresh(g) for g in (a, b)}
+    for g in (a, b, a):
+        assert [repr(f(g, kind)) for f in solvers for kind in BOTH] == expected[g]
+        oracle = SubsetAlpha(g)
+        assert alpha_table(g.adj) == [oracle(s) for s in range(1 << g.n)]
+
+
 def test_treedepth_agrees_with_forest_enumeration():
     for n in range(1, 5):
         for g in enumerate_graphs(n):
@@ -127,6 +176,25 @@ def _treedepth_outputs() -> str:
 
 def test_treedepth_witnesses_pinned():
     assert hashlib.sha256(_treedepth_outputs().encode()).hexdigest() == TD_DIGEST
+
+
+# sha256 of _tw_pw_outputs(), recorded from the subset DP that found each
+# elimination bag by breadth-first search and kept a boundary table: the
+# decompositions are part of the output, so tie-breaking must not change.
+TW_PW_DIGEST = "8797995e92d14c59fceb11daa3ad62cbdc2bfacb2e8818b20862511a8c48aecf"
+
+
+def _tw_pw_outputs() -> str:
+    graphs = [g for n in range(8) for g in enumerate_graphs(n)]
+    graphs += [
+        random_graph(n, p, seed) for n in range(8, 11) for p in (0.25, 0.5) for seed in range(2)
+    ]
+    solvers = (lambda_treewidth, lambda_pathwidth)
+    return "\n".join(repr(f(g, kind)) for g in graphs for f in solvers for kind in BOTH)
+
+
+def test_tw_pw_witnesses_pinned():
+    assert hashlib.sha256(_tw_pw_outputs().encode()).hexdigest() == TW_PW_DIGEST
 
 
 def test_treedepth_table_on_every_subset():
