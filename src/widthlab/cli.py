@@ -113,34 +113,36 @@ def _resolve_family(text: str, seed: int | None) -> list[str]:
     from .formats import to_graph6
     from .graphs import enumerate_graphs, random_graph
 
+    head, _, rest = text.partition(":")
     try:
-        head, _, rest = text.partition(":")
-        if head == "all":
+        if head in ("all", "upto"):
             n = int(rest)
-            return [to_graph6(g) for g in enumerate_graphs(n)]
-        if head == "upto":
-            return [to_graph6(g) for g in graphs_upto(int(rest))]
-        if head == "stars":
+        elif head == "stars":
             lo, hi = rest.split("-")
             return [to_graph6(named_graph(f"star{q}")) for q in range(int(lo), int(hi) + 1)]
-        if head == "paths":
+        elif head == "paths":
             lo, hi = rest.split("-")
             return [to_graph6(named_graph(f"P{s}")) for s in range(int(lo), int(hi) + 1)]
-        if head == "random":
+        elif head == "random":
             n, p, count = rest.split(",")
             base = seed if seed is not None else DEFAULT_SUITE.default_seed
             return [
                 to_graph6(random_graph(int(n), float(p), base + i))
                 for i in range(int(count))
             ]
-        if head == "named":
+        elif head == "named":
             return [to_graph6(named_graph(token)) for token in rest.split(",")]
-        if head == "file":
+        elif head == "file":
             with open(rest) as fh:
                 return [line.strip() for line in fh if line.strip()]
+        else:
+            raise UsageError(f"bad family {text!r}")
     except (ValueError, OSError) as exc:
         raise UsageError(f"bad family {text!r}: {exc}") from None
-    raise UsageError(f"bad family {text!r}")
+    # Enumerated outside the wrap: an n out of range reads as it does for
+    # --max-n.
+    graphs = enumerate_graphs(n) if head == "all" else graphs_upto(n)
+    return [to_graph6(g) for g in graphs]
 
 
 def cmd_construct(args) -> int:

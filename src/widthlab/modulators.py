@@ -75,48 +75,131 @@ def rho_at_most(
     budgets: Budgets = DEFAULT_BUDGETS,
     within: int | None = None,
 ) -> bool:
-    """rho(G[within]) <= c, ``within`` defaulting to all of V.
+    """rho(G[within]) <= c, ``within`` defaulting to all of V (c >= 0 on
+    the empty set).
 
-    The small thresholds that the modulator solver hammers on are decided on
-    ``g.adj`` directly; only the fallbacks (pw at c >= 2, tw and td at
-    c >= 3, chi at c >= 3) build the induced subgraph.  pw and td ask their
-    decision forms; tw, which has none, takes the exact subset DP.
+    A thin wrapper over ``predicate(rho, c)``: the modulator searches
+    resolve that test once per spec and call it on vertex masks directly.
+    Below c = 3 it reads ``g.adj`` alone; pw <= 2, for one, holds exactly
+    when every component is a caterpillar.
     """
-    adj = g.adj
-    mask = g.full_mask if within is None else within
-    if not mask:
-        return c >= 0
+    return predicate(rho, c)(g, g.full_mask if within is None else within, budgets)
+
+
+Good = Callable[[Graph, int, Budgets], bool]
+
+
+@cache
+def predicate(rho: str, c: int) -> Good:
+    """The test good(g, mask, budgets) of rho(G[mask]) <= c, resolved once
+    per (rho, c).
+
+    Every width here counts bag cardinality, so every rho but delta is at
+    least 1 on a non-empty graph and at least 2 once it has an edge: c = 0
+    leaves the empty mask and c = 1 the edgeless ones.  delta is a degree
+    test at every c.  The c = 2 thresholds that the modulator searches
+    hammer on are decided on ``g.adj`` too: triangle-free (omega), a forest
+    (tw), a forest of caterpillars (pw), a star forest (td), bipartite
+    (chi).  Above c = 2, omega runs the clique search on the mask and the
+    rest build the induced subgraph: pw asks its decision form, td reads
+    the exact table up to ``budgets.td_exact`` vertices and the decision
+    form past it, tw runs the exact subset DP and chi the colouring search.
+    """
+    if rho not in RHO_NAMES:
+        raise ValueError(f"unknown target parameter {rho!r}")
+    if c < 0:
+        return _never
     if rho == "delta":
-        return max((adj[v] & mask).bit_count() for v in bits(mask)) <= c
-    if c <= 0:
-        return False
+        return partial(_max_degree_at_most, c)
+    if c == 0:
+        return _is_empty
     if c == 1:
-        return not any(adj[v] & mask for v in bits(mask))
-    if c == 2 and rho == "omega":
-        # Triangle-free: no edge uv has a common neighbour.
-        return not any(adj[u] & adj[v] & mask for v in bits(mask) for u in bits(adj[v] & mask))
+        return _is_edgeless
+    if c == 2:
+        return _THRESHOLD_TWO[rho]
+    return partial(_fallback, rho, c)
+
+
+def _never(g: Graph, mask: int, budgets: Budgets) -> bool:
+    return False
+
+
+def _is_empty(g: Graph, mask: int, budgets: Budgets) -> bool:
+    return not mask
+
+
+def _max_degree_at_most(c: int, g: Graph, mask: int, budgets: Budgets) -> bool:
+    adj = g.adj
+    return all((adj[v] & mask).bit_count() <= c for v in bits(mask))
+
+
+def _is_edgeless(g: Graph, mask: int, budgets: Budgets) -> bool:
+    adj = g.adj
+    return not any(adj[v] & mask for v in bits(mask))
+
+
+def _is_triangle_free(g: Graph, mask: int, budgets: Budgets) -> bool:
+    # No edge uv has a common neighbour.
+    adj = g.adj
+    return not any(adj[u] & adj[v] & mask for v in bits(mask) for u in bits(adj[v] & mask))
+
+
+def _is_acyclic(g: Graph, mask: int, budgets: Budgets) -> bool:
+    edges = sum((g.adj[v] & mask).bit_count() for v in bits(mask)) // 2
+    return edges == mask.bit_count() - len(g.components(mask))
+
+
+def _is_caterpillar_forest(g: Graph, mask: int, budgets: Budgets) -> bool:
+    # Pathwidth (bag cardinality) <= 2: a forest in which removing the
+    # leaves leaves paths, so no vertex has three neighbours of degree >= 2.
+    if not _is_acyclic(g, mask, budgets):
+        return False
+    adj = g.adj
+    inner = 0
+    for v in bits(mask):
+        nb = adj[v] & mask
+        if nb & (nb - 1):
+            inner |= 1 << v
+    return all((adj[v] & inner).bit_count() <= 2 for v in bits(inner))
+
+
+def _is_star_forest(g: Graph, mask: int, budgets: Budgets) -> bool:
+    # Every edge has an end of degree 1, so a vertex of degree >= 2 is the
+    # centre of a star whose leaves see only it.
+    adj = g.adj
+    for v in bits(mask):
+        nb = adj[v] & mask
+        if nb & (nb - 1) and any(adj[u] & mask != 1 << v for u in bits(nb)):
+            return False
+    return True
+
+
+def _is_bipartite(g: Graph, mask: int, budgets: Budgets) -> bool:
+    return is_bipartite(g, mask)[0]
+
+
+_THRESHOLD_TWO: dict[str, Good] = {
+    "omega": _is_triangle_free,
+    "tw": _is_acyclic,
+    "pw": _is_caterpillar_forest,
+    "td": _is_star_forest,
+    "chi": _is_bipartite,
+}
+
+
+def _fallback(rho: str, c: int, g: Graph, mask: int, budgets: Budgets) -> bool:
     if rho == "omega":
         return clique_number(g, mask) <= c
-    if c == 2 and rho == "tw":
-        return _mask_is_acyclic(g, mask)
-    if c == 2 and rho == "td":
-        # Star forest: every edge has an end of degree 1, so a vertex of
-        # degree >= 2 is the centre of a star whose leaves see only it.
-        for v in bits(mask):
-            nb = adj[v] & mask
-            if nb & (nb - 1) and any(adj[u] & mask != 1 << v for u in bits(nb)):
-                return False
-        return True
-    if c == 2 and rho == "chi":
-        return is_bipartite(g, mask)[0]
     sub = g if mask == g.full_mask else g.induced(mask)[0]
     if rho == "chi":
         return is_k_colourable(sub, c)
     if rho == "pw":
         return widths.lambda_pw_at_most(sub, CARD, c, budgets)
     if rho == "td":
+        if sub.n <= budgets.td_exact:
+            return widths.lambda_treedepth(sub, CARD, budgets).value <= c
         return widths.lambda_td_at_most(sub, CARD, c, budgets)
-    return parameter(rho)(sub, budgets)[0] <= c  # tw
+    return widths.lambda_treewidth(sub, CARD, budgets).value <= c
 
 
 # ---------------------------------------------------------------------------
@@ -128,11 +211,12 @@ def _minimum_modulators(
 ) -> tuple[int, list[tuple[int, ...]]]:
     """The least size of a (rho, c)-modulator of G[within], and the first
     ``cap`` modulators of that size, in lexicographic order."""
+    good = predicate(spec.rho, spec.c)
     vertices = tuple(bits(within))
     for k in range(len(vertices) + 1):
         found = []
         for combo in combinations(vertices, k):
-            if rho_at_most(g, spec.rho, spec.c, budgets, within=within & ~mask_of(combo)):
+            if good(g, within & ~mask_of(combo), budgets):
                 found.append(combo)
                 if len(found) >= cap:
                     break
@@ -163,6 +247,8 @@ def modulator_number(
     # lexicographically smallest.  The search visits many subsets, so alpha
     # comes from the dense table (n <= the modulator budget, 16 by default).
     alpha = alpha_table(g.adj)
+    good = predicate(spec.rho, spec.c)
+    full = g.full_mask
     best, witness = g.n + 1, ()
 
     def search(subset: tuple[int, ...], s_mask: int):
@@ -170,7 +256,7 @@ def modulator_number(
         a = alpha[s_mask]
         if a >= best:
             return
-        if rho_at_most(g, spec.rho, spec.c, budgets, within=g.full_mask & ~s_mask):
+        if good(g, full & ~s_mask, budgets):
             best, witness = a, subset
             return
         for v in range(subset[-1] + 1 if subset else 0, g.n):
@@ -182,11 +268,6 @@ def modulator_number(
 
 # ---------------------------------------------------------------------------
 # Dedicated cover-type solvers (vertex cover, FVS, OCT)
-
-
-def _mask_is_acyclic(g: Graph, mask: int) -> bool:
-    edges = sum((g.adj[v] & mask).bit_count() for v in bits(mask)) // 2
-    return edges == mask.bit_count() - len(g.components(mask))
 
 
 def _max_induced(good, within: int) -> int:
@@ -232,7 +313,7 @@ def vertex_cover_number(
 def feedback_vertex_number(
     g: Graph, budgets: Budgets = DEFAULT_BUDGETS
 ) -> tuple[int, tuple[int, ...]]:
-    keep = partial(_max_induced, lambda f: _mask_is_acyclic(g, f))
+    keep = partial(_max_induced, lambda f: _is_acyclic(g, f, budgets))
     return _cover_number(g, keep, budgets, "feedback_vertex_number")
 
 

@@ -243,6 +243,11 @@ def test_cli_over_budget_enumeration_fails_fast(capsys):
     for argv in (["--max-n", "9"], ["--family", "upto:9"], ["--family", "all:9"]):
         assert main(["verify", "chain-inequality", *argv]) == 2, argv
         assert capsys.readouterr().err == line, argv
+    # A negative n reads the same from --family as from --max-n.
+    line = "error: enumerate_graphs: negative n=-1\n"
+    for argv in (["--max-n", "-1"], ["--family", "upto:-1"], ["--family", "all:-1"]):
+        assert main(["verify", "chain-inequality", *argv]) == 2, argv
+        assert capsys.readouterr().err == line, argv
     assert _canonical_codes.cache_info() == before
 
 

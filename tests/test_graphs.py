@@ -3,6 +3,7 @@ guard of the exact solvers."""
 
 import dataclasses
 import hashlib
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,6 +18,7 @@ from widthlab.graphs import (
     _canonical_codes,
     _canonical_search,
     are_isomorphic,
+    bits,
     canonical_form,
     complete_bipartite,
     complete_graph,
@@ -99,6 +101,26 @@ def test_induced_subgraph():
     sub, old = g.induced(0b01011)  # vertices 0,1,3
     assert old == (0, 1, 3)
     assert sub.edges() == [(0, 1)]
+
+
+def _bits_reference(mask: int):
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def test_bits_matches_generator_reference():
+    # Masks below 1 << 10 come from a table; larger ones from a generator.
+    rng = random.Random(11)
+    masks = list(range(1 << 11)) + [rng.getrandbits(30) for _ in range(1000)]
+    for mask in masks:
+        assert list(bits(mask)) == list(_bits_reference(mask)), mask
+    for mask in (1, 0b1010, 1023, 1024, 1025, 0b110 << 9, 1 << 29):
+        it = bits(mask)
+        assert next(it) == next(_bits_reference(mask)), mask
+        assert list(it) == list(_bits_reference(mask))[1:], mask
+    assert next(bits(0), None) is None
 
 
 def test_components():

@@ -28,7 +28,12 @@ from widthlab.graphs import (
     random_graph,
     star,
 )
-from widthlab.invariants import clique_number, max_independent_set
+from widthlab.invariants import (
+    chromatic_number,
+    clique_number,
+    max_degree,
+    max_independent_set,
+)
 from widthlab.modulators import (
     RHO_NAMES,
     ModulatorSpec,
@@ -40,12 +45,19 @@ from widthlab.modulators import (
     modulator_number,
     oct_number,
     parameter,
+    predicate,
     ramsey_property_check,
     ramsey_upper,
     rho_at_most,
     vertex_cover_number,
 )
 from widthlab.mwis import WeightedGraph, mwis_exact
+from widthlab.widths import (
+    lambda_pathwidth,
+    lambda_td_at_most,
+    lambda_treedepth,
+    lambda_treewidth,
+)
 
 CARD = CostKind.CARDINALITY
 ALPHA = CostKind.INDEPENDENCE
@@ -204,13 +216,76 @@ def test_rho_at_most_shortcuts_match_values(small_graphs):
             value = parameter(rho)(g, DEFAULT_BUDGETS)[0]
             for c in range(0, 4):
                 assert rho_at_most(g, rho, c) == (value <= c)
-    # pw and td above their shortcuts go to the decision forms.
+    # Above c = 2, pw asks its decision form and td its exact table.
     for n in range(7):
         for g in enumerate_graphs(n):
             for rho in ("pw", "td"):
                 value = parameter(rho)(g, DEFAULT_BUDGETS)[0]
                 for c in range(2, 5):
                     assert rho_at_most(g, rho, c) == (value <= c), (g.adj, rho, c)
+
+
+# The closed forms of ``predicate``: every rho at c <= 1, every rho but
+# delta at c = 2, and delta at every c up to the largest degree at n = 7.
+CLOSED_FORMS = (
+    [(rho, c) for rho in RHO_NAMES for c in (0, 1)]
+    + [(rho, 2) for rho in RHO_NAMES]
+    + [("delta", c) for c in range(3, 7)]
+)
+
+
+def _exact_values(sub: Graph) -> dict[str, int]:
+    return {
+        "tw": lambda_treewidth(sub, CARD).value,
+        "pw": lambda_pathwidth(sub, CARD).value,
+        "td": lambda_treedepth(sub, CARD).value,
+        "chi": chromatic_number(sub),
+        "omega": clique_number(sub),
+        "delta": max_degree(sub),
+    }
+
+
+def test_predicate_closed_forms_match_exact_solvers():
+    # Every mask of every graph with n <= 7: the induced subgraphs are
+    # solved once per distinct adjacency.
+    exact: dict[tuple[int, ...], dict[str, int]] = {}
+    forms = [(rho, c, predicate(rho, c)) for rho, c in CLOSED_FORMS]
+    for n in range(8):
+        for g in enumerate_graphs(n):
+            for mask in range(1 << n):
+                sub, _ = g.induced(mask)
+                values = exact.get(sub.adj)
+                if values is None:
+                    values = exact[sub.adj] = _exact_values(sub)
+                for rho, c, good in forms:
+                    assert good(g, mask, DEFAULT_BUDGETS) == (values[rho] <= c), (
+                        g.adj, mask, rho, c
+                    )
+
+
+def test_predicate_is_resolved_once_per_spec():
+    assert predicate("pw", 2) is predicate("pw", 2)
+    with pytest.raises(ValueError):
+        predicate("nope", 2)
+    # rho of the empty graph is 0, so no threshold below 0 holds anywhere.
+    for rho in RHO_NAMES:
+        assert not rho_at_most(Graph(0, ()), rho, -1)
+        assert not rho_at_most(cycle_graph(5), rho, -1, within=0)
+        assert rho_at_most(cycle_graph(5), rho, 0, within=0)
+
+
+def test_td_fallback_reads_table_within_td_exact():
+    # Above c = 2 the td test reads the exact table up to td_exact vertices
+    # and the decision form above; both must agree where they overlap.
+    graphs = [g for n in range(8) for g in enumerate_graphs(n)]
+    graphs.append(random_graph(14, 0.4, 964))
+    for g in graphs:
+        value = lambda_treedepth(g, CARD).value
+        for c in range(3, 6):
+            assert lambda_td_at_most(g, CARD, c) == (value <= c), (g.adj, c)
+            assert rho_at_most(g, "td", c) == (value <= c), (g.adj, c)
+    # The decision pair at td = 9 is pinned in test_widths.
+    assert rho_at_most(g, "td", value) and not rho_at_most(g, "td", value - 1)
 
 
 def test_lambda_rho_dispatch(zoo):
