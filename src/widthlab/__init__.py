@@ -9,8 +9,6 @@ from .decomp import (
     TreeDecomposition,
     chordal_clique_tree,
     cost,
-    path_decomp_from_treedepth,
-    td_decomp_from_vertex_cover,
     tree_decomp_from_fvs,
     validate_path_decomposition,
     validate_tree_decomposition,

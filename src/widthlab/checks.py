@@ -33,7 +33,7 @@ from .graphs import (
     random_permutation,
     star,
 )
-from .invariants import SubsetAlpha, clique_number, contains_induced, is_chordal, max_degree
+from .invariants import SubsetAlpha, contains_induced, is_chordal
 from .modulators import (
     PARAMETERS,
     ModulatorSpec,
@@ -41,24 +41,14 @@ from .modulators import (
     check_modulator_minimality,
     check_modulator_slack,
     empirical_h,
-    feedback_vertex_number,
     modulator_number,
-    oct_number,
     parameter,
     ramsey_property_check,
     rho_at_most,
     slack_failure,
-    vertex_cover_number,
 )
 from .mwis import WeightedGraph, mwis_bipartite, mwis_exact, mwis_via_oct
-from .widths import (
-    alpha_chromatic,
-    lambda_pathwidth,
-    lambda_pw_at_most,
-    lambda_td_at_most,
-    lambda_treedepth,
-    lambda_treewidth,
-)
+from .widths import lambda_pw_at_most, lambda_td_at_most
 
 CARD = CostKind.CARDINALITY
 ALPHA = CostKind.INDEPENDENCE
@@ -223,29 +213,41 @@ def _iso_instances(params: dict, budgets: Budgets) -> list[dict]:
 class _Profile:
     """One labelled graph and the table entries evaluated on it so far."""
 
-    def __init__(self, g6: str, budgets: Budgets):
-        self.graph = from_graph6(g6)
+    def __init__(self, graph: Graph, budgets: Budgets):
+        self.graph = graph
         self.budgets = budgets
         self._entries: dict[tuple[str, CostKind], tuple[int, object]] = {}
 
-    def parameter(self, name: str, kind: CostKind) -> tuple[int, object]:
+    def parameter(self, name: str, kind: CostKind = CARD) -> tuple[int, object]:
         """``parameter(name, kind)(graph, budgets)``, evaluated once."""
         key = (name, kind)
         if key not in self._entries:
             self._entries[key] = parameter(name, kind)(self.graph, self.budgets)
         return self._entries[key]
 
+    def table(self) -> dict[str, int]:
+        """Every entry of ``PARAMETERS``, under each kind it has, by the
+        name the ``param`` CLI reads (``tw``, ``alpha-tw``, ...)."""
+        return {
+            name if kind is CARD else f"alpha-{name}": self.parameter(name, kind)[0]
+            for name, entries in PARAMETERS.items()
+            for kind, entry in zip((CARD, ALPHA), entries)
+            if entry is not None
+        }
+
 
 @lru_cache(maxsize=1)
 def _graph_profile(g6: str, budgets: Budgets) -> _Profile:
-    """The profile of the labelled graph ``g6``.
+    """The profile of the labelled graph ``g6``: the only way a family check
+    sees its graph and its table values.
 
     A family builder emits a graph's instances contiguously, so one slot
     serves them all; under ``--jobs`` each worker keeps its own.  The key is
     the labelled graph6 string, never a canonical form, so a relabelling is
-    always solved afresh.
+    always solved afresh: ``iso-invariance`` builds a fresh ``_Profile`` for
+    each one.
     """
-    return _Profile(g6, budgets)
+    return _Profile(from_graph6(g6), budgets)
 
 
 # ---------------------------------------------------------------------------
@@ -255,9 +257,9 @@ def _graph_profile(g6: str, budgets: Budgets) -> _Profile:
 
 def _eval_chain(inst, params, budgets) -> str | None:
     """tw <= pw <= td <= vc + 1 for both cost kinds."""
-    g = from_graph6(inst["g6"])
+    profile = _graph_profile(inst["g6"], budgets)
     for kind in (CARD, ALPHA):
-        tw, pw, td, vc = (parameter(name, kind)(g, budgets)[0] for name in ("tw", "pw", "td", "vc"))
+        tw, pw, td, vc = (profile.parameter(name, kind)[0] for name in ("tw", "pw", "td", "vc"))
         if not (tw <= pw <= td <= vc + 1):
             return f"{kind.value}: tw={tw} pw={pw} td={td} vc={vc}"
     return None
@@ -272,12 +274,12 @@ def _eval_ramsey_binding(inst, params, budgets) -> str | None:
         if got != inst["expect"]:
             return f"ramsey_property_check({n},{a},{b}) = {got}, expected {inst['expect']}"
         return None
-    g = from_graph6(inst["g6"])
-    if not g.n:
+    profile = _graph_profile(inst["g6"], budgets)
+    if not profile.graph.n:
         return None  # f needs omega >= 1; the empty graph binds nothing
-    omega = clique_number(g)
+    omega = profile.parameter("omega")[0]
     for rho in ("vc", "fvs", "tw", "pw", "td"):
-        plain, alpha_variant = (parameter(rho, kind)(g, budgets)[0] for kind in (CARD, ALPHA))
+        plain, alpha_variant = (profile.parameter(rho, kind)[0] for kind in (CARD, ALPHA))
         bound = binding_f(omega, alpha_variant)
         if plain > bound:
             return f"{rho}={plain} > f(omega={omega}) = {bound} with alpha-{rho}={alpha_variant}"
@@ -297,9 +299,10 @@ def _decide_value(h, at_most, value, shown, label, budgets) -> str | None:
 def _eval_sclaw(inst, params, budgets) -> str | None:
     """the s-claw / P5 / net substitutions raise alpha-pw / alpha-td / alpha-pw by
     exactly 1."""
-    g = from_graph6(inst["g6"])
-    apw = lambda_pathwidth(g, ALPHA, budgets).value
-    atd = lambda_treedepth(g, ALPHA, budgets).value
+    profile = _graph_profile(inst["g6"], budgets)
+    g = profile.graph
+    apw = profile.parameter("pw", ALPHA)[0]
+    atd = profile.parameter("td", ALPHA)[0]
     for kind, k, at_most, label in (
         (SubstitutionKind.S_CLAW, apw, lambda_pw_at_most, "alpha-pw(s(G))"),
         (SubstitutionKind.P5, atd, lambda_td_at_most, "alpha-td(p5(G))"),
@@ -332,7 +335,7 @@ def _eval_gamma(inst, params, budgets) -> str | None:
     expected_order = _gamma_order(index)
     if g.n != expected_order:
         return f"|V(S_{index})| = {g.n}, expected {expected_order}"
-    omega = clique_number(g)
+    omega = parameter("omega")(g, budgets)[0]
     if omega != index:
         return f"omega(S_{index}) = {omega}, expected {index}"
     ok, _ = is_chordal(g)
@@ -371,10 +374,11 @@ def _eval_modulator_minimality(inst, params, budgets) -> str | None:
 
 def _eval_modulator_identities(inst, params, budgets) -> str | None:
     """mu[tw:1] = mu[td:1] = vc, mu[tw:2] = fvs, mu[chi:2] = oct."""
-    g = from_graph6(inst["g6"])
-    vc, vc_witness = vertex_cover_number(g, budgets)
-    fvs = feedback_vertex_number(g, budgets)[0]
-    oct_ = oct_number(g, budgets)[0]
+    profile = _graph_profile(inst["g6"], budgets)
+    g = profile.graph
+    vc, vc_witness = profile.parameter("vc")
+    fvs = profile.parameter("fvs")[0]
+    oct_ = profile.parameter("oct")[0]
     pairs = [
         ("tw:1", vc),
         ("tw:2", fvs),
@@ -433,15 +437,15 @@ def _eval_mwis(inst, params, budgets) -> str | None:
 
 def _eval_fvs_alpha_tw(inst, params, budgets) -> str | None:
     """alpha-tw <= alpha(G[S]) + 1 for a minimum feedback vertex set S."""
-    g = from_graph6(inst["g6"])
-    _, s = feedback_vertex_number(g, budgets)
-    s_mask = mask_of(s)
+    profile = _graph_profile(inst["g6"], budgets)
+    g = profile.graph
+    s_mask = mask_of(profile.parameter("fvs")[1])
     alpha_s = SubsetAlpha(g)(s_mask)
     decomposition = tree_decomp_from_fvs(g, s_mask)
     built_cost = cost(g, decomposition, ALPHA)
     if built_cost > alpha_s + 1:
         return f"fvs decomposition cost {built_cost} > alpha(G[S])+1 = {alpha_s + 1}"
-    alpha_tw = lambda_treewidth(g, ALPHA, budgets).value
+    alpha_tw = profile.parameter("tw", ALPHA)[0]
     if alpha_tw > alpha_s + 1:
         return f"alpha-tw = {alpha_tw} > alpha(G[S])+1 = {alpha_s + 1}"
     return None
@@ -455,10 +459,11 @@ def _eval_delta_not_inheritable(inst, params, budgets) -> str | None:
     spec = ModulatorSpec("delta", 0)
     violation = check_modulator_slack(g, spec, CARD, budgets)
     if violation is None:
+        delta = parameter("delta")(g, budgets)[0]
         mu = modulator_number(g, spec, CARD, budgets)[0]
         return (
             f"K_1,{q}: slack Delta <= mu[delta:0] + 0 unexpectedly holds "
-            f"(Delta={max_degree(g)}, mu={mu})"
+            f"(Delta={delta}, mu={mu})"
         )
     return None
 
@@ -469,7 +474,7 @@ def _eval_td_path(inst, params, budgets) -> str | None:
     g = path_graph(n)
     expected = n.bit_length()  # ceil(log2(n+1)) for n >= 1
     if g.n <= budgets.td_exact:
-        got = lambda_treedepth(g, CARD, budgets).value
+        got = parameter("td")(g, budgets)[0]
     else:
         got = 1
         while not lambda_td_at_most(g, CARD, got, budgets):
@@ -483,10 +488,10 @@ def _eval_nk2_knn(inst, params, budgets) -> str | None:
     """nK2 and K_{n,n} have clique number 2 and vertex cover number n."""
     n = inst["n"]
     for label, g in ((f"{n}K2", copies(n, complete_graph(2))), (f"K_{n},{n}", complete_bipartite(n, n))):
-        vc = vertex_cover_number(g, budgets)[0]
+        vc = parameter("vc")(g, budgets)[0]
         if vc != n:
             return f"vc({label}) = {vc}, expected {n}"
-        omega = clique_number(g)
+        omega = parameter("omega")(g, budgets)[0]
         if omega != 2:
             return f"omega({label}) = {omega}, expected 2"
     return None
@@ -497,7 +502,7 @@ def _eval_alpha_chi(inst, params, budgets) -> str | None:
     from .graphs import named_graph
 
     g = named_graph(inst["graph"])
-    value = alpha_chromatic(g, budgets).value
+    value = parameter("chi", ALPHA)(g, budgets)[0]
     if "expect" in inst and value != inst["expect"]:
         return f"alpha-chi({inst['graph']}) = {value}, expected {inst['expect']}"
     if "expect_at_least" in inst and value < inst["expect_at_least"]:
@@ -507,24 +512,15 @@ def _eval_alpha_chi(inst, params, budgets) -> str | None:
     return None
 
 
-def _iso_parameters(g: Graph, budgets: Budgets) -> dict[str, int]:
-    out = {}
-    for name, entries in PARAMETERS.items():
-        for kind, entry in zip((CARD, ALPHA), entries):
-            if entry is not None:
-                out[name if kind is CARD else f"alpha-{name}"] = entry(g, budgets)[0]
-    return out
-
-
 def _eval_iso_invariance(inst, params, budgets) -> str | None:
     """every parameter of the table, under each kind it has, is invariant
     under seeded relabelings."""
-    g = from_graph6(inst["g6"])
-    base = _iso_parameters(g, budgets)
+    profile = _graph_profile(inst["g6"], budgets)
+    g = profile.graph
+    base = profile.table()
     for i in range(inst["relabelings"]):
         perm = random_permutation(g.n, inst["seed"] + 31 * i)
-        h = g.relabel(perm)
-        other = _iso_parameters(h, budgets)
+        other = _Profile(g.relabel(perm), budgets).table()
         if other != base:
             diffs = {k: (base[k], other[k]) for k in base if base[k] != other.get(k)}
             return f"parameters changed under relabeling {perm}: {diffs}"

@@ -65,7 +65,8 @@ DEFAULT_SUITE = SuiteParams()
 def load_config(path: str) -> tuple[Budgets, SuiteParams]:
     """Read budget/suite overrides from a JSON object with optional
     ``budgets`` and ``suite`` sections.  Raises ValueError on a file that
-    cannot be read or a key that names nothing."""
+    cannot be read, a key that names nothing, or a value that is not a
+    non-negative integer (``default_seed`` may be any integer)."""
     try:
         with open(path) as fh:
             data = json.load(fh)
@@ -73,6 +74,12 @@ def load_config(path: str) -> tuple[Budgets, SuiteParams]:
             raise TypeError("expected a JSON object with optional 'budgets' and 'suite' sections")
         budgets = dataclasses.replace(DEFAULT_BUDGETS, **data.get("budgets", {}))
         suite = dataclasses.replace(DEFAULT_SUITE, **data.get("suite", {}))
+        for section, values in (("budgets", budgets), ("suite", suite)):
+            for key, value in dataclasses.asdict(values).items():
+                if type(value) is not int:  # bool is an int subclass, never a size
+                    raise TypeError(f"{section}.{key} must be an integer, got {value!r}")
+                if value < 0 and key != "default_seed":
+                    raise TypeError(f"{section}.{key} must be non-negative, got {value}")
     except (OSError, TypeError) as exc:
         raise ValueError(f"bad config {path}: {exc}") from None
     return budgets, suite

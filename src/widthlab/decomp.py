@@ -3,9 +3,8 @@
 Bags and hyperedges are vertex bitmasks of the host graph.  Validators
 return structured violation lists (empty means valid), so tests can assert
 exactly which condition broke.  The constructive transforms build a tree
-decomposition from a feedback vertex set, a clique tree of a chordal graph,
-a path decomposition from a treedepth forest, and a treedepth forest from a
-vertex cover.
+decomposition from a feedback vertex set and a clique tree of a chordal
+graph.
 """
 
 from __future__ import annotations
@@ -110,13 +109,6 @@ class RootedForest:
             m |= 1 << p
             p = self.parent[p]
         return m
-
-    def depth(self) -> int:
-        """Maximum number of vertices on a root-to-leaf path."""
-        best = 0
-        for v in range(self.n):
-            best = max(best, 1 + self.ancestors_mask(v).bit_count())
-        return best
 
     def root_to_leaf_sets(self) -> tuple[int, ...]:
         """Vertex sets of the root-to-leaf paths, in DFS leaf order.
@@ -283,29 +275,6 @@ def cost(g: Graph, d: Decomposition, kind: CostKind, *, check: bool = True) -> i
 
 # ---------------------------------------------------------------------------
 # Constructive transforms
-
-
-def path_decomp_from_treedepth(g: Graph, f: RootedForest) -> PathDecomposition:
-    """Bags are the root-to-leaf vertex sets in DFS leaf order."""
-    violations = validate_treedepth_decomposition(g, f)
-    if violations:
-        raise InvalidDecompositionError(violations)
-    return PathDecomposition(f.root_to_leaf_sets())
-
-
-def td_decomp_from_vertex_cover(g: Graph, cover: int) -> RootedForest:
-    """A chain on the cover (ascending ids) with everything else as leaves."""
-    outside = g.full_mask & ~cover
-    if any(g.adj[v] & outside for v in bits(outside)):
-        raise ValueError("the given set is not a vertex cover")
-    chain = sorted(bits(cover))
-    parent: list[int | None] = [None] * g.n
-    for prev, nxt in zip(chain, chain[1:]):
-        parent[nxt] = prev
-    last = chain[-1] if chain else None
-    for v in bits(g.full_mask & ~cover):
-        parent[v] = last
-    return RootedForest(tuple(parent))
 
 
 def tree_decomp_from_fvs(g: Graph, s: int) -> TreeDecomposition:

@@ -103,17 +103,11 @@ class Graph:
     def full_mask(self) -> int:
         return (1 << self.n) - 1
 
-    def vertices(self):
-        return range(self.n)
-
     def edges(self) -> list[tuple[int, int]]:
         return [(u, v) for u in range(self.n) for v in bits(self.adj[u]) if u < v]
 
     def num_edges(self) -> int:
         return sum(nb.bit_count() for nb in self.adj) // 2
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.adj[u] >> v & 1)
 
     def degree(self, v: int) -> int:
         return self.adj[v].bit_count()
@@ -137,17 +131,6 @@ class Graph:
         for v in old:
             adj.append(mask_of(index[u] for u in bits(self.adj[v] & mask)))
         return Graph(len(old), tuple(adj)), old
-
-    def delete(self, vertices) -> tuple["Graph", dict[int, int]]:
-        """Delete a set of vertices, re-indexing the rest.
-
-        Returns the smaller graph and the old-to-new id map for the
-        surviving vertices.
-        """
-        drop = mask_of(vertices) if not isinstance(vertices, int) else vertices
-        keep = self.full_mask & ~drop
-        sub, old = self.induced(keep)
-        return sub, {v: i for i, v in enumerate(old)}
 
     def relabel(self, perm) -> "Graph":
         """Apply the permutation ``perm`` (old id -> new id)."""
@@ -520,8 +503,3 @@ def enumerate_graphs(n: int):
     check_enumeration(n)
     for code in _canonical_codes(n):
         yield graph_from_triangle_code(n, code)
-
-
-def are_isomorphic(g: Graph, h: Graph) -> bool:
-    """Isomorphism test by canonical-code equality."""
-    return g.n == h.n and canonical_form(g) == canonical_form(h)

@@ -235,24 +235,26 @@ def is_bipartite(
     """Bipartiteness of G[within] (all of G by default) with a witness
     2-colouring: a colour per vertex of G, -1 outside ``within``.  Each
     component's smallest vertex gets colour 0, which fixes the colouring."""
-    colour, _ = _two_colour(g.adj, g.full_mask if within is None else within)
-    return (False, None) if colour is None else (True, tuple(colour))
+    colour, clash = _two_colour(g.adj, g.full_mask if within is None else within)
+    return (True, tuple(colour)) if clash is None else (False, None)
 
 
 def odd_cycle(g: Graph, within: int | None = None) -> tuple[int, ...] | None:
     """Vertices of some induced-by-BFS-tree odd cycle of G[within] (all of
     G by default), or None if it is bipartite."""
-    return _two_colour(g.adj, g.full_mask if within is None else within)[1]
+    clash = _two_colour(g.adj, g.full_mask if within is None else within)[1]
+    return None if clash is None else _tree_cycle(*clash)
 
 
-def _two_colour(adj, mask: int) -> tuple[list[int] | None, tuple[int, ...] | None]:
+def _two_colour(adj, mask: int) -> tuple[list[int], tuple[list[int], int, int] | None]:
     """BFS 2-colouring of the subgraph induced on ``mask``.
 
     Components are taken in order of smallest member, each rooted there
     with colour 0, and neighbours are scanned in increasing order.  Returns
-    ``(colour, None)`` with ``colour[v] == -1`` outside ``mask``, or
-    ``(None, cycle)`` with the odd cycle that the first edge joining two
-    vertices of one colour closes in the BFS tree.
+    ``(colour, None)`` with ``colour[v] == -1`` outside ``mask``, or, at the
+    first edge uv joining two vertices of one colour, ``(colour, (parent,
+    u, v))``: the BFS tree and the edge that closes an odd cycle in it.
+    Callers that need only the answer test the second item for None.
     """
     colour = [-1] * len(adj)
     parent = [-1] * len(adj)
@@ -269,7 +271,7 @@ def _two_colour(adj, mask: int) -> tuple[list[int] | None, tuple[int, ...] | Non
                     parent[u] = v
                     order.append(u)
                 elif colour[u] == colour[v]:
-                    return None, _tree_cycle(parent, u, v)
+                    return colour, (parent, u, v)
     return colour, None
 
 

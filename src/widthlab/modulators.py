@@ -21,12 +21,12 @@ from .decomp import CostKind
 from .graphs import Graph, bits, check_budget, enumerate_graphs, mask_of
 from .invariants import (
     SubsetAlpha,
+    _two_colour,
     alpha_table,
     chromatic_number,
     clique_number,
     independence_number,
     independent_subsets,
-    is_bipartite,
     is_k_colourable,
     lex_min_witness,
     local_independence_number,
@@ -175,7 +175,7 @@ def _is_star_forest(g: Graph, mask: int, budgets: Budgets) -> bool:
 
 
 def _is_bipartite(g: Graph, mask: int, budgets: Budgets) -> bool:
-    return is_bipartite(g, mask)[0]
+    return _two_colour(g.adj, mask)[1] is None
 
 
 _THRESHOLD_TWO: dict[str, Good] = {
@@ -320,7 +320,7 @@ def feedback_vertex_number(
 def oct_number(
     g: Graph, budgets: Budgets = DEFAULT_BUDGETS
 ) -> tuple[int, tuple[int, ...]]:
-    keep = partial(_max_induced, lambda f: is_bipartite(g, f)[0])
+    keep = partial(_max_induced, lambda f: _is_bipartite(g, f, budgets))
     return _cover_number(g, keep, budgets, "oct_number")
 
 

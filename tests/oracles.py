@@ -3,6 +3,8 @@
 These deliberately avoid the package's algorithms: widths are minimised
 over explicitly enumerated decompositions or orderings, counts come from
 Burnside's lemma, and the base parameters from raw subset enumeration.
+The last section holds plain helpers over the package's types that only
+tests use.
 """
 
 from __future__ import annotations
@@ -10,7 +12,13 @@ from __future__ import annotations
 from itertools import combinations, permutations, product
 from math import factorial
 
-from widthlab.decomp import CostKind
+from widthlab.decomp import (
+    CostKind,
+    InvalidDecompositionError,
+    PathDecomposition,
+    RootedForest,
+    validate_treedepth_decomposition,
+)
 from widthlab.graphs import Graph, _triangle_code, bits, mask_of
 
 
@@ -24,7 +32,7 @@ def brute_alpha(g: Graph, subset=None) -> int:
     verts = list(bits(subset)) if subset is not None else list(range(g.n))
     best = 0
     for cand in subsets(verts):
-        if all(not g.has_edge(u, v) for u, v in combinations(cand, 2)):
+        if all(not has_edge(g, u, v) for u, v in combinations(cand, 2)):
             best = max(best, len(cand))
     return best
 
@@ -32,7 +40,7 @@ def brute_alpha(g: Graph, subset=None) -> int:
 def brute_omega(g: Graph) -> int:
     best = 0
     for cand in subsets(range(g.n)):
-        if all(g.has_edge(u, v) for u, v in combinations(cand, 2)):
+        if all(has_edge(g, u, v) for u, v in combinations(cand, 2)):
             best = max(best, len(cand))
     return best
 
@@ -359,7 +367,7 @@ def alpha_chromatic_by_functions(g: Graph) -> int:
         for cand in subsets(range(g.n)):
             if len({colouring[v] for v in cand}) != len(cand):
                 continue
-            if any(g.has_edge(u, v) for u, v in combinations(cand, 2)):
+            if any(has_edge(g, u, v) for u, v in combinations(cand, 2)):
                 continue
             top = max(top, len(cand))
         if best is None or top < best:
@@ -424,7 +432,7 @@ def mask_is_bipartite(g: Graph, rest: int) -> bool:
 def brute_mwis(g: Graph, weights) -> int:
     best = 0
     for cand in subsets(range(g.n)):
-        if any(g.has_edge(u, v) for u, v in combinations(cand, 2)):
+        if any(has_edge(g, u, v) for u, v in combinations(cand, 2)):
             continue
         best = max(best, sum(weights[v] for v in cand))
     return best
@@ -475,3 +483,50 @@ def brute_ramsey(n: int, a: int, b: int) -> bool:
         any(code & m == m for m in clique_masks) or any(code & m == 0 for m in indep_masks)
         for code in range(1 << len(pairs))
     )
+
+
+# ---------------------------------------------------------------------------
+# Test-only helpers
+
+
+def has_edge(g: Graph, u: int, v: int) -> bool:
+    return bool(g.adj[u] >> v & 1)
+
+
+def are_isomorphic(g: Graph, h: Graph) -> bool:
+    """Isomorphism test by brute-force canonical codes."""
+    return g.n == h.n and brute_canonical_code(g) == brute_canonical_code(h)
+
+
+def delete(g: Graph, vertices) -> tuple[Graph, dict[int, int]]:
+    """G minus ``vertices``, re-indexed, and the old-to-new id map of the
+    surviving vertices."""
+    sub, old = g.induced(g.full_mask & ~mask_of(vertices))
+    return sub, {v: i for i, v in enumerate(old)}
+
+
+def forest_depth(f: RootedForest) -> int:
+    """Maximum number of vertices on a root-to-leaf path."""
+    return max((1 + f.ancestors_mask(v).bit_count() for v in range(f.n)), default=0)
+
+
+def path_decomp_from_treedepth(g: Graph, f: RootedForest) -> PathDecomposition:
+    """Bags are the root-to-leaf vertex sets in DFS leaf order."""
+    violations = validate_treedepth_decomposition(g, f)
+    if violations:
+        raise InvalidDecompositionError(violations)
+    return PathDecomposition(f.root_to_leaf_sets())
+
+
+def td_decomp_from_vertex_cover(g: Graph, cover: int) -> RootedForest:
+    """A chain on the cover (ascending ids) with everything else as leaves."""
+    outside = g.full_mask & ~cover
+    if any(g.adj[v] & outside for v in bits(outside)):
+        raise ValueError("the given set is not a vertex cover")
+    chain = sorted(bits(cover))
+    parent: list[int | None] = [None] * g.n
+    for prev, nxt in zip(chain, chain[1:]):
+        parent[nxt] = prev
+    for v in bits(outside):
+        parent[v] = chain[-1] if chain else None
+    return RootedForest(tuple(parent))

@@ -460,8 +460,24 @@ def test_cli_verify_rejects_flags_a_check_ignores(capsys):
 
 @pytest.mark.parametrize(
     "content",
-    [None, "[1, 2]", '{"budgets": {"tw_cardd": 3}}', '{"suite": {"chain_maxn": 3}}'],
-    ids=["missing", "json-list", "unknown-budget", "unknown-suite"],
+    [
+        None,
+        "[1, 2]",
+        '{"budgets": {"tw_cardd": 3}}',
+        '{"suite": {"chain_maxn": 3}}',
+        '{"suite": {"td_path_max_n": "4"}}',
+        '{"budgets": {"td_exact": "x"}}',
+        '{"budgets": {"td_exact": true}}',
+    ],
+    ids=[
+        "missing",
+        "json-list",
+        "unknown-budget",
+        "unknown-suite",
+        "string-suite",
+        "string-budget",
+        "bool-budget",
+    ],
 )
 def test_cli_bad_config_exits_2(tmp_path, capsys, content):
     from widthlab.cli import main
@@ -515,9 +531,15 @@ def test_gamma_witness_rejects_an_induced_cycle_as_not_chordal(monkeypatch):
 
 
 _MEMO_RUNS = [
+    ("chain-inequality", {"max_n": 4}),
+    ("ramsey-binding", {"max_n": 4}),
+    ("sclaw-increment", {"graphs": ["Dhc"]}),
+    ("modulator-identities", {"max_n": 4}),
     ("modulator-slack", {"max_n": 4}),
     ("modulator-minimality", {"max_n": 4}),
     ("mwis-equivalence", {"max_n": 4, "random_count": 4, "bipartite_count": 4}),
+    ("fvs-alpha-tw-bound", {"max_n": 4}),
+    ("iso-invariance", {"max_n": 3, "relabelings": 2}),
 ]
 
 
@@ -569,6 +591,36 @@ def test_slack_instances_of_one_graph_share_their_left_hand_sides(monkeypatch):
     assert [kind for _, kind, _ in calls] == [CostKind.CARDINALITY, CostKind.INDEPENDENCE]
 
 
+@pytest.mark.parametrize(
+    "name, expected",
+    [
+        ("sclaw-increment", {"lambda_pathwidth": 1}),
+        ("fvs-alpha-tw-bound", {"lambda_treewidth": 1, "feedback_vertex_number": 1}),
+        ("modulator-identities", {"feedback_vertex_number": 1}),
+    ],
+)
+def test_family_checks_reach_solvers_through_the_table(monkeypatch, name, expected):
+    # A solver replaced on its own module is the one a family check runs:
+    # the check reaches it through PARAMETERS and the profile, once.
+    import widthlab.modulators as modulators
+    import widthlab.widths as widths
+
+    counts = {
+        solver: _count_calls(monkeypatch, module, solver)
+        for module, solver in (
+            (widths, "lambda_pathwidth"),
+            (widths, "lambda_treewidth"),
+            (modulators, "feedback_vertex_number"),
+        )
+    }
+    report = run_check(CheckSpec(name, {"graphs": ["Dhc"]}))
+    assert report.passed and report.instances_tested == 1
+    assert {solver: len(calls) for solver, calls in counts.items()} == {
+        **dict.fromkeys(counts, 0),
+        **expected,
+    }
+
+
 def test_graph_profile_follows_the_labelled_graph():
     # Alternating two labelled graphs on the same n reads each one's own
     # values, never the other's.
@@ -588,8 +640,9 @@ def test_graph_profile_follows_the_labelled_graph():
 
 
 def test_iso_invariance_solves_every_relabelling(monkeypatch):
-    # The profile is keyed on the labelled graph, and iso-invariance does
-    # not read it: each labelling runs each width solver under both kinds.
+    # The profile is keyed on the labelled graph: iso-invariance reads the
+    # given labelling's profile and builds a fresh one for each relabelling,
+    # so each labelling runs each width solver under both kinds.
     import widthlab.widths as widths
 
     counts = {

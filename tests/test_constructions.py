@@ -4,6 +4,8 @@ import hashlib
 
 import pytest
 
+from oracles import are_isomorphic
+
 from widthlab.constructions import (
     SubstitutionKind,
     gamma_family,
@@ -14,7 +16,6 @@ from widthlab.decomp import CostKind
 from widthlab.graphs import (
     BudgetExceededError,
     Graph,
-    are_isomorphic,
     complete_graph,
     cycle_graph,
     enumerate_graphs,

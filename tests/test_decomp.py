@@ -1,8 +1,10 @@
 """Decomposition validation, costs, and the constructive transforms: fvs ->
-tree decomposition, chordal clique tree, treedepth -> path, and vertex cover
--> treedepth."""
+tree decomposition, chordal clique tree, and the test helpers treedepth ->
+path and vertex cover -> treedepth."""
 
 import pytest
+
+from oracles import forest_depth, path_decomp_from_treedepth, td_decomp_from_vertex_cover
 
 from widthlab.decomp import (
     CostKind,
@@ -11,8 +13,6 @@ from widthlab.decomp import (
     TreeDecomposition,
     chordal_clique_tree,
     cost,
-    path_decomp_from_treedepth,
-    td_decomp_from_vertex_cover,
     tree_decomp_from_fvs,
     validate_tree_decomposition,
     validate_treedepth_decomposition,
@@ -77,14 +77,14 @@ def test_validate_treedepth_decomposition():
 
 def test_forest_closure_depth_and_hyperedges():
     chain = RootedForest((None, 0, 1))
-    assert chain.depth() == 3
+    assert forest_depth(chain) == 3
     assert chain.root_to_leaf_sets() == (0b111,)
 
     two_roots = RootedForest((None, None))
-    assert two_roots.depth() == 1
+    assert forest_depth(two_roots) == 1
 
     fork = RootedForest((None, 0, 0))
-    assert fork.depth() == 2
+    assert forest_depth(fork) == 2
     assert fork.root_to_leaf_sets() == (0b011, 0b101)
 
 
@@ -135,16 +135,16 @@ def test_td_decomp_from_vertex_cover():
     g = path_graph(3)
     f = td_decomp_from_vertex_cover(g, mask_of([1]))
     assert validate_treedepth_decomposition(g, f) == []
-    assert f.depth() == 2
+    assert forest_depth(f) == 2
 
     g = complete_graph(3)
     f = td_decomp_from_vertex_cover(g, mask_of([0, 1]))
-    assert f.depth() == 3
+    assert forest_depth(f) == 3
 
     g = cycle_graph(5)
     f = td_decomp_from_vertex_cover(g, mask_of([0, 2, 4]))
     assert validate_treedepth_decomposition(g, f) == []
-    assert f.depth() == 4
+    assert forest_depth(f) == 4
 
     with pytest.raises(ValueError):
         td_decomp_from_vertex_cover(path_graph(3), mask_of([0]))
@@ -161,7 +161,7 @@ def test_td_decomp_from_cover_witnesses():
             forest = td_decomp_from_vertex_cover(g, mask_of(cover))
             assert validate_treedepth_decomposition(g, forest) == []
             if len(cover) < g.n:
-                assert forest.depth() == len(cover) + 1
+                assert forest_depth(forest) == len(cover) + 1
             pd = path_decomp_from_treedepth(g, forest)
             for kind in (CARD, ALPHA):
                 assert cost(g, pd, kind, check=False) <= cost(g, forest, kind, check=False)
@@ -173,7 +173,7 @@ def test_s2_cover_forest_example():
     forest = td_decomp_from_vertex_cover(s2, mask_of(cover))
     assert validate_treedepth_decomposition(s2, forest) == []
     pd = path_decomp_from_treedepth(s2, forest)
-    assert cost(s2, pd, CARD) <= forest.depth()
+    assert cost(s2, pd, CARD) <= forest_depth(forest)
 
 
 def test_tree_decomp_from_fvs():

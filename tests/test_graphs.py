@@ -8,7 +8,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import brute_canonical_code, burnside_graph_count
+from oracles import are_isomorphic, brute_canonical_code, burnside_graph_count, delete
 
 from widthlab.config import DEFAULT_BUDGETS
 from widthlab.decomp import CostKind
@@ -17,7 +17,6 @@ from widthlab.graphs import (
     Graph,
     _canonical_codes,
     _canonical_search,
-    are_isomorphic,
     bits,
     canonical_form,
     complete_bipartite,
@@ -90,7 +89,7 @@ def test_random_graph_deterministic():
 
 def test_delete_returns_old_to_new_map():
     g = path_graph(4)
-    h, remap = g.delete([1])
+    h, remap = delete(g, [1])
     assert h.n == 3
     assert remap == {0: 0, 2: 1, 3: 2}
     assert h.edges() == [(1, 2)]  # old edge 2-3

@@ -8,6 +8,7 @@ import pytest
 from oracles import (
     brute_modulator,
     brute_ramsey,
+    delete,
     mask_is_acyclic,
     mask_is_bipartite,
     mask_is_cover,
@@ -311,7 +312,7 @@ def test_modulator_monotone_under_induced_subgraphs(small_graphs):
         for rho, c in (("tw", 1), ("chi", 2), ("omega", 1)):
             base = modulator_number(g, ModulatorSpec(rho, c))[0]
             for v in range(g.n):
-                sub, _ = g.delete([v])
+                sub, _ = delete(g, [v])
                 assert modulator_number(sub, ModulatorSpec(rho, c))[0] <= base
 
 
