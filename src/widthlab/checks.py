@@ -150,6 +150,13 @@ def _sclaw_instances(params: dict, budgets: Budgets) -> list[dict]:
 
 
 def _slack_instances(params: dict, budgets: Budgets) -> list[dict]:
+    """Every (graph, rho, c, kind); a bad override raises before any graph is
+    read."""
+    for rho in params["rhos"]:
+        for c in params["cs"]:
+            ModulatorSpec(rho, c)
+    for kind in params["kinds"]:
+        CostKind.parse(kind)
     return [
         {"g6": g6, "rho": rho, "c": c, "kind": kind}
         for g6 in _graph_family(params)

@@ -80,6 +80,8 @@ def cmd_verify(args) -> int:
     budgets, suite = DEFAULT_BUDGETS, DEFAULT_SUITE
     if args.config:
         budgets, suite = load_config(args.config)
+    if args.jobs < 1:
+        raise UsageError(f"--jobs must be at least 1, got {args.jobs}")
     if args.check not in CHECK_NAMES:
         raise UsageError(
             f"unknown check {args.check!r}; see `widthlab list-checks`"
@@ -119,33 +121,39 @@ def _resolve_family(text: str, seed: int | None) -> list[str]:
             n = int(rest)
         elif head == "stars":
             lo, hi = rest.split("-")
-            return [to_graph6(named_graph(f"star{q}")) for q in range(int(lo), int(hi) + 1)]
+            graphs = [to_graph6(named_graph(f"star{q}")) for q in range(int(lo), int(hi) + 1)]
         elif head == "paths":
             lo, hi = rest.split("-")
-            return [to_graph6(named_graph(f"P{s}")) for s in range(int(lo), int(hi) + 1)]
+            graphs = [to_graph6(named_graph(f"P{s}")) for s in range(int(lo), int(hi) + 1)]
         elif head == "random":
             n, p, count = rest.split(",")
             base = seed if seed is not None else DEFAULT_SUITE.default_seed
-            return [
+            graphs = [
                 to_graph6(random_graph(int(n), float(p), base + i))
                 for i in range(int(count))
             ]
         elif head == "named":
-            return [to_graph6(named_graph(token)) for token in rest.split(",")]
+            graphs = [to_graph6(named_graph(token)) for token in rest.split(",")]
         elif head == "file":
             with open(rest) as fh:
-                return [line.strip() for line in fh if line.strip()]
+                graphs = [line.strip() for line in fh if line.strip()]
         else:
             raise UsageError(f"bad family {text!r}")
     except (ValueError, OSError) as exc:
         raise UsageError(f"bad family {text!r}: {exc}") from None
-    # Enumerated outside the wrap: an n out of range reads as it does for
-    # --max-n.
-    graphs = enumerate_graphs(n) if head == "all" else graphs_upto(n)
-    return [to_graph6(g) for g in graphs]
+    if head in ("all", "upto"):
+        # Enumerated outside the wrap: an n out of range reads as it does
+        # for --max-n.
+        enumerated = enumerate_graphs(n) if head == "all" else graphs_upto(n)
+        graphs = [to_graph6(g) for g in enumerated]
+    if not graphs:
+        raise UsageError(f"bad family {text!r}: no graphs")
+    return graphs
 
 
 def cmd_construct(args) -> int:
+    if args.iterate < 0:
+        raise UsageError(f"--iterate must be non-negative, got {args.iterate}")
     if args.kind == "gamma":
         g = gamma_family(args.n)
     elif args.kind == "subdivided-claw":

@@ -326,10 +326,20 @@ def _canonical_search(adj) -> tuple[int, list[int], list[list[int]]]:
     """Lexicographically minimal column-major code over all relabellings.
 
     Branch-and-bound over partial vertex orderings: placing position j fixes
-    the next j bits of the code, so prefixes are comparable and branches
-    whose prefix exceeds the best known code are cut.  Of unplaced twins only
-    the smallest is branched on, since swapping two twins maps one subtree
-    onto the other.
+    the next j bits of the code, the block of adjacencies to the j vertices
+    already placed, so prefixes are comparable and branches whose prefix
+    exceeds the best known code are cut.  Of unplaced twins only the
+    smallest is branched on, since swapping two twins maps one subtree onto
+    the other.
+
+    Only candidates with the least block are branched on.  A prefix no
+    larger than the best code's always completes to a leaf no larger than
+    the best code, so once the least block is explored the best code's
+    prefix is at most that block's, and any larger block would be cut.
+    Those candidates come from a mask filter, with no per-vertex list:
+    going through the placed vertices in order, keep the candidates not
+    adjacent to the next one if any exist (block bit 0), else keep them all
+    (block bit 1).
 
     Returns the code, the first ordering reaching it (position -> vertex),
     and generators of the automorphism group as vertex maps: every other
@@ -338,15 +348,24 @@ def _canonical_search(adj) -> tuple[int, list[int], list[list[int]]]:
     """
     n = len(adj)
     twin = _twin_below(adj)
-    # A twin may be placed once its next smaller twin is.
-    wait = [1 << u if u >= 0 else 0 for u in twin]
+    # A twin may be placed once its next smaller twin is: placing u makes
+    # released[u] ready.
+    released = [0] * n
+    ready = 0
+    for v, u in enumerate(twin):
+        if u >= 0:
+            released[u] = 1 << v
+        else:
+            ready |= 1 << v
     total_bits = n * (n - 1) // 2
     bits_after = [total_bits - (j + 1) * j // 2 for j in range(n)]
     best = 1 << total_bits  # above every code
     found: list[list[int]] = []
     order: list[int] = []
+    # Non-neighbourhoods of the placed vertices, in order.
+    apart: list[int] = []
 
-    def search(used: int, acc: int, blocks: list[int]):
+    def search(ready: int, acc: int):
         nonlocal best
         j = len(order)
         if j == n:
@@ -355,21 +374,23 @@ def _canonical_search(adj) -> tuple[int, list[int], list[list[int]]]:
                 found.clear()
             found.append(order[:])
             return
-        cands = sorted(
-            (blocks[v], v)
-            for v in range(n)
-            if not (used >> v & 1 or wait[v] & ~used)
-        )
-        for block, v in cands:
-            acc2 = acc << j | block
-            if acc2 > best >> bits_after[j]:
-                break  # blocks are sorted; later ones only get bigger
+        ties = ready
+        for far in apart:
+            acc <<= 1
+            if ties & far:
+                ties &= far
+            else:
+                acc |= 1
+        for v in bits(ties):
+            if acc > best >> bits_after[j]:
+                return
             order.append(v)
-            av = adj[v]
-            search(used | 1 << v, acc2, [b << 1 | (av >> u & 1) for u, b in enumerate(blocks)])
+            apart.append(~adj[v])
+            search(ready & ~(1 << v) | released[v], acc)
             order.pop()
+            apart.pop()
 
-    search(0, 0, [0] * n)
+    search(ready, 0)
     first = found[0]
     gens = []
     for other in found[1:]:
@@ -470,6 +491,8 @@ def _canonical_classes(n: int) -> dict[int, list[list[int]] | tuple[()]]:
             for v in bits(nbhood):
                 adj[v] |= 1 << new
             deg = [nb.bit_count() for nb in adj]
+            if deg[new] < max(deg):
+                continue  # degree alone keeps the new vertex out
             key = [(deg[v], sum(deg[u] for u in bits(adj[v]))) for v in range(n)]
             top = max(key)
             if key[new] < top:

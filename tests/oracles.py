@@ -468,6 +468,31 @@ def brute_canonical_code(g: Graph) -> int:
     return min(_triangle_code(g, order) for order in permutations(range(g.n)))
 
 
+def brute_automorphism_count(g: Graph) -> int:
+    """The number of vertex permutations that map every edge to an edge."""
+    return sum(
+        all(g.adj[perm[v]] == mask_of(perm[u] for u in bits(g.adj[v])) for v in range(g.n))
+        for perm in permutations(range(g.n))
+    )
+
+
+def generated_group_order(n: int, gens) -> int:
+    """The order of the permutation group on ``range(n)`` generated by the
+    vertex maps ``gens``, by closing the identity under them."""
+    group = {tuple(range(n))}
+    frontier = list(group)
+    while frontier:
+        grown = []
+        for elem in frontier:
+            for perm in gens:
+                prod = tuple(perm[v] for v in elem)
+                if prod not in group:
+                    group.add(prod)
+                    grown.append(prod)
+        frontier = grown
+    return len(group)
+
+
 def brute_ramsey(n: int, a: int, b: int) -> bool:
     """Does every labelled graph on n vertices, one per edge set, have a
     clique of size a or an independent set of size b?"""

@@ -459,6 +459,64 @@ def test_cli_verify_rejects_flags_a_check_ignores(capsys):
 
 
 @pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--rho", "zz", "unknown target parameter 'zz'"),
+        ("--c", "-1", "modulator threshold must be non-negative"),
+        ("--kind", "bogus", "unknown cost kind 'bogus'"),
+    ],
+)
+def test_cli_bad_slack_override_exits_2(monkeypatch, capsys, flag, value, message):
+    import widthlab.checks
+    from widthlab.cli import main
+
+    def no_eval(task):
+        raise AssertionError("evaluated an instance")
+
+    monkeypatch.setattr(widthlab.checks, "_eval_one", no_eval)
+    assert main(["verify", "modulator-slack", "--max-n", "3", flag, value]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    param = {"--rho": "rhos", "--c": "cs", "--kind": "kinds"}[flag]
+    override = int(value) if flag == "--c" else value
+    with pytest.raises(ValueError, match=message):
+        run_check(CheckSpec("modulator-slack", {"max_n": 3, param: [override]}))
+
+
+@pytest.mark.parametrize("family", ["stars:5-2", "paths:5-2", "random:5,0.5,-2", "file:"])
+def test_cli_family_without_graphs_exits_2(tmp_path, capsys, family):
+    from widthlab.cli import main
+
+    if family == "file:":
+        path = tmp_path / "empty.g6"
+        path.write_text("\n")
+        family += str(path)
+    assert main(["verify", "chain-inequality", "--family", family]) == 2
+    assert capsys.readouterr() == ("", f"error: bad family {family!r}: no graphs\n")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["construct", "s-claw", "--iterate", "-3"], "--iterate must be non-negative, got -3"),
+        (["verify", "td-path-formula", "--max-n", "3", "--jobs", "0"], "--jobs must be at least 1, got 0"),
+        (["verify", "td-path-formula", "--max-n", "3", "--jobs", "-2"], "--jobs must be at least 1, got -2"),
+    ],
+)
+def test_cli_negative_counts_exit_2(capsys, argv, message):
+    from widthlab.cli import main
+
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_cli_construct_zero_iterations_is_k1(capsys):
+    from widthlab.cli import main
+
+    assert main(["construct", "s-claw", "--iterate", "0"]) == 0
+    assert capsys.readouterr().out == "@\n"
+
+
+@pytest.mark.parametrize(
     "content",
     [
         None,

@@ -8,13 +8,21 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import are_isomorphic, brute_canonical_code, burnside_graph_count, delete
+from oracles import (
+    are_isomorphic,
+    brute_automorphism_count,
+    brute_canonical_code,
+    burnside_graph_count,
+    delete,
+    generated_group_order,
+)
 
 from widthlab.config import DEFAULT_BUDGETS
 from widthlab.decomp import CostKind
 from widthlab.graphs import (
     BudgetExceededError,
     Graph,
+    _canonical_classes,
     _canonical_codes,
     _canonical_search,
     bits,
@@ -25,6 +33,7 @@ from widthlab.graphs import (
     cycle_graph,
     disjoint_union,
     enumerate_graphs,
+    graph_from_triangle_code,
     named_graph,
     path_graph,
     random_graph,
@@ -196,6 +205,18 @@ def test_canonical_form_matches_brute_force(g):
     assert sorted(order) == list(range(g.n))
     for perm in gens:
         assert g.relabel(perm) == g
+    assert generated_group_order(g.n, gens) == brute_automorphism_count(g)
+
+
+def test_class_generators_generate_the_automorphism_group():
+    # The orbit test of the augmentation and _subset_orbit_reps need the
+    # whole group, from the search and from the generators each class stores.
+    for n in range(7):
+        for code, stored in _canonical_classes(n).items():
+            g = graph_from_triangle_code(n, code)
+            order = brute_automorphism_count(g)
+            assert generated_group_order(n, _canonical_search(g.adj)[2]) == order, (n, code)
+            assert generated_group_order(n, stored) == order, (n, code)
 
 
 def test_enumeration_budget():
@@ -222,6 +243,14 @@ def test_canonical_form_is_isomorphism_invariant(n, gseed, pseed):
     g = random_graph(n, 0.5, gseed)
     perm = random_permutation(n, pseed)
     assert canonical_form(g) == canonical_form(g.relabel(perm))
+
+
+def test_canonical_form_is_isomorphism_invariant_at_n8():
+    rng = random.Random(8)
+    for code in _canonical_codes(8)[::50]:
+        g = graph_from_triangle_code(8, code)
+        for _ in range(2):
+            assert canonical_form(g.relabel(rng.sample(range(8), 8))) == code
 
 
 def test_canonical_form_separates_non_isomorphic():
