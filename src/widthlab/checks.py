@@ -480,7 +480,7 @@ def _eval_td_path(inst, params, budgets) -> str | None:
     n = inst["n"]
     g = path_graph(n)
     expected = n.bit_length()  # ceil(log2(n+1)) for n >= 1
-    if g.n <= budgets.td_exact:
+    if g.n <= budgets.width_exact:
         got = parameter("td")(g, budgets)[0]
     else:
         got = 1
@@ -704,6 +704,8 @@ def run_check(
     jobs: int = 1,
     log_path: str | None = None,
 ) -> CheckReport:
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     check = _check(spec.name)
     params = check.defaults(suite)
     declared = set(params) | ({"graphs"} if check.family else set())
@@ -717,6 +719,8 @@ def run_check(
     _graph_profile.cache_clear()  # no run reads entries solved before it started
     start = time.perf_counter()
     instances = instances_for(spec.name, params, budgets)
+    if not instances:
+        raise ValueError(f"check {spec.name!r} has no instances at {spec.params}")
     tasks = [(spec.name, inst, params, budgets) for inst in instances]
     if jobs > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:

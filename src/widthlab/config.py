@@ -16,11 +16,8 @@ from dataclasses import dataclass
 class Budgets:
     """Hard instance-size limits for the exact solvers."""
 
-    tw_card: int = 14
-    tw_alpha: int = 10
-    pw_exact: int = 16
+    width_exact: int = 16  # the exact tw, pw and td solvers, either kind
     pw_decision: int = 25
-    td_exact: int = 14
     td_decision: int = 30
     alpha_chromatic: int = 9
     modulator: int = 16

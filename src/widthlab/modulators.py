@@ -102,7 +102,7 @@ def predicate(rho: str, c: int) -> Good:
     (tw), a forest of caterpillars (pw), a star forest (td), bipartite
     (chi).  Above c = 2, omega runs the clique search on the mask and the
     rest build the induced subgraph: pw asks its decision form, td reads
-    the exact table up to ``budgets.td_exact`` vertices and the decision
+    the exact table up to ``budgets.width_exact`` vertices and the decision
     form past it, tw runs the exact subset DP and chi the colouring search.
     """
     if rho not in RHO_NAMES:
@@ -196,7 +196,7 @@ def _fallback(rho: str, c: int, g: Graph, mask: int, budgets: Budgets) -> bool:
     if rho == "pw":
         return widths.lambda_pw_at_most(sub, CARD, c, budgets)
     if rho == "td":
-        if sub.n <= budgets.td_exact:
+        if sub.n <= budgets.width_exact:
             return widths.lambda_treedepth(sub, CARD, budgets).value <= c
         return widths.lambda_td_at_most(sub, CARD, c, budgets)
     return widths.lambda_treewidth(sub, CARD, budgets).value <= c

@@ -20,8 +20,7 @@ Algorithms (all exact for monotone bag costs):
     with a neighbour outside it) plus v; a first-appearance ordering of any
     path decomposition produces bags inside the original ones.
   The DP reads bag costs from a dense table over all 2^n subsets (popcounts,
-  or alpha filled in one pass).  It already keeps 2^n-entry arrays, so the
-  table adds no new size limit there.
+  or alpha filled in one pass).
 * pathwidth decision form: a pruned depth-first search over feasible
   prefixes.
 * treedepth under cardinality: one pass over all 2^n subsets in numeric
@@ -40,8 +39,9 @@ Algorithms (all exact for monotone bag costs):
 * degeneracy: greedy peeling of a vertex with the cheapest closed
   neighbourhood cost; exact because the cost is monotone under subsets.
 
-The exact tw, pw and td solvers keep 2^n-entry tables, within their
-budgets (tw_card, tw_alpha, pw_exact, td_exact).  They share two per-graph
+The exact tw, pw and td solvers keep 2^n-entry tables, within one budget,
+``width_exact``.  The subset DP evaluates at most n * 2^(n-1) bags, one per
+pair (s, v in s), and n more for the witness.  They share two per-graph
 tables, each cached for the last graph asked and read-only to every caller:
 ``graphs.reach_table``, the union of the neighbourhoods of every subset, and
 ``invariants.alpha_table``, alpha of every subset.  reach answers their
@@ -185,8 +185,7 @@ def _elimination_bags(reach: list[int]):
 def lambda_treewidth(
     g: Graph, kind: CostKind, budgets: Budgets = DEFAULT_BUDGETS
 ) -> WidthResult:
-    limit = budgets.tw_card if kind is CostKind.CARDINALITY else budgets.tw_alpha
-    check_budget("lambda_treewidth", g.n, limit)
+    check_budget("lambda_treewidth", g.n, budgets.width_exact)
     if g.n == 0:
         return WidthResult(0, TreeDecomposition((), ()), kind)
     value, order, bags = _subset_dp(g, kind, _elimination_bags(reach_table(g.adj)))
@@ -214,7 +213,7 @@ def lambda_treewidth(
 def lambda_pathwidth(
     g: Graph, kind: CostKind, budgets: Budgets = DEFAULT_BUDGETS
 ) -> WidthResult:
-    check_budget("lambda_pathwidth", g.n, budgets.pw_exact)
+    check_budget("lambda_pathwidth", g.n, budgets.width_exact)
     if g.n == 0:
         return WidthResult(0, PathDecomposition(()), kind)
     reach = reach_table(g.adj)
@@ -381,7 +380,7 @@ def _alpha_treedepth(adj):
 def lambda_treedepth(
     g: Graph, kind: CostKind, budgets: Budgets = DEFAULT_BUDGETS
 ) -> WidthResult:
-    check_budget("lambda_treedepth", g.n, budgets.td_exact)
+    check_budget("lambda_treedepth", g.n, budgets.width_exact)
     if g.n == 0:
         return WidthResult(0, RootedForest(()), kind)
     adj = g.adj

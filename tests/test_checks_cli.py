@@ -160,6 +160,23 @@ def test_cli_param(tmp_path):
     assert data["value"] == 2 and data["witness"] == [0, 2]
 
 
+def test_cli_param_reaches_width_exact(tmp_path, capsys):
+    from widthlab.cli import main
+
+    # The 16-vertex wheel: deleting the hub leaves C15, of treewidth 3.
+    wheel = tmp_path / "wheel.g6"
+    wheel.write_text("O|eKKE@_K?o@_@_?o?M?@\n")
+    assert main(["param", "tw:3", "--input", str(wheel), "--witness"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["value"] == 1 and data["witness"] == [0]
+    k17 = tmp_path / "k17.g6"
+    k17.write_text("P~~~~~~~~~~~~~~~~~~~~~~{\n")
+    assert main(["param", "alpha-tw", "--input", str(k17)]) == 2
+    assert capsys.readouterr() == ("", "error: lambda_treewidth: n=17 exceeds budget 16\n")
+    assert main(["verify", "fvs-alpha-tw-bound", "--family", "random:12,0.3,5"]) == 0
+    assert json.loads(capsys.readouterr().out)["instances_tested"] == 5
+
+
 def test_cli_param_alpha_pw_k1():
     code, out, _ = run_cli("param", "alpha-pw", "--input", "-", stdin="@\n")
     assert code == 0
@@ -458,6 +475,10 @@ def test_cli_verify_rejects_flags_a_check_ignores(capsys):
     assert main(["verify", "td-path-formula", "--max-n", "3", "--seed", "1"]) == 0
 
 
+def _no_eval(task):
+    raise AssertionError("evaluated an instance")
+
+
 @pytest.mark.parametrize(
     "flag, value, message",
     [
@@ -470,10 +491,7 @@ def test_cli_bad_slack_override_exits_2(monkeypatch, capsys, flag, value, messag
     import widthlab.checks
     from widthlab.cli import main
 
-    def no_eval(task):
-        raise AssertionError("evaluated an instance")
-
-    monkeypatch.setattr(widthlab.checks, "_eval_one", no_eval)
+    monkeypatch.setattr(widthlab.checks, "_eval_one", _no_eval)
     assert main(["verify", "modulator-slack", "--max-n", "3", flag, value]) == 2
     assert capsys.readouterr() == ("", f"error: {message}\n")
     param = {"--rho": "rhos", "--c": "cs", "--kind": "kinds"}[flag]
@@ -509,6 +527,32 @@ def test_cli_negative_counts_exit_2(capsys, argv, message):
     assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("name", ["chain-inequality", "td-path-formula"])
+def test_cli_empty_family_exits_2_before_any_evaluation(monkeypatch, capsys, name):
+    # chain-inequality checks a graph family, td-path-formula one instance
+    # per order; --max-n 0 leaves each with nothing to check.
+    import widthlab.checks
+    from widthlab.cli import main
+
+    monkeypatch.setattr(widthlab.checks, "_eval_one", _no_eval)
+    assert main(["verify", name, "--max-n", "0"]) == 2
+    assert capsys.readouterr() == ("", f"error: check {name!r} has no instances at {{'max_n': 0}}\n")
+    with pytest.raises(ValueError, match="no instances"):
+        run_check(CheckSpec("gamma-witness", {"max_n": 0}))
+
+
+@pytest.mark.parametrize("jobs", [0, -2])
+def test_run_check_rejects_jobs_below_one(monkeypatch, jobs):
+    import widthlab.checks
+
+    def no_instances(*args):
+        raise AssertionError("built the instances")
+
+    monkeypatch.setattr(widthlab.checks, "instances_for", no_instances)
+    with pytest.raises(ValueError, match=f"jobs must be at least 1, got {jobs}"):
+        run_check(CheckSpec("td-path-formula", {"max_n": 3}), jobs=jobs)
+
+
 def test_cli_construct_zero_iterations_is_k1(capsys):
     from widthlab.cli import main
 
@@ -521,11 +565,11 @@ def test_cli_construct_zero_iterations_is_k1(capsys):
     [
         None,
         "[1, 2]",
-        '{"budgets": {"tw_cardd": 3}}',
+        '{"budgets": {"width_exactt": 3}}',
         '{"suite": {"chain_maxn": 3}}',
         '{"suite": {"td_path_max_n": "4"}}',
-        '{"budgets": {"td_exact": "x"}}',
-        '{"budgets": {"td_exact": true}}',
+        '{"budgets": {"width_exact": "x"}}',
+        '{"budgets": {"width_exact": true}}',
     ],
     ids=[
         "missing",
@@ -552,9 +596,9 @@ def test_config_overrides_apply(tmp_path):
     from widthlab.config import load_config
 
     path = tmp_path / "settings.json"
-    path.write_text('{"budgets": {"tw_card": 3}, "suite": {"td_path_max_n": 4}}')
+    path.write_text('{"budgets": {"width_exact": 3}, "suite": {"td_path_max_n": 4}}')
     budgets, suite = load_config(str(path))
-    assert budgets.tw_card == 3 and suite.td_path_max_n == 4
+    assert budgets.width_exact == 3 and suite.td_path_max_n == 4
 
 
 def test_readme_lists_registered_checks():

@@ -261,11 +261,11 @@ def test_canonical_form_separates_non_isomorphic():
 # limits it, and a call on (g, budgets).
 TW1 = ModulatorSpec("tw", 1)
 GUARDED = [
-    ("lambda_treewidth", "tw_card", lambda g, b: lambda_treewidth(g, CARD, b)),
-    ("lambda_treewidth", "tw_alpha", lambda g, b: lambda_treewidth(g, ALPHA, b)),
-    ("lambda_pathwidth", "pw_exact", lambda g, b: lambda_pathwidth(g, CARD, b)),
+    ("lambda_treewidth", "width_exact", lambda g, b: lambda_treewidth(g, CARD, b)),
+    ("lambda_treewidth", "width_exact", lambda g, b: lambda_treewidth(g, ALPHA, b)),
+    ("lambda_pathwidth", "width_exact", lambda g, b: lambda_pathwidth(g, CARD, b)),
     ("lambda_pw_at_most", "pw_decision", lambda g, b: lambda_pw_at_most(g, CARD, 1, b)),
-    ("lambda_treedepth", "td_exact", lambda g, b: lambda_treedepth(g, CARD, b)),
+    ("lambda_treedepth", "width_exact", lambda g, b: lambda_treedepth(g, CARD, b)),
     ("lambda_td_at_most", "td_decision", lambda g, b: lambda_td_at_most(g, CARD, 1, b)),
     ("alpha_chromatic", "alpha_chromatic", alpha_chromatic),
     ("modulator_number", "modulator", lambda g, b: modulator_number(g, TW1, ALPHA, b)),
@@ -278,6 +278,7 @@ GUARDED = [
 ]
 
 
+# pytest numbers the two lambda_treewidth ids: 0 is card, 1 is alpha.
 @pytest.mark.parametrize("op, field, call", GUARDED, ids=[f"{op}-{f}" for op, f, _ in GUARDED])
 def test_budget_guard_message(op, field, call):
     budgets = dataclasses.replace(DEFAULT_BUDGETS, **{field: 2})

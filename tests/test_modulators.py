@@ -276,7 +276,7 @@ def test_predicate_is_resolved_once_per_spec():
 
 
 def test_td_fallback_reads_table_within_td_exact():
-    # Above c = 2 the td test reads the exact table up to td_exact vertices
+    # Above c = 2 the td test reads the exact table up to width_exact vertices
     # and the decision form above; both must agree where they overlap.
     graphs = [g for n in range(8) for g in enumerate_graphs(n)]
     graphs.append(random_graph(14, 0.4, 964))

@@ -7,6 +7,7 @@ enumeration of decompositions.
 """
 
 import hashlib
+import random
 
 import pytest
 
@@ -27,6 +28,7 @@ from widthlab.decomp import CostKind, cost, validate
 from widthlab.graphs import (
     BudgetExceededError,
     Graph,
+    complete_bipartite,
     complete_graph,
     components,
     copies,
@@ -214,7 +216,7 @@ def test_treedepth_table_on_every_subset():
 
 
 def test_treedepth_matches_decision_pair_up_to_td_exact():
-    for n in range(12, DEFAULT_BUDGETS.td_exact + 1):
+    for n in range(12, DEFAULT_BUDGETS.width_exact + 1):
         for p in (0.2, 0.4):
             g = random_graph(n, p, 950 + n)
             k = lambda_treedepth(g, CARD).value
@@ -371,14 +373,85 @@ def test_decision_pairs_match_exact_on_substitutions():
 
 
 def test_budgets_are_enforced():
-    big = random_graph(12, 0.3, 7)
+    big = random_graph(17, 0.3, 7)
     with pytest.raises(BudgetExceededError):
         lambda_treewidth(big, ALPHA)
-    tiny_budget = Budgets(pw_exact=5)
+    tiny_budget = Budgets(width_exact=5)
     with pytest.raises(BudgetExceededError):
         lambda_pathwidth(random_graph(6, 0.5, 1), CARD, tiny_budget)
     with pytest.raises(BudgetExceededError):
         alpha_chromatic(random_graph(10, 0.5, 1))
+
+
+# ---------------------------------------------------------------------------
+# Up to width_exact: past every brute-force oracle, so the values pinned
+# here are closed forms and inequalities that do not come from the DP.
+
+
+def _solve_checked(solver, g, kind):
+    result = solver(g, kind)
+    assert validate(g, result.witness) == [], (solver.__name__, g.adj)
+    assert cost(g, result.witness, kind, check=False) == result.value, (solver.__name__, g.adj)
+    return result.value
+
+
+def _grid(rows, cols):
+    edges = [(r * cols + c, r * cols + c + 1) for r in range(rows) for c in range(cols - 1)]
+    edges += [(r * cols + c, (r + 1) * cols + c) for r in range(rows - 1) for c in range(cols)]
+    return Graph.from_edges(rows * cols, edges)
+
+
+def _random_chordal(n, seed):
+    # Each new vertex joins a clique of the graph so far, so it is simplicial
+    # when it arrives and the graph stays chordal.
+    rng = random.Random(seed)
+    adj = [0]
+    for v in range(1, n):
+        clique = 1 << rng.randrange(v)
+        for u in rng.sample(range(v), v):
+            if adj[u] & clique == clique and rng.random() < 0.6:
+                clique |= 1 << u
+        for u in range(v):
+            if clique >> u & 1:
+                adj[u] |= 1 << v
+        adj.append(clique)
+    return Graph(n, tuple(adj))
+
+
+CLOSED_FORMS = {  # name: (graph, tw, pw, td); td None where it is not pinned
+    "K16": (complete_graph(16), 16, 16, 16),
+    "K8,8": (complete_bipartite(8, 8), 9, 9, 9),
+    "grid4x4": (_grid(4, 4), 5, 5, None),
+    "C16": (cycle_graph(16), 3, 3, 5),
+    "P16": (path_graph(16), 2, 2, 5),
+}
+
+
+@pytest.mark.parametrize("g, tw, pw, td", CLOSED_FORMS.values(), ids=CLOSED_FORMS)
+def test_cardinality_closed_forms_at_width_exact(g, tw, pw, td):
+    assert g.n == DEFAULT_BUDGETS.width_exact
+    assert _solve_checked(lambda_treewidth, g, CARD) == tw
+    assert _solve_checked(lambda_pathwidth, g, CARD) == pw
+    if td is not None:
+        assert _solve_checked(lambda_treedepth, g, CARD) == td
+
+
+def test_alpha_treewidth_of_chordal_graphs_past_eleven_vertices():
+    # Every bag of a clique tree is a clique, so alpha-tw = 1.
+    for n in range(11, DEFAULT_BUDGETS.width_exact + 1):
+        g = _random_chordal(n, 1100 + n)
+        assert is_chordal(g)[0] and g.num_edges() < n * (n - 1) // 2, n
+        assert _solve_checked(lambda_treewidth, g, ALPHA) == 1, n
+
+
+def test_alpha_widths_are_ordered_past_eleven_vertices():
+    for n in range(11, DEFAULT_BUDGETS.width_exact + 1):
+        g = random_graph(n, 0.3, 1200 + n)
+        tw, pw, td = (
+            _solve_checked(solver, g, ALPHA)
+            for solver in (lambda_treewidth, lambda_pathwidth, lambda_treedepth)
+        )
+        assert tw <= pw <= td, (n, tw, pw, td)
 
 
 # ---------------------------------------------------------------------------
