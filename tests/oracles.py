@@ -3,6 +3,8 @@
 These deliberately avoid the package's algorithms: widths are minimised
 over explicitly enumerated decompositions or orderings, counts come from
 Burnside's lemma, and the base parameters from raw subset enumeration.
+``subset_dp_reference`` is the exception: the generic form of the tw/pw
+subset DP, which the package's specialised kernels must reproduce exactly.
 The last section holds plain helpers over the package's types that only
 tests use.
 """
@@ -20,6 +22,7 @@ from widthlab.decomp import (
     validate_treedepth_decomposition,
 )
 from widthlab.graphs import Graph, _triangle_code, bits, mask_of
+from widthlab.invariants import alpha_table
 
 
 def subsets(iterable):
@@ -119,6 +122,57 @@ def elimination_bag(adj, placed: int, low: int) -> int:
         frontier = grow & placed
         comp |= frontier
     return outside | low
+
+
+def boundary_bag(adj, placed: int, low: int) -> int:
+    """The pathwidth bag of the one-bit mask ``low`` placed after ``placed``:
+    low plus the placed vertices with a neighbour outside placed."""
+    full = (1 << len(adj)) - 1
+    return mask_of(u for u in bits(placed) if adj[u] & full & ~placed) | low
+
+
+def subset_dp_reference(g: Graph, kind: CostKind, bag) -> tuple[int, list[int], list[int]]:
+    """The tw/pw subset DP in its generic form, with the bag rule passed in:
+    ``bag(placed, low)`` is the bag that placing the one-bit mask ``low``
+    after the set ``placed`` creates.
+
+    f(S) = min over v in S of max(f(S - v), cost(bag(S - v, v))), solved in
+    numeric order of S, trying v in increasing order with a strict
+    improvement test.  Returns the optimum, an optimal ordering and its
+    bags.  The package's specialised kernels must reproduce all three.
+    """
+    n = g.n
+    full = (1 << n) - 1
+    bag_cost = int.bit_count if kind is CostKind.CARDINALITY else alpha_table(g.adj).__getitem__
+    worst = n + 1
+    f = [worst] * (full + 1)
+    choice = [0] * (full + 1)
+    f[0] = 0
+    for s in range(1, full + 1):
+        best = worst
+        for v in bits(s):
+            low = 1 << v
+            prev = s ^ low
+            sub = f[prev]
+            if sub >= best:
+                continue
+            value = max(sub, bag_cost(bag(prev, low)))
+            if value < best:
+                best = value
+                choice[s] = v
+        f[s] = best
+    order = []
+    s = full
+    while s:
+        order.append(choice[s])
+        s ^= 1 << choice[s]
+    order.reverse()
+    bags = []
+    placed = 0
+    for v in order:
+        bags.append(bag(placed, 1 << v))
+        placed |= 1 << v
+    return f[full], order, bags
 
 
 def _valid_tree_decomposition(g: Graph, bags, tree_edges) -> bool:

@@ -8,26 +8,33 @@ enumeration of decompositions.
 
 import hashlib
 import random
+import subprocess
+import sys
 
 import pytest
 
 from oracles import (
     alpha_chromatic_by_functions,
+    boundary_bag,
     degeneracy_maxmin_induced,
     degeneracy_maxmin_subgraphs,
     elimination_bag,
     pw_by_all_decompositions,
     pw_by_orderings,
+    subset_dp_reference,
     td_by_all_forests,
     tw_by_all_decompositions,
     tw_by_separator_branching,
 )
 
 from widthlab.config import DEFAULT_BUDGETS, DEFAULT_SUITE, Budgets
+from widthlab import widths
 from widthlab.decomp import CostKind, cost, validate
+from widthlab.formats import to_graph6
 from widthlab.graphs import (
     BudgetExceededError,
     Graph,
+    bits,
     complete_bipartite,
     complete_graph,
     components,
@@ -45,6 +52,9 @@ from widthlab.invariants import SubsetAlpha, alpha_table, is_chordal
 from widthlab.widths import (
     _elimination_bags,
     _grow_boundary,
+    _one_bits,
+    _popcounts,
+    _subset_dp,
     _treedepth_table,
     alpha_chromatic,
     degeneracy,
@@ -147,6 +157,89 @@ def test_per_graph_tables_are_isolated():
         assert [repr(f(g, kind)) for f in solvers for kind in BOTH] == expected[g]
         oracle = SubsetAlpha(g)
         assert alpha_table(g.adj) == [oracle(s) for s in range(1 << g.n)]
+
+
+def _dp_against_reference(g, bag_rules):
+    # Both kinds under both bag rules: the same optimum, ordering and bags.
+    for kind in BOTH:
+        for treewidth, bag in bag_rules:
+            expected = subset_dp_reference(g, kind, bag)
+            assert _subset_dp(g, kind, treewidth) == expected, (g.adj, kind, treewidth)
+
+
+def test_subset_dp_matches_generic_reference():
+    graphs = [g for n in range(8) for g in enumerate_graphs(n)]
+    graphs += [random_graph(n, p, 40 + n) for n in range(8, 13) for p in (0.2, 0.4, 0.6)]
+    for g in graphs:
+        adj = g.adj
+        bag_rules = (
+            (True, lambda placed, low: elimination_bag(adj, placed, low)),
+            (False, lambda placed, low: boundary_bag(adj, placed, low)),
+        )
+        _dp_against_reference(g, bag_rules)
+
+
+def test_subset_dp_matches_generic_reference_at_width_exact():
+    # The reach-table bag rules equal the breadth-first ones on every subset
+    # (test_table_kernels_match_bfs_references) and take half the time here.
+    n = DEFAULT_BUDGETS.width_exact
+    for g in (random_graph(n, 0.3, 161), random_graph(n, 0.6, 162)):
+        reach = reach_table(g.adj)
+        full = g.full_mask
+        bag_rules = (
+            (True, _elimination_bags(reach)),
+            (False, lambda placed, low: reach[full ^ placed] & placed | low),
+        )
+        _dp_against_reference(g, bag_rules)
+
+
+def test_mask_tables_grow_in_place(monkeypatch):
+    # The table for n is a prefix of the one for n + 1: growing keeps the
+    # list and every entry already built, and asking for less shrinks nothing.
+    monkeypatch.setattr(widths, "_ONE_BITS", [()])
+    monkeypatch.setattr(widths, "_POPCOUNTS", [0])
+    for table_of in (_one_bits, _popcounts):
+        small = table_of(3)
+        entries = list(small)
+        table = table_of(10)
+        assert table is small and len(table) == 1 << 10
+        assert all(a is b for a, b in zip(entries, table))
+        assert table_of(5) is table and len(table) == 1 << 10
+    for s in range(1 << 10):
+        assert _one_bits(10)[s] == tuple(1 << v for v in bits(s))
+        assert _popcounts(10)[s] == s.bit_count()
+
+
+def test_alternating_sizes_match_fresh_processes():
+    # A 16-vertex solve, an 8-vertex one and the 16-vertex one again, in one
+    # process, give what a fresh process gives for each graph alone.
+    code = (
+        "import sys\n"
+        "from widthlab.decomp import CostKind\n"
+        "from widthlab.formats import from_graph6\n"
+        "from widthlab.widths import lambda_pathwidth, lambda_treedepth, lambda_treewidth\n"
+        "g = from_graph6(sys.argv[1])\n"
+        "for f in (lambda_treewidth, lambda_pathwidth, lambda_treedepth):\n"
+        "    for kind in CostKind:\n"
+        "        print(repr(f(g, kind)))\n"
+    )
+
+    def outputs(g):
+        return "".join(
+            repr(f(g, kind)) + "\n"
+            for f in (lambda_treewidth, lambda_pathwidth, lambda_treedepth)
+            for kind in CostKind
+        )
+
+    big, small = random_graph(16, 0.3, 163), random_graph(8, 0.5, 83)
+    fresh = {
+        g: subprocess.run(
+            [sys.executable, "-c", code, to_graph6(g)], capture_output=True, text=True, check=True
+        ).stdout
+        for g in (big, small)
+    }
+    for g in (big, small, big):
+        assert outputs(g) == fresh[g]
 
 
 def test_treedepth_agrees_with_forest_enumeration():
