@@ -22,6 +22,7 @@ from .decomp import CostKind, chordal_clique_tree, cost, tree_decomp_from_fvs
 from .formats import to_graph6, from_graph6
 from .graphs import (
     Graph,
+    check_budget,
     check_enumeration,
     complete_bipartite,
     complete_graph,
@@ -140,6 +141,20 @@ def _ramsey_instances(params: dict, budgets: Budgets) -> list[dict]:
 
 
 def _sclaw_instances(params: dict, budgets: Budgets) -> list[dict]:
+    """The graph family, then the seeded random graphs.  A member on n
+    vertices whose s-claw substitution (3n + 4 vertices) exceeds
+    ``pw_decision``, or whose P5 substitution (2n + 3) exceeds
+    ``td_decision``, fails before any member is evaluated; the net
+    substitution (3n + 3) is never the larger."""
+    if "graphs" in params:
+        n = max((from_graph6(g6).n for g6 in params["graphs"]), default=0)
+    else:
+        n = params["max_n"]
+        check_enumeration(n)  # an enumeration range error is reported first
+        if params["random_count"]:
+            n = max(n, params["random_n"])
+    check_budget("lambda_pw_at_most", 3 * n + 4, budgets.pw_decision)
+    check_budget("lambda_td_at_most", 2 * n + 3, budgets.td_decision)
     out = _per_graph(params, budgets)
     if "graphs" not in params:
         seed = params["seed"]

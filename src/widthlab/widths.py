@@ -22,7 +22,12 @@ Algorithms (all exact for monotone bag costs):
   The DP reads bag costs from a dense table over all 2^n subsets (popcounts,
   or alpha filled in one pass).
 * pathwidth decision form: a pruned depth-first search over feasible
-  prefixes.
+  prefixes.  Each bag is the boundary B of a prefix plus one vertex v
+  outside B, so |B + v| = |B| + 1 and alpha(B + v) = max(alpha(B),
+  1 + alpha(B - N(v))).  B lies inside the bag that admitted the prefix, so
+  cost(B) <= k, and the search reads cost(B) once per state: below k every
+  vertex fits, at k only (under alpha) a v with alpha(B - N(v)) < k.  The
+  treedepth decision form does the same with B the ancestor set.
 * treedepth under cardinality: one pass over all 2^n subsets in numeric
   order (the O*(2^n) baseline of Fomin, Giannopoulou & Pilipczuk,
   "Computing tree-depth faster than 2^n", Algorithmica 2015).  A
@@ -277,6 +282,13 @@ def lambda_pw_at_most(
     A vertex whose whole neighbourhood is already placed is taken greedily
     whenever its bag fits the budget: moving it forward only shrinks later
     bags, so restricting the branching preserves completeness.
+
+    Every bag is the boundary B of the placed set plus one vertex v outside
+    B, so |B + v| = |B| + 1 and alpha(B + v) = max(alpha(B), 1 + alpha(B -
+    N(v))).  B lies inside the bag that admitted the placed set, so cost(B)
+    <= k.  The search reads cost(B) once per state: below k every bag fits;
+    at k no bag fits under cardinality, and under alpha v fits exactly when
+    N(v) meets B and alpha(B - N(v)) < k.
     """
     check_budget("lambda_pw_at_most", g.n, budgets.pw_decision)
     n = g.n
@@ -285,6 +297,7 @@ def lambda_pw_at_most(
     if k <= 0:
         return False
     bag_cost = _bag_cost_fn(g, kind)
+    by_size = kind is CostKind.CARDINALITY
     adj = g.adj
     closed = [nb | 1 << v for v, nb in enumerate(adj)]
     full = (1 << n) - 1
@@ -296,37 +309,36 @@ def lambda_pw_at_most(
         s, boundary = stack.pop()
         if s == full:
             return True
+        tight = bag_cost(boundary) == k
+        if tight and by_size:
+            continue  # every bag costs k + 1
         rest = full & ~s
-        # Greedy closure: a finished vertex with an affordable bag.
-        safe = 0
+        # Greedy closure: the lowest finished vertex with an affordable bag.
         m = rest
         while m:
             low = m & -m
             m ^= low
-            if not adj[low.bit_length() - 1] & rest and bag_cost(boundary | low) <= k:
-                safe = low
+            nb = adj[low.bit_length() - 1]
+            if not nb & rest and (not tight or nb & boundary and bag_cost(boundary & ~nb) < k):
+                t = s | low
+                if t not in seen:
+                    seen.add(t)
+                    stack.append((t, _grow_boundary(closed, boundary, t, low)))
                 break
-        if safe:
-            t = s | safe
-            if t not in seen:
-                seen.add(t)
-                stack.append((t, _grow_boundary(closed, boundary, t, safe)))
-            continue
-        candidates = []
-        m = rest
-        while m:
-            low = m & -m
-            m ^= low
-            t = s | low
-            if t in seen:
-                continue
-            if bag_cost(boundary | low) <= k:
-                candidates.append(((boundary | low).bit_count(), low, t))
-        # Expand cheap bags first.
-        candidates.sort(reverse=True)
-        for _, low, t in candidates:
-            seen.add(t)
-            stack.append((t, _grow_boundary(closed, boundary, t, low)))
+        else:
+            # Push from the highest vertex down: the lowest is expanded first.
+            m = rest
+            while m:
+                v = m.bit_length() - 1
+                low = 1 << v
+                m ^= low
+                t = s | low
+                if t in seen:
+                    continue
+                nb = adj[v]
+                if not tight or nb & boundary and bag_cost(boundary & ~nb) < k:
+                    seen.add(t)
+                    stack.append((t, _grow_boundary(closed, boundary, t, low)))
     return False
 
 
@@ -451,7 +463,15 @@ def lambda_treedepth(
 def lambda_td_at_most(
     g: Graph, kind: CostKind, k: int, budgets: Budgets = DEFAULT_BUDGETS
 ) -> bool:
-    """Decide lambda-td(g) <= k via the component recursion with pruning."""
+    """Decide lambda-td(g) <= k via the component recursion with pruning.
+
+    A root v of a component below the ancestor set A makes the path A + v,
+    and v is outside A, so |A + v| = |A| + 1 and alpha(A + v) = max(alpha(A),
+    1 + alpha(A - N(v))).  A itself is a path that was admitted, so cost(A)
+    <= k.  The recursion reads cost(A) once per state: below k every root
+    fits; at k no root fits under cardinality, and under alpha v fits
+    exactly when N(v) meets A and alpha(A - N(v)) < k.
+    """
     check_budget("lambda_td_at_most", g.n, budgets.td_decision)
     if g.n == 0:
         return k >= 0
@@ -471,13 +491,16 @@ def lambda_td_at_most(
         cached = memo.get(key)
         if cached is not None:
             return cached
+        tight = bag_cost(above) == k
         ranked = []
-        m = comp
+        m = 0 if tight and by_height else comp  # under cardinality every root costs k + 1
         while m:
             low = m & -m
             m ^= low
-            if bag_cost(above | low) > k:
-                continue
+            if tight:
+                nb = adj[low.bit_length() - 1]
+                if not nb & above or bag_cost(above & ~nb) >= k:
+                    continue
             subs = components(adj, comp ^ low)
             largest = max((c.bit_count() for c in subs), default=0)
             ranked.append((largest, low, subs))

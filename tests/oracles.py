@@ -5,6 +5,9 @@ over explicitly enumerated decompositions or orderings, counts come from
 Burnside's lemma, and the base parameters from raw subset enumeration.
 ``subset_dp_reference`` is the exception: the generic form of the tw/pw
 subset DP, which the package's specialised kernels must reproduce exactly.
+So are ``pw_at_most_reference`` and ``td_at_most_reference``: the decision
+forms with one bag-cost call per (state, vertex), whose answers the
+package's forms, which read one per state, must reproduce.
 The last section holds plain helpers over the package's types that only
 tests use.
 """
@@ -21,8 +24,8 @@ from widthlab.decomp import (
     RootedForest,
     validate_treedepth_decomposition,
 )
-from widthlab.graphs import Graph, _triangle_code, bits, mask_of
-from widthlab.invariants import alpha_table
+from widthlab.graphs import Graph, _triangle_code, bits, components, mask_of
+from widthlab.invariants import SubsetAlpha, alpha_table
 
 
 def subsets(iterable):
@@ -173,6 +176,95 @@ def subset_dp_reference(g: Graph, kind: CostKind, bag) -> tuple[int, list[int], 
         bags.append(bag(placed, 1 << v))
         placed |= 1 << v
     return f[full], order, bags
+
+
+def pw_at_most_reference(g: Graph, kind: CostKind, k: int) -> bool:
+    """lambda-pw(g) <= k by the prefix search with one bag-cost call per
+    (state, vertex): the form the package's decision search must agree
+    with.
+
+    A vertex whose whole neighbourhood is placed is taken greedily whenever
+    its bag fits; otherwise every unplaced vertex whose bag fits is a
+    branch.
+    """
+    n = g.n
+    if n == 0:
+        return k >= 0
+    if k <= 0:
+        return False
+    bag_cost = int.bit_count if kind is CostKind.CARDINALITY else SubsetAlpha(g)
+    adj = g.adj
+    full = (1 << n) - 1
+    seen = {0}
+    stack = [(0, 0)]
+    while stack:
+        s, boundary = stack.pop()
+        if s == full:
+            return True
+        rest = full & ~s
+        safe = 0
+        for v in bits(rest):
+            if not adj[v] & rest and bag_cost(boundary | 1 << v) <= k:
+                safe = 1 << v
+                break
+        if safe:
+            t = s | safe
+            if t not in seen:
+                seen.add(t)
+                stack.append((t, boundary_bag(adj, t, 0)))
+            continue
+        candidates = []
+        for v in bits(rest):
+            t = s | 1 << v
+            if t in seen:
+                continue
+            if bag_cost(boundary | 1 << v) <= k:
+                candidates.append(((boundary | 1 << v).bit_count(), 1 << v, t))
+        candidates.sort(reverse=True)
+        for _, low, t in candidates:
+            seen.add(t)
+            stack.append((t, boundary_bag(adj, t, 0)))
+    return False
+
+
+def td_at_most_reference(g: Graph, kind: CostKind, k: int) -> bool:
+    """lambda-td(g) <= k by the component recursion with one bag-cost call
+    per (state, vertex): the form the package's decision recursion must
+    agree with.
+
+    A connected component below the ancestor set ``above`` is feasible when
+    some root v with cost(above + v) <= k leaves only feasible components.
+    """
+    if g.n == 0:
+        return k >= 0
+    if k <= 0:
+        return False
+    adj = g.adj
+    bag_cost = int.bit_count if kind is CostKind.CARDINALITY else SubsetAlpha(g)
+    by_height = kind is CostKind.CARDINALITY
+    memo: dict[tuple[int, int], bool] = {}
+
+    def feasible(comp: int, above: int) -> bool:
+        if comp & (comp - 1) == 0:
+            return bag_cost(above | comp) <= k
+        key = (comp, above.bit_count() if by_height else above)
+        cached = memo.get(key)
+        if cached is not None:
+            return cached
+        ranked = []
+        for v in bits(comp):
+            low = 1 << v
+            if bag_cost(above | low) > k:
+                continue
+            subs = components(adj, comp ^ low)
+            largest = max((c.bit_count() for c in subs), default=0)
+            ranked.append((largest, low, subs))
+        ranked.sort(key=lambda t: (t[0], t[1]))
+        ok = any(all(feasible(sub, above | low) for sub in subs) for _, low, subs in ranked)
+        memo[key] = ok
+        return ok
+
+    return all(feasible(comp, 0) for comp in g.components())
 
 
 def _valid_tree_decomposition(g: Graph, bags, tree_edges) -> bool:

@@ -290,6 +290,28 @@ def test_cli_over_budget_gamma_witness_fails_fast(tmp_path, monkeypatch, capsys)
     assert calls == []
 
 
+def test_cli_over_budget_sclaw_increment_fails_fast(tmp_path, monkeypatch, capsys):
+    # A random 8-vertex graph has a 28-vertex s-claw substitution, past
+    # pw_decision: exit 2 before any substitution is built, whether the
+    # graph comes from the suite sizes or from --family.
+    import widthlab.checks
+    from widthlab.cli import main
+
+    calls = []
+    monkeypatch.setattr(widthlab.checks, "substitute", lambda *args: calls.append(args))
+    path = tmp_path / "sclaw8.json"
+    path.write_text('{"suite": {"sclaw_random_n": 8, "sclaw_random_count": 2}}')
+    line = "error: lambda_pw_at_most: n=28 exceeds budget 25\n"
+    for argv in (["--config", str(path)], ["--family", "random:8,0.5,1"]):
+        assert main(["verify", "sclaw-increment", *argv]) == 2, argv
+        assert capsys.readouterr() == ("", line), argv
+    # A P5 substitution (2n + 3 vertices) past td_decision reads the same way.
+    path.write_text('{"budgets": {"td_decision": 10}}')
+    assert main(["verify", "sclaw-increment", "--config", str(path)]) == 2
+    assert capsys.readouterr() == ("", "error: lambda_td_at_most: n=11 exceeds budget 10\n")
+    assert calls == []
+
+
 def test_cli_construct():
     code, out, _ = run_cli("construct", "s-claw", "--iterate", "2")
     assert code == 0
