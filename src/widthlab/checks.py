@@ -35,6 +35,7 @@ from .graphs import (
     star,
 )
 from .invariants import SubsetAlpha, contains_induced, is_chordal
+from . import modulators
 from .modulators import (
     PARAMETERS,
     ModulatorSpec,
@@ -42,8 +43,8 @@ from .modulators import (
     check_modulator_minimality,
     check_modulator_slack,
     empirical_h,
-    modulator_number,
     parameter,
+    predicate,
     ramsey_property_check,
     rho_at_most,
     slack_failure,
@@ -233,12 +234,14 @@ def _iso_instances(params: dict, budgets: Budgets) -> list[dict]:
 
 
 class _Profile:
-    """One labelled graph and the table entries evaluated on it so far."""
+    """One labelled graph and the table entries and modulator numbers
+    evaluated on it so far."""
 
     def __init__(self, graph: Graph, budgets: Budgets):
         self.graph = graph
         self.budgets = budgets
         self._entries: dict[tuple[str, CostKind], tuple[int, object]] = {}
+        self._modulators: dict[tuple[modulators.Good, CostKind], tuple[int, tuple[int, ...]]] = {}
 
     def parameter(self, name: str, kind: CostKind = CARD) -> tuple[int, object]:
         """``parameter(name, kind)(graph, budgets)``, evaluated once."""
@@ -246,6 +249,18 @@ class _Profile:
         if key not in self._entries:
             self._entries[key] = parameter(name, kind)(self.graph, self.budgets)
         return self._entries[key]
+
+    def modulator(self, spec: ModulatorSpec, kind: CostKind = CARD) -> tuple[int, tuple[int, ...]]:
+        """``modulator_number(graph, spec, kind, budgets)``, searched once per
+        test that ``predicate(spec.rho, spec.c)`` resolves to: the search
+        reads nothing else of the spec, and every rho shares the c = 0 and
+        c = 1 tests."""
+        key = (predicate(spec.rho, spec.c), kind)
+        if key not in self._modulators:
+            self._modulators[key] = modulators.modulator_number(
+                self.graph, spec, kind, self.budgets
+            )
+        return self._modulators[key]
 
     def table(self) -> dict[str, int]:
         """Every entry of ``PARAMETERS``, under each kind it has, by the
@@ -383,7 +398,7 @@ def _eval_modulator_slack(inst, params, budgets) -> str | None:
     spec = ModulatorSpec(inst["rho"], inst["c"])
     kind = CostKind.parse(inst["kind"])
     lhs = profile.parameter(spec.rho, kind)[0]
-    return slack_failure(profile.graph, spec, kind, lhs, budgets)
+    return slack_failure(spec, kind, lhs, profile.modulator(spec, kind))
 
 
 def _eval_modulator_minimality(inst, params, budgets) -> str | None:
@@ -409,7 +424,7 @@ def _eval_modulator_identities(inst, params, budgets) -> str | None:
     ]
     for spec_text, expected in pairs:
         spec = ModulatorSpec.parse(spec_text)
-        got, witness = modulator_number(g, spec, CARD, budgets)
+        got, witness = profile.modulator(spec)
         if got != expected:
             return f"mu[{spec_text}] = {got}, dedicated solver says {expected}"
         if not rho_at_most(g, spec.rho, spec.c, budgets, within=g.full_mask & ~mask_of(witness)):
@@ -482,7 +497,7 @@ def _eval_delta_not_inheritable(inst, params, budgets) -> str | None:
     violation = check_modulator_slack(g, spec, CARD, budgets)
     if violation is None:
         delta = parameter("delta")(g, budgets)[0]
-        mu = modulator_number(g, spec, CARD, budgets)[0]
+        mu = modulators.modulator_number(g, spec, CARD, budgets)[0]
         return (
             f"K_1,{q}: slack Delta <= mu[delta:0] + 0 unexpectedly holds "
             f"(Delta={delta}, mu={mu})"

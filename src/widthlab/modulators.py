@@ -54,11 +54,14 @@ class ModulatorSpec:
 
     @staticmethod
     def parse(text: str) -> "ModulatorSpec":
+        """``rho:c``.  Malformed text says so; a well-formed spec with an
+        unknown rho or a negative c says which."""
         try:
             rho, c = text.split(":")
-            return ModulatorSpec(rho.strip(), int(c))
+            c = int(c)
         except ValueError:
             raise ValueError(f"bad modulator spec {text!r}, expected 'rho:c'") from None
+        return ModulatorSpec(rho.strip(), c)
 
     def __str__(self):
         return f"{self.rho}:{self.c}"
@@ -471,15 +474,17 @@ def check_modulator_slack(
     budgets: Budgets = DEFAULT_BUDGETS,
 ) -> str | None:
     """lambda-rho(G) <= lambda-mu_{rho,c}(G) + c; None when it holds."""
-    return slack_failure(g, spec, kind, parameter(spec.rho, kind)(g, budgets)[0], budgets)
+    lhs = parameter(spec.rho, kind)(g, budgets)[0]
+    return slack_failure(spec, kind, lhs, modulator_number(g, spec, kind, budgets))
 
 
 def slack_failure(
-    g: Graph, spec: ModulatorSpec, kind: CostKind, lhs: int, budgets: Budgets = DEFAULT_BUDGETS
+    spec: ModulatorSpec, kind: CostKind, lhs: int, modulator: tuple[int, tuple[int, ...]]
 ) -> str | None:
-    """The slack inequality with its left-hand side lambda-rho(G) = ``lhs``
-    given: None when ``lhs`` <= lambda-mu_{rho,c}(G) + c, else the failure."""
-    mu, witness = modulator_number(g, spec, kind, budgets)
+    """The slack inequality with both sides given, lambda-rho(G) = ``lhs``
+    and ``modulator`` = (lambda-mu_{rho,c}(G), its witness): None when
+    ``lhs`` <= lambda-mu_{rho,c}(G) + c, else the failure."""
+    mu, witness = modulator
     if lhs <= mu + spec.c:
         return None
     return (

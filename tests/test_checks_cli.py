@@ -196,6 +196,26 @@ def test_cli_param_modulator_spec(tmp_path):
     assert json.loads(out)["value"] == 2
 
 
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ("mu:zz:2", "unknown target parameter 'zz'"),
+        ("tw:-1", "modulator threshold must be non-negative"),
+        ("tw:x", "bad modulator spec 'tw:x', expected 'rho:c'"),
+        ("mu:tw:1:2", "bad modulator spec 'tw:1:2', expected 'rho:c'"),
+    ],
+)
+def test_cli_param_bad_modulator_spec_exits_2(tmp_path, capsys, spec, message):
+    # Malformed text is told the form; a well-formed spec is told what is
+    # wrong with its rho or its threshold.
+    from widthlab.cli import main
+
+    path = tmp_path / "k3.g6"
+    path.write_text("Bw\n")
+    assert main(["param", spec, "--input", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 def test_family_all_exact_count():
     # "all:5" resolves to exactly the 34 graphs on five vertices.
     from widthlab.cli import _resolve_family
@@ -660,6 +680,7 @@ _MEMO_RUNS = [
     ("sclaw-increment", {"graphs": ["Dhc"]}),
     ("modulator-identities", {"max_n": 4}),
     ("modulator-slack", {"max_n": 4}),
+    ("modulator-slack", {"max_n": 4, "cs": [3]}),
     ("modulator-minimality", {"max_n": 4}),
     ("mwis-equivalence", {"max_n": 4, "random_count": 4, "bipartite_count": 4}),
     ("fvs-alpha-tw-bound", {"max_n": 4}),
@@ -667,7 +688,11 @@ _MEMO_RUNS = [
 ]
 
 
-@pytest.mark.parametrize("name, params", _MEMO_RUNS, ids=[name for name, _ in _MEMO_RUNS])
+@pytest.mark.parametrize(
+    "name, params",
+    _MEMO_RUNS,
+    ids=[name + "".join(f"-c{c}" for c in params.get("cs", ())) for name, params in _MEMO_RUNS],
+)
 def test_graph_memos_are_invisible(name, params):
     # A serial run, a run over two workers, and every instance evaluated
     # with both memos emptied first give the same report.
@@ -713,6 +738,38 @@ def test_slack_instances_of_one_graph_share_their_left_hand_sides(monkeypatch):
     report = run_check(CheckSpec("modulator-slack", {"graphs": ["Dhc"]}))
     assert report.instances_tested == 30 and report.passed
     assert [kind for _, kind, _ in calls] == [CostKind.CARDINALITY, CostKind.INDEPENDENCE]
+
+
+@pytest.mark.parametrize("name, searches", [("modulator-slack", 14), ("modulator-identities", 3)])
+def test_modulator_searches_are_shared_per_resolved_test(monkeypatch, name, searches):
+    # Every rho resolves c = 0 and c = 1 to one test, so on one graph slack
+    # searches (1 + 1 + 5) tests x 2 kinds, not 5 targets x 3 thresholds x
+    # 2 kinds, and identities reuses the tw:1 search for td:1.
+    import widthlab.modulators as modulators
+
+    calls = _count_calls(monkeypatch, modulators, "modulator_number")
+    report = run_check(CheckSpec(name, {"graphs": ["Dhc"]}))
+    assert report.passed
+    assert len(calls) == searches
+
+
+def test_profile_modulator_matches_a_fresh_search():
+    # Two specs share a memo entry only when they resolve to the same test,
+    # so the memo returns a fresh search's value and witness; c = 3 reaches
+    # the per-spec fallback tests and delta the degree tests.
+    import widthlab.checks as checks
+    from widthlab.config import DEFAULT_BUDGETS
+    from widthlab.decomp import CostKind
+    from widthlab.modulators import RHO_NAMES, ModulatorSpec, modulator_number
+
+    for g in checks.graphs_upto(5):
+        profile = checks._Profile(g, DEFAULT_BUDGETS)
+        for rho in RHO_NAMES:
+            for c in range(4):
+                spec = ModulatorSpec(rho, c)
+                for kind in CostKind:
+                    fresh = modulator_number(g, spec, kind, DEFAULT_BUDGETS)
+                    assert profile.modulator(spec, kind) == fresh, (to_graph6(g), spec, kind)
 
 
 @pytest.mark.parametrize(

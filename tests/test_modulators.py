@@ -68,11 +68,11 @@ def test_modulator_spec_parsing():
     spec = ModulatorSpec.parse("tw:1")
     assert spec.rho == "tw" and spec.c == 1
     assert str(ModulatorSpec.parse("delta:0")) == "delta:0"
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown target parameter 'nope'"):
         ModulatorSpec.parse("nope:1")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="modulator threshold must be non-negative"):
         ModulatorSpec.parse("tw:-1")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="expected 'rho:c'"):
         ModulatorSpec.parse("tw")
 
 
