@@ -11,13 +11,15 @@ from __future__ import annotations
 import json
 import random
 import time
+from contextlib import nullcontext
 from functools import lru_cache
 from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from .config import Budgets, SuiteParams, DEFAULT_BUDGETS, DEFAULT_SUITE
-from .constructions import SubstitutionKind, check_gamma_budget, gamma_family, substitute
+from .constructions import SubstitutionKind, check_gamma_budget, gamma_family
+from .constructions import substitute, substitution_order
 from .decomp import CostKind, chordal_clique_tree, cost, tree_decomp_from_fvs
 from .formats import to_graph6, from_graph6
 from .graphs import (
@@ -142,11 +144,10 @@ def _ramsey_instances(params: dict, budgets: Budgets) -> list[dict]:
 
 
 def _sclaw_instances(params: dict, budgets: Budgets) -> list[dict]:
-    """The graph family, then the seeded random graphs.  A member on n
-    vertices whose s-claw substitution (3n + 4 vertices) exceeds
-    ``pw_decision``, or whose P5 substitution (2n + 3) exceeds
-    ``td_decision``, fails before any member is evaluated; the net
-    substitution (3n + 3) is never the larger."""
+    """The graph family, then the seeded random graphs.  A member whose
+    s-claw substitution exceeds ``pw_decision``, or whose P5 substitution
+    exceeds ``td_decision``, fails before any member is evaluated; the net
+    substitution is never larger than the s-claw one."""
     if "graphs" in params:
         n = max((from_graph6(g6).n for g6 in params["graphs"]), default=0)
     else:
@@ -154,8 +155,9 @@ def _sclaw_instances(params: dict, budgets: Budgets) -> list[dict]:
         check_enumeration(n)  # an enumeration range error is reported first
         if params["random_count"]:
             n = max(n, params["random_n"])
-    check_budget("lambda_pw_at_most", 3 * n + 4, budgets.pw_decision)
-    check_budget("lambda_td_at_most", 2 * n + 3, budgets.td_decision)
+    order = {kind: substitution_order(n, kind) for kind in SubstitutionKind}
+    check_budget("lambda_pw_at_most", order[SubstitutionKind.S_CLAW], budgets.pw_decision)
+    check_budget("lambda_td_at_most", order[SubstitutionKind.P5], budgets.td_decision)
     out = _per_graph(params, budgets)
     if "graphs" not in params:
         seed = params["seed"]
@@ -352,10 +354,10 @@ def _eval_sclaw(inst, params, budgets) -> str | None:
 
 
 def _gamma_order(index: int) -> int:
-    """|V(S_index)|: the s-claw substitution takes n vertices to 3n + 4."""
+    """|V(S_index)|: S_1 = K_1, then index - 1 s-claw substitutions."""
     order = 1
     for _ in range(index - 1):
-        order = 3 * order + 4
+        order = substitution_order(order, SubstitutionKind.S_CLAW)
     return order
 
 
@@ -752,33 +754,31 @@ def run_check(
     if not instances:
         raise ValueError(f"check {spec.name!r} has no instances at {spec.params}")
     tasks = [(spec.name, inst, params, budgets) for inst in instances]
-    if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            details = list(pool.map(_eval_one, tasks, chunksize=8))
-    else:
-        details = [_eval_one(t) for t in tasks]
+    try:  # an unwritable log fails before any instance is evaluated
+        log = open(log_path, "w") if log_path else nullcontext()
+    except OSError as exc:
+        raise ValueError(f"cannot write log {log_path}: {exc}") from None
+    with log as fh:
+        if jobs > 1 and len(tasks) > 1:
+            with ProcessPoolExecutor(max_workers=jobs) as pool:
+                details = list(pool.map(_eval_one, tasks, chunksize=8))
+        else:
+            details = [_eval_one(t) for t in tasks]
+        elapsed_ms = int((time.perf_counter() - start) * 1000)
+        if fh is not None:
+            for idx, (inst, detail) in enumerate(zip(instances, details)):
+                row = {
+                    "check": spec.name,
+                    "index": idx,
+                    "instance": _instance_id(inst),
+                    "ok": detail is None,
+                    "detail": detail,
+                }
+                fh.write(json.dumps(row, sort_keys=True) + "\n")
     failures = [
         (_instance_id(inst), detail)
         for inst, detail in zip(instances, details)
         if detail is not None
     ]
-    elapsed_ms = int((time.perf_counter() - start) * 1000)
     meta = check.meta(params, budgets) if check.meta else {}
-    report = CheckReport(spec.name, len(instances), failures, elapsed_ms, meta)
-    if log_path:
-        with open(log_path, "w") as fh:
-            for idx, (inst, detail) in enumerate(zip(instances, details)):
-                fh.write(
-                    json.dumps(
-                        {
-                            "check": spec.name,
-                            "index": idx,
-                            "instance": _instance_id(inst),
-                            "ok": detail is None,
-                            "detail": detail,
-                        },
-                        sort_keys=True,
-                    )
-                    + "\n"
-                )
-    return report
+    return CheckReport(spec.name, len(instances), failures, elapsed_ms, meta)

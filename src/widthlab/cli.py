@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 
@@ -19,7 +20,7 @@ from .checks import CHECK_NAMES, CheckSpec, default_params, graphs_upto, run_che
 from .config import DEFAULT_BUDGETS, DEFAULT_SUITE, load_config
 from .constructions import SubstitutionKind, gamma_family, subdivided_claw, substitute
 from .decomp import CostKind
-from .formats import FormatError, emit, parse
+from .formats import FORMATS, FormatError, emit, parse
 from .graphs import BudgetExceededError, Graph, named_graph
 from .modulators import ALPHA, ModulatorSpec, modulator_number, parameter
 from .mwis import WeightedGraph, mwis_bipartite, mwis_exact, mwis_via_oct
@@ -42,6 +43,16 @@ def _read_graph(args) -> Graph:
         return parse(text, args.format)
     except FormatError as exc:
         raise UsageError(f"cannot parse {args.input} as {args.format}: {exc}") from None
+
+
+def _write(text: str) -> None:
+    # Once the reader has closed stdout (``| head``), the rest goes to
+    # devnull: the command returns its own status, with no traceback.
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        sys.stdout = open(os.devnull, "w")
 
 
 def _witness_json(witness):
@@ -72,7 +83,7 @@ def cmd_param(args) -> int:
     }
     if args.witness and witness is not None:
         out["witness"] = _witness_json(witness)
-    print(json.dumps(out, sort_keys=True))
+    _write(json.dumps(out, sort_keys=True) + "\n")
     return 0
 
 
@@ -107,7 +118,7 @@ def cmd_verify(args) -> int:
         jobs=args.jobs,
         log_path=args.log,
     )
-    print(json.dumps(report.to_json(), sort_keys=True))
+    _write(json.dumps(report.to_json(), sort_keys=True) + "\n")
     return 0 if report.passed else 1
 
 
@@ -163,9 +174,7 @@ def cmd_construct(args) -> int:
         g = Graph(1, (0,))
         for _ in range(args.iterate):
             g = substitute(g, kind)
-    sys.stdout.write(emit(g, args.format))
-    if args.format == "graph6":
-        sys.stdout.write("\n")
+    _write(emit(g, args.format) + ("\n" if args.format == "graph6" else ""))
     return 0
 
 
@@ -188,23 +197,18 @@ def cmd_mwis(args) -> int:
     else:
         result = mwis_via_oct(wg, args.k)
     elapsed_ms = int((time.perf_counter() - start) * 1000)
-    print(
-        json.dumps(
-            {
-                "algorithm": args.algorithm,
-                "weight": result.weight,
-                "set": list(result.vertices),
-                "elapsed_ms": elapsed_ms,
-            },
-            sort_keys=True,
-        )
-    )
+    out = {
+        "algorithm": args.algorithm,
+        "weight": result.weight,
+        "set": list(result.vertices),
+        "elapsed_ms": elapsed_ms,
+    }
+    _write(json.dumps(out, sort_keys=True) + "\n")
     return 0
 
 
 def cmd_list_checks(args) -> int:
-    for name in CHECK_NAMES:
-        print(name)
+    _write("".join(name + "\n" for name in CHECK_NAMES))
     return 0
 
 
@@ -219,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("param", help="compute one parameter of one graph")
     p.add_argument("parameter", help="e.g. alpha, omega, tw, alpha-pw, vc, tw:2")
     p.add_argument("--input", required=True, help="graph file, or - for stdin")
-    p.add_argument("--format", default="graph6", choices=["graph6", "dimacs", "edges"])
+    p.add_argument("--format", default="graph6", choices=list(FORMATS))
     p.add_argument("--kind", default="card", help="card or alpha")
     p.add_argument("--witness", action="store_true")
     p.set_defaults(func=cmd_param)
@@ -241,12 +245,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("kind", choices=["s-claw", "p5", "net", "gamma", "subdivided-claw"])
     p.add_argument("--iterate", type=int, default=1, help="substitution count from K1")
     p.add_argument("--n", type=int, default=1, help="gamma family index")
-    p.add_argument("--format", default="graph6", choices=["graph6", "dimacs", "edges"])
+    p.add_argument("--format", default="graph6", choices=list(FORMATS))
     p.set_defaults(func=cmd_construct)
 
     p = sub.add_parser("mwis", help="maximum weight independent set")
     p.add_argument("--input", required=True)
-    p.add_argument("--format", default="graph6", choices=["graph6", "dimacs", "edges"])
+    p.add_argument("--format", default="graph6", choices=list(FORMATS))
     p.add_argument("--weights", default=None, help="file, one integer per vertex")
     p.add_argument("--algorithm", default="exact", choices=["exact", "bipartite", "oct"])
     p.add_argument("--k", type=int, default=0, help="OCT independence bound")
@@ -265,10 +269,7 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (FormatError, BudgetExceededError, ValueError, KeyError) as exc:
+    except (UsageError, FormatError, BudgetExceededError, ValueError, KeyError) as exc:
         if isinstance(exc, KeyError) and exc.args:
             exc = exc.args[0]  # str() of a KeyError quotes its message
         print(f"error: {exc}", file=sys.stderr)

@@ -42,6 +42,12 @@ _GADGETS = {
 }
 
 
+def substitution_order(n: int, kind: SubstitutionKind) -> int:
+    """The vertex count of the substitution into a graph on n vertices."""
+    count, new, _ = _GADGETS[kind]
+    return count * n + new
+
+
 def substitute(g: Graph, kind: SubstitutionKind) -> Graph:
     count, new, gadget = _GADGETS[kind]
     n, base = g.n, count * g.n

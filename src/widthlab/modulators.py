@@ -244,29 +244,29 @@ def modulator_number(
         value, (witness,) = _minimum_modulators(g, spec, budgets, g.full_mask, 1)
         return value, witness
 
-    # Depth-first over sorted tuples in lexicographic order.  alpha only
-    # grows along a branch, so a branch ends once alpha(S) is no better than
-    # the incumbent or S is a modulator; the first optimum found is the
-    # lexicographically smallest.  The search visits many subsets, so alpha
-    # comes from the dense table (n <= the modulator budget, 16 by default).
+    # Depth-first over masks S, each grown only above its highest vertex, so
+    # in lexicographic order.  alpha only grows along a branch, so a branch
+    # ends once alpha(S) is no better than the incumbent or S is a modulator;
+    # the first optimum found is the lexicographically smallest.  Many sets
+    # are visited, so alpha comes from the dense table (n <= the modulator budget).
     alpha = alpha_table(g.adj)
     good = predicate(spec.rho, spec.c)
     full = g.full_mask
-    best, witness = g.n + 1, ()
+    best, witness = g.n + 1, 0
 
-    def search(subset: tuple[int, ...], s_mask: int):
+    def search(start: int, s_mask: int):
         nonlocal best, witness
         a = alpha[s_mask]
         if a >= best:
             return
         if good(g, full & ~s_mask, budgets):
-            best, witness = a, subset
+            best, witness = a, s_mask
             return
-        for v in range(subset[-1] + 1 if subset else 0, g.n):
-            search(subset + (v,), s_mask | 1 << v)
+        for v in range(start, g.n):
+            search(v + 1, s_mask | 1 << v)
 
-    search((), 0)
-    return best, witness
+    search(0, 0)
+    return best, tuple(bits(witness))
 
 
 # ---------------------------------------------------------------------------

@@ -178,14 +178,14 @@ def subset_dp_reference(g: Graph, kind: CostKind, bag) -> tuple[int, list[int], 
     return f[full], order, bags
 
 
-def pw_at_most_reference(g: Graph, kind: CostKind, k: int) -> bool:
+def pw_at_most_reference(g: Graph, kind: CostKind, k: int, trace: list | None = None) -> bool:
     """lambda-pw(g) <= k by the prefix search with one bag-cost call per
     (state, vertex): the form the package's decision search must agree
     with.
 
     A vertex whose whole neighbourhood is placed is taken greedily whenever
     its bag fits; otherwise every unplaced vertex whose bag fits is a
-    branch.
+    branch.  Each pushed placed set is appended to ``trace`` when given.
     """
     n = g.n
     if n == 0:
@@ -212,6 +212,8 @@ def pw_at_most_reference(g: Graph, kind: CostKind, k: int) -> bool:
             if t not in seen:
                 seen.add(t)
                 stack.append((t, boundary_bag(adj, t, 0)))
+                if trace is not None:
+                    trace.append(t)
             continue
         candidates = []
         for v in bits(rest):
@@ -224,6 +226,8 @@ def pw_at_most_reference(g: Graph, kind: CostKind, k: int) -> bool:
         for _, low, t in candidates:
             seen.add(t)
             stack.append((t, boundary_bag(adj, t, 0)))
+            if trace is not None:
+                trace.append(t)
     return False
 
 

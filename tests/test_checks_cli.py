@@ -4,6 +4,7 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -142,6 +143,62 @@ def test_run_check_jsonl_log(tmp_path):
     lines = [json.loads(line) for line in log.read_text().splitlines()]
     assert len(lines) == report.instances_tested == 5
     assert all(line["ok"] for line in lines)
+
+
+def test_cli_unwritable_log_fails_before_evaluation(tmp_path, monkeypatch, capsys):
+    from widthlab import checks
+    from widthlab.cli import main
+
+    evaluated = []
+    monkeypatch.setattr(checks, "_eval_one", evaluated.append)
+    log = tmp_path / "missing" / "x.jsonl"
+    assert main(["verify", "td-path-formula", "--max-n", "3", "--log", str(log)]) == 2
+    assert evaluated == []
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: cannot write log {log}: ")
+    assert "Traceback" not in err
+
+
+class _ClosedPipe(io.StringIO):
+    """A standard output whose reader has gone away."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize(
+    "argv, status",
+    [
+        (["list-checks"], 0),
+        (["verify", "td-path-formula", "--max-n", "3"], 0),
+        (["verify", "modulator-slack", "--rho", "delta", "--c", "0", "--family", "stars:2-8"], 1),
+        (["construct", "net", "--iterate", "2"], 0),
+    ],
+)
+def test_cli_closed_stdout_returns_the_command_status(argv, status, capsys, monkeypatch):
+    # capsys comes first, so monkeypatch hands stdout back to it before it
+    # restores the real one.
+    from widthlab.cli import main
+
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    assert main(argv) == status
+    assert capsys.readouterr().err == ""
+
+
+def test_cli_closed_pipe_in_a_process_prints_no_traceback():
+    # A pipe whose read end is already closed: every write fails with EPIPE.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "widthlab.cli", "list-checks"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (0, "")
 
 
 def test_cli_param(tmp_path):

@@ -467,35 +467,72 @@ def test_decision_pairs_match_exact_on_substitutions():
             assert at_most(h, ALPHA, v) and not at_most(h, ALPHA, v - 1), (g.adj, sub_kind)
 
 
+def _seeded_graphs():
+    """150 seeded random graphs on 1 to 11 vertices."""
+    for seed in range(150):
+        rng = random.Random(seed)
+        yield random_graph(rng.randint(1, 11), rng.uniform(0.1, 0.8), 9000 + seed)
+
+
+def _substitution_bases():
+    """Three random graphs each on 5 and 6 vertices, whose substitutions
+    have 13 to 22 vertices."""
+    for n in (5, 6):
+        for i in range(3):
+            yield random_graph(n, 0.5, DEFAULT_SUITE.default_seed + 100 * n + i)
+
+
 def test_decision_forms_match_reference_at_every_k():
     # The forms read one bag cost per state; the references read one per
     # (state, vertex).  Every k from -1 to n + 1, both kinds.
-    for seed in range(150):
-        rng = random.Random(seed)
-        n = rng.randint(1, 11)
-        g = random_graph(n, rng.uniform(0.1, 0.8), 9000 + seed)
+    for g in _seeded_graphs():
         for kind in BOTH:
-            for k in range(-1, n + 2):
+            for k in range(-1, g.n + 2):
                 assert lambda_pw_at_most(g, kind, k) == pw_at_most_reference(g, kind, k)
                 assert lambda_td_at_most(g, kind, k) == td_at_most_reference(g, kind, k)
+
+
+def test_pw_decision_form_pushes_the_reference_states_in_order(monkeypatch):
+    # Every push grows one boundary, so wrapping _grow_boundary records the
+    # placed sets the form pushes; they and their order match the
+    # reference's at every k from -1 to n + 1, both kinds.
+    pushed = []
+    grow = widths._grow_boundary
+
+    def recording(closed, b, s, low):
+        pushed.append(s)
+        return grow(closed, b, s, low)
+
+    monkeypatch.setattr(widths, "_grow_boundary", recording)
+    graphs = list(_seeded_graphs())
+    graphs += [
+        substitute(g, sub_kind)
+        for g in _substitution_bases()
+        for sub_kind in (SubstitutionKind.S_CLAW, SubstitutionKind.NET)
+    ]
+    for g in graphs:
+        for kind in BOTH:
+            for k in range(-1, g.n + 2):
+                pushed.clear()
+                expected = []
+                assert lambda_pw_at_most(g, kind, k) == pw_at_most_reference(g, kind, k, expected)
+                assert pushed == expected, (g.adj, kind, k)
 
 
 def test_decision_pairs_match_reference_past_exact_budget():
     # The s-claw and net substitutions of 5- and 6-vertex graphs have 18 to
     # 22 vertices, past width_exact; v = lambda(G) + 1 is settled by the
     # pair at v - 1 and v, and each answer matches the reference.
-    for n in (5, 6):
-        for i in range(3):
-            g = random_graph(n, 0.5, DEFAULT_SUITE.default_seed + 100 * n + i)
-            for sub_kind, exact, at_most, reference in (
-                (SubstitutionKind.S_CLAW, lambda_pathwidth, lambda_pw_at_most, pw_at_most_reference),
-                (SubstitutionKind.NET, lambda_pathwidth, lambda_pw_at_most, pw_at_most_reference),
-                (SubstitutionKind.P5, lambda_treedepth, lambda_td_at_most, td_at_most_reference),
-            ):
-                h = substitute(g, sub_kind)
-                v = exact(g, ALPHA).value + 1
-                for k, expected in ((v - 1, False), (v, True)):
-                    assert at_most(h, ALPHA, k) == reference(h, ALPHA, k) == expected, (g.adj, sub_kind)
+    for g in _substitution_bases():
+        for sub_kind, exact, at_most, reference in (
+            (SubstitutionKind.S_CLAW, lambda_pathwidth, lambda_pw_at_most, pw_at_most_reference),
+            (SubstitutionKind.NET, lambda_pathwidth, lambda_pw_at_most, pw_at_most_reference),
+            (SubstitutionKind.P5, lambda_treedepth, lambda_td_at_most, td_at_most_reference),
+        ):
+            h = substitute(g, sub_kind)
+            v = exact(g, ALPHA).value + 1
+            for k, expected in ((v - 1, False), (v, True)):
+                assert at_most(h, ALPHA, k) == reference(h, ALPHA, k) == expected, (g.adj, sub_kind)
 
 
 def test_budgets_are_enforced():
