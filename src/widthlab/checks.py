@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import random
 import time
-from contextlib import nullcontext
 from functools import lru_cache
 from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
@@ -155,9 +154,9 @@ def _sclaw_instances(params: dict, budgets: Budgets) -> list[dict]:
         check_enumeration(n)  # an enumeration range error is reported first
         if params["random_count"]:
             n = max(n, params["random_n"])
-    order = {kind: substitution_order(n, kind) for kind in SubstitutionKind}
-    check_budget("lambda_pw_at_most", order[SubstitutionKind.S_CLAW], budgets.pw_decision)
-    check_budget("lambda_td_at_most", order[SubstitutionKind.P5], budgets.td_decision)
+    sclaw, p5 = SubstitutionKind.S_CLAW, SubstitutionKind.P5
+    check_budget("lambda_pw_at_most", substitution_order(n, sclaw), budgets.pw_decision)
+    check_budget("lambda_td_at_most", substitution_order(n, p5), budgets.td_decision)
     out = _per_graph(params, budgets)
     if "graphs" not in params:
         seed = params["seed"]
@@ -754,18 +753,26 @@ def run_check(
     if not instances:
         raise ValueError(f"check {spec.name!r} has no instances at {spec.params}")
     tasks = [(spec.name, inst, params, budgets) for inst in instances]
-    try:  # an unwritable log fails before any instance is evaluated
-        log = open(log_path, "w") if log_path else nullcontext()
-    except OSError as exc:
-        raise ValueError(f"cannot write log {log_path}: {exc}") from None
-    with log as fh:
-        if jobs > 1 and len(tasks) > 1:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                details = list(pool.map(_eval_one, tasks, chunksize=8))
-        else:
-            details = [_eval_one(t) for t in tasks]
-        elapsed_ms = int((time.perf_counter() - start) * 1000)
-        if fh is not None:
+    if log_path:  # an unwritable log fails before any instance is evaluated
+        try:
+            open(log_path, "a").close()  # append: an earlier log stays until the rows are written
+        except OSError as exc:
+            raise ValueError(f"cannot write log {log_path}: {exc}") from None
+    if jobs > 1 and len(tasks) > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            details = list(pool.map(_eval_one, tasks, chunksize=8))
+    else:
+        details = [_eval_one(t) for t in tasks]
+    failures = [
+        (_instance_id(inst), detail)
+        for inst, detail in zip(instances, details)
+        if detail is not None
+    ]
+    elapsed_ms = int((time.perf_counter() - start) * 1000)
+    meta = check.meta(params, budgets) if check.meta else {}
+    report = CheckReport(spec.name, len(instances), failures, elapsed_ms, meta)
+    if log_path:
+        with open(log_path, "w") as fh:
             for idx, (inst, detail) in enumerate(zip(instances, details)):
                 row = {
                     "check": spec.name,
@@ -775,10 +782,4 @@ def run_check(
                     "detail": detail,
                 }
                 fh.write(json.dumps(row, sort_keys=True) + "\n")
-    failures = [
-        (_instance_id(inst), detail)
-        for inst, detail in zip(instances, details)
-        if detail is not None
-    ]
-    meta = check.meta(params, budgets) if check.meta else {}
-    return CheckReport(spec.name, len(instances), failures, elapsed_ms, meta)
+    return report

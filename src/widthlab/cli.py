@@ -46,8 +46,7 @@ def _read_graph(args) -> Graph:
 
 
 def _write(text: str) -> None:
-    # Once the reader has closed stdout (``| head``), the rest goes to
-    # devnull: the command returns its own status, with no traceback.
+    # Once the reader closes stdout (``| head``), the rest goes to devnull.
     try:
         sys.stdout.write(text)
         sys.stdout.flush()

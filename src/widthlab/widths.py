@@ -27,9 +27,8 @@ Algorithms (all exact for monotone bag costs):
   1 + alpha(B - N(v))).  B lies inside the bag that admitted the prefix, so
   cost(B) <= k, and the search reads cost(B) once per state: below k every
   vertex fits, at k only (under alpha) a v with alpha(B - N(v)) < k.  One
-  pass, lowest first, lists the vertices that fit; the first finished one
-  (no unplaced neighbour) ends it as the only branch.  The treedepth
-  decision form does the same with B the ancestor set.
+  lowest-first pass per state; the first fitting vertex with no unplaced
+  neighbour is the only branch.  The treedepth form takes B = the ancestors.
 * treedepth under cardinality: one pass over all 2^n subsets in numeric
   order (the O*(2^n) baseline of Fomin, Giannopoulou & Pilipczuk,
   "Computing tree-depth faster than 2^n", Algorithmica 2015).  A
@@ -499,7 +498,7 @@ def lambda_td_at_most(
             subs = components(adj, comp ^ low)
             largest = max((c.bit_count() for c in subs), default=0)
             ranked.append((largest, low, subs))
-        # Kept eager: lazy lowest-first roots took S_3, card, k = 5, 6 from 0.008 to 1.56 s.
+        # Kept eager: lazy lowest-first roots were 100x slower (BENCH_22.json).
         ranked.sort()  # the distinct masks low break every tie
         ok = any(all(feasible(sub, above | low) for sub in subs) for _, low, subs in ranked)
         memo[key] = ok
@@ -520,8 +519,11 @@ def degeneracy(g: Graph, kind: CostKind) -> WidthResult:
     order = []
     value = 0
     while remaining:
-        # The cheapest neighbourhood, the lowest vertex among equals.
-        best_c, best_v = min((bag_cost(adj[v] & remaining), v) for v in bits(remaining))
+        best_v, best_c = -1, None
+        for v in bits(remaining):
+            c = bag_cost(adj[v] & remaining & ~(1 << v))
+            if best_c is None or c < best_c:
+                best_v, best_c = v, c
         value = max(value, best_c)
         order.append(best_v)
         remaining &= ~(1 << best_v)

@@ -159,6 +159,20 @@ def test_cli_unwritable_log_fails_before_evaluation(tmp_path, monkeypatch, capsy
     assert "Traceback" not in err
 
 
+
+def test_run_check_keeps_an_earlier_log_when_a_run_stops(tmp_path, monkeypatch):
+    from widthlab import checks
+
+    def stopped(task):
+        raise RuntimeError("stopped")
+
+    log = tmp_path / "out.jsonl"
+    log.write_text("earlier\n")
+    monkeypatch.setattr(checks, "_eval_one", stopped)
+    with pytest.raises(RuntimeError, match="stopped"):
+        run_check(CheckSpec("td-path-formula", {"max_n": 3}), log_path=str(log))
+    assert log.read_text() == "earlier\n"
+
 class _ClosedPipe(io.StringIO):
     """A standard output whose reader has gone away."""
 
