@@ -41,8 +41,8 @@ from .modulators import (
     PARAMETERS,
     ModulatorSpec,
     binding_f,
+    check_modulator_budget,
     check_modulator_minimality,
-    check_modulator_slack,
     empirical_h,
     parameter,
     predicate,
@@ -131,8 +131,22 @@ def _per_graph(params: dict, budgets: Budgets) -> list[dict]:
     return [{"g6": g6} for g6 in _graph_family(params)]
 
 
-def _per_order(params: dict, budgets: Budgets) -> list[dict]:
+def _td_path_instances(params: dict, budgets: Budgets) -> list[dict]:
+    """P_1 .. P_max_n; P_max_n must fit the td decision form."""
+    check_budget("lambda_td_at_most", params["max_n"], budgets.td_decision)
     return [{"n": n} for n in range(1, params["max_n"] + 1)]
+
+
+def _nk2_knn_instances(params: dict, budgets: Budgets) -> list[dict]:
+    """n = 1 .. max_n; K_{max_n,max_n} must fit the cover solvers."""
+    check_budget("vertex_cover_number", 2 * params["max_n"], budgets.cover_solvers)
+    return [{"n": n} for n in range(1, params["max_n"] + 1)]
+
+
+def _star_instances(params: dict, budgets: Budgets) -> list[dict]:
+    """K_1,q for q = q_min .. q_max; K_1,q_max must fit the modulator search."""
+    check_modulator_budget("modulator_number", params["q_max"] + 1, budgets)
+    return [{"q": q} for q in range(params["q_min"], params["q_max"] + 1)]
 
 
 def _ramsey_instances(params: dict, budgets: Budgets) -> list[dict]:
@@ -211,6 +225,9 @@ def _mwis_instances(params: dict, budgets: Budgets) -> list[dict]:
 
 
 def _alpha_chi_instances(params: dict, budgets: Budgets) -> list[dict]:
+    """K_1 .. K_max_s, 2K2 and 3K3, the largest of which must fit
+    ``alpha_chromatic``."""
+    check_budget("alpha_chromatic", max(params["max_s"], 9), budgets.alpha_chromatic)
     out = [{"graph": f"K{s}", "expect": 1} for s in range(1, params["max_s"] + 1)]
     out.append({"graph": "2K2", "expect": 2})
     out.append({"graph": "3K3", "expect_at_least": 3})
@@ -324,12 +341,13 @@ def _eval_ramsey_binding(inst, params, budgets) -> str | None:
     return None
 
 
-def _decide_value(h, at_most, value, shown, label, budgets) -> str | None:
-    """Settle lambda(h) == value under ALPHA by the decision pair at value - 1
-    and value; ``shown`` is how the failure text writes the expected value."""
-    if at_most(h, ALPHA, value - 1, budgets):
+def _decide_value(h, at_most, kind, value, shown, label, budgets) -> str | None:
+    """Settle lambda(h) == value under ``kind`` by the decision pair at
+    value - 1 and value; ``shown`` is how the failure text writes the
+    expected value."""
+    if at_most(h, kind, value - 1, budgets):
         return f"{label} <= {value - 1}, expected {shown}"
-    if not at_most(h, ALPHA, value, budgets):
+    if not at_most(h, kind, value, budgets):
         return f"{label} > {shown}, expected {shown}"
     return None
 
@@ -346,7 +364,8 @@ def _eval_sclaw(inst, params, budgets) -> str | None:
         (SubstitutionKind.P5, atd, lambda_td_at_most, "alpha-td(p5(G))"),
         (SubstitutionKind.NET, apw, lambda_pw_at_most, "alpha-pw(net(G))"),
     ):
-        detail = _decide_value(substitute(g, kind), at_most, k + 1, f"{k}+1", label, budgets)
+        h = substitute(g, kind)
+        detail = _decide_value(h, at_most, ALPHA, k + 1, f"{k}+1", label, budgets)
         if detail:
             return detail
     return None
@@ -389,7 +408,8 @@ def _eval_gamma(inst, params, budgets) -> str | None:
         if not lambda_td_at_most(g, CARD, 2 * omega, budgets):
             return f"td(S_{index}) > 2*omega = {2 * omega}"
     if g.n <= budgets.pw_decision:
-        return _decide_value(g, lambda_pw_at_most, index, index, f"alpha-pw(S_{index})", budgets)
+        label = f"alpha-pw(S_{index})"
+        return _decide_value(g, lambda_pw_at_most, ALPHA, index, index, label, budgets)
     return None
 
 
@@ -495,13 +515,12 @@ def _eval_delta_not_inheritable(inst, params, budgets) -> str | None:
     q = inst["q"]
     g = star(q)
     spec = ModulatorSpec("delta", 0)
-    violation = check_modulator_slack(g, spec, CARD, budgets)
-    if violation is None:
-        delta = parameter("delta")(g, budgets)[0]
-        mu = modulators.modulator_number(g, spec, CARD, budgets)[0]
+    delta = parameter("delta")(g, budgets)[0]
+    modulator = modulators.modulator_number(g, spec, CARD, budgets)
+    if slack_failure(spec, CARD, delta, modulator) is None:
         return (
             f"K_1,{q}: slack Delta <= mu[delta:0] + 0 unexpectedly holds "
-            f"(Delta={delta}, mu={mu})"
+            f"(Delta={delta}, mu={modulator[0]})"
         )
     return None
 
@@ -509,17 +528,8 @@ def _eval_delta_not_inheritable(inst, params, budgets) -> str | None:
 def _eval_td_path(inst, params, budgets) -> str | None:
     """td(P_n) = ceil(log2(n+1))."""
     n = inst["n"]
-    g = path_graph(n)
-    expected = n.bit_length()  # ceil(log2(n+1)) for n >= 1
-    if g.n <= budgets.width_exact:
-        got = parameter("td")(g, budgets)[0]
-    else:
-        got = 1
-        while not lambda_td_at_most(g, CARD, got, budgets):
-            got += 1
-    if got != expected:
-        return f"td(P_{n}) = {got}, expected {expected}"
-    return None
+    k = n.bit_length()  # ceil(log2(n+1)) for n >= 1
+    return _decide_value(path_graph(n), lambda_td_at_most, CARD, k, k, f"td(P_{n})", budgets)
 
 
 def _eval_nk2_knn(inst, params, budgets) -> str | None:
@@ -675,11 +685,15 @@ CHECKS: dict[str, Check] = {
     ),
     "delta-not-inheritable": Check(
         lambda s: {"q_min": s.delta_star_min, "q_max": s.delta_star_max},
-        lambda p, budgets: [{"q": q} for q in range(p["q_min"], p["q_max"] + 1)],
+        _star_instances,
         _eval_delta_not_inheritable,
     ),
-    "td-path-formula": Check(lambda s: {"max_n": s.td_path_max_n}, _per_order, _eval_td_path),
-    "nk2-knn-witness": Check(lambda s: {"max_n": s.nk2_knn_max_n}, _per_order, _eval_nk2_knn),
+    "td-path-formula": Check(
+        lambda s: {"max_n": s.td_path_max_n}, _td_path_instances, _eval_td_path
+    ),
+    "nk2-knn-witness": Check(
+        lambda s: {"max_n": s.nk2_knn_max_n}, _nk2_knn_instances, _eval_nk2_knn
+    ),
     "alpha-chi-nkn": Check(
         lambda s: {"max_s": s.alpha_chi_max_s}, _alpha_chi_instances, _eval_alpha_chi
     ),

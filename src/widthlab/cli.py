@@ -241,7 +241,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("construct", help="emit constructed graphs")
-    p.add_argument("kind", choices=["s-claw", "p5", "net", "gamma", "subdivided-claw"])
+    kinds = [kind.value for kind in SubstitutionKind] + ["gamma", "subdivided-claw"]
+    p.add_argument("kind", choices=kinds)
     p.add_argument("--iterate", type=int, default=1, help="substitution count from K1")
     p.add_argument("--n", type=int, default=1, help="gamma family index")
     p.add_argument("--format", default="graph6", choices=list(FORMATS))

@@ -16,11 +16,12 @@ from dataclasses import dataclass
 class Budgets:
     """Hard instance-size limits for the exact solvers."""
 
-    width_exact: int = 16  # the exact tw, pw and td solvers, either kind
+    # The exact tw, pw and td solvers under either kind, and the modulator
+    # searches, whose every mask then fits the exact kernels.
+    width_exact: int = 16
     pw_decision: int = 25
     td_decision: int = 30
     alpha_chromatic: int = 9
-    modulator: int = 16
     cover_solvers: int = 30  # vc / fvs / oct branch and bound
     mwis_exact: int = 30
     oct_alpha: int = 20

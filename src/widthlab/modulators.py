@@ -105,8 +105,10 @@ def predicate(rho: str, c: int) -> Good:
     (tw), a forest of caterpillars (pw), a star forest (td), bipartite
     (chi).  Above c = 2, omega runs the clique search on the mask and the
     rest build the induced subgraph: pw asks its decision form, td reads
-    the exact table up to ``budgets.width_exact`` vertices and the decision
-    form past it, tw runs the exact subset DP and chi the colouring search.
+    the exact table, tw runs the exact subset DP and chi the colouring
+    search.  The modulator searches stay within ``budgets.width_exact``
+    vertices, so only ``rho_at_most`` on a larger graph sends td to its
+    decision form.
     """
     if rho not in RHO_NAMES:
         raise ValueError(f"unknown target parameter {rho!r}")
@@ -209,23 +211,25 @@ def _fallback(rho: str, c: int, g: Graph, mask: int, budgets: Budgets) -> bool:
 # Generic modulator solver
 
 
-def _minimum_modulators(
-    g: Graph, spec: ModulatorSpec, budgets: Budgets, within: int, cap: int
-) -> tuple[int, list[tuple[int, ...]]]:
-    """The least size of a (rho, c)-modulator of G[within], and the first
-    ``cap`` modulators of that size, in lexicographic order."""
+def _least_modulators(g: Graph, spec: ModulatorSpec, budgets: Budgets, within: int):
+    """The (rho, c)-modulators of G[within] of the least size, lazily and in
+    lexicographic order; S = within is always one, so there is a first."""
     good = predicate(spec.rho, spec.c)
     vertices = tuple(bits(within))
     for k in range(len(vertices) + 1):
-        found = []
+        found = False
         for combo in combinations(vertices, k):
             if good(g, within & ~mask_of(combo), budgets):
-                found.append(combo)
-                if len(found) >= cap:
-                    break
+                found = True
+                yield combo
         if found:
-            return k, found
-    raise AssertionError("S = within is always a modulator")
+            return
+
+
+def check_modulator_budget(op: str, n: int, budgets: Budgets) -> None:
+    """The modulator searches' guard: on at most ``width_exact`` vertices
+    every mask they test fits the exact width kernels."""
+    check_budget(op, n, budgets.width_exact)
 
 
 def modulator_number(
@@ -239,16 +243,16 @@ def modulator_number(
     Returns (value, witness), the witness lexicographically smallest among
     the optima.  Every graph has at least the trivial modulator S = V.
     """
-    check_budget("modulator_number", g.n, budgets.modulator)
+    check_modulator_budget("modulator_number", g.n, budgets)
     if kind is CostKind.CARDINALITY:
-        value, (witness,) = _minimum_modulators(g, spec, budgets, g.full_mask, 1)
-        return value, witness
+        witness = next(_least_modulators(g, spec, budgets, g.full_mask))
+        return len(witness), witness
 
     # Depth-first over masks S, each grown only above its highest vertex, so
     # in lexicographic order.  alpha only grows along a branch, so a branch
     # ends once alpha(S) is no better than the incumbent or S is a modulator;
     # the first optimum found is the lexicographically smallest.  Many sets
-    # are visited, so alpha comes from the dense table (n <= the modulator budget).
+    # are visited, so alpha comes from the dense table (n <= width_exact).
     alpha = alpha_table(g.adj)
     good = predicate(spec.rho, spec.c)
     full = g.full_mask
@@ -429,15 +433,11 @@ def ramsey_property_check(n: int, a: int, b: int) -> bool:
 # Per-graph lemma checks
 
 
-def minimum_modulators(
-    g: Graph,
-    spec: ModulatorSpec,
-    budgets: Budgets = DEFAULT_BUDGETS,
-    cap: int = 100_000,
-):
+def minimum_modulators(g: Graph, spec: ModulatorSpec, budgets: Budgets = DEFAULT_BUDGETS):
     """All minimum-cardinality (rho, c)-modulators, lexicographic order."""
-    check_budget("minimum_modulators", g.n, budgets.modulator)
-    return _minimum_modulators(g, spec, budgets, g.full_mask, cap)
+    check_modulator_budget("minimum_modulators", g.n, budgets)
+    found = list(_least_modulators(g, spec, budgets, g.full_mask))
+    return len(found[0]), found
 
 
 def check_modulator_minimality(
@@ -458,24 +458,13 @@ def check_modulator_minimality(
             if i_mask.bit_count() < size_i:
                 continue
             keep = (g.full_mask & ~s_mask) | i_mask
-            inner, _ = _minimum_modulators(g, spec, budgets, keep, 1)
+            inner = len(next(_least_modulators(g, spec, budgets, keep)))
             if inner < size_i:
                 return (
                     f"S={sorted(s)} I={sorted(bits(i_mask))}: "
                     f"mu({spec}) of exchanged graph is {inner} < |I|={size_i}"
                 )
     return None
-
-
-def check_modulator_slack(
-    g: Graph,
-    spec: ModulatorSpec,
-    kind: CostKind,
-    budgets: Budgets = DEFAULT_BUDGETS,
-) -> str | None:
-    """lambda-rho(G) <= lambda-mu_{rho,c}(G) + c; None when it holds."""
-    lhs = parameter(spec.rho, kind)(g, budgets)[0]
-    return slack_failure(spec, kind, lhs, modulator_number(g, spec, kind, budgets))
 
 
 def slack_failure(

@@ -403,6 +403,68 @@ def test_cli_over_budget_sclaw_increment_fails_fast(tmp_path, monkeypatch, capsy
     assert calls == []
 
 
+@pytest.mark.parametrize(
+    "check, argv, config, line",
+    [
+        ("td-path-formula", ["--max-n", "31"], None, "lambda_td_at_most: n=31 exceeds budget 30"),
+        ("nk2-knn-witness", ["--max-n", "16"], None, "vertex_cover_number: n=32 exceeds budget 30"),
+        (
+            "delta-not-inheritable",
+            [],
+            {"suite": {"delta_star_max": 16}},
+            "modulator_number: n=17 exceeds budget 16",
+        ),
+        (
+            "alpha-chi-nkn",
+            [],
+            {"suite": {"alpha_chi_max_s": 12}},
+            "alpha_chromatic: n=12 exceeds budget 9",
+        ),
+        # 3K3, on 9 vertices, is the family's largest member at the default max_s.
+        (
+            "alpha-chi-nkn",
+            [],
+            {"budgets": {"alpha_chromatic": 8}},
+            "alpha_chromatic: n=9 exceeds budget 8",
+        ),
+    ],
+)
+def test_cli_over_budget_per_order_checks_fail_fast(
+    tmp_path, monkeypatch, capsys, check, argv, config, line
+):
+    # The largest member of the family is held to its budget before any
+    # instance is evaluated.
+    import dataclasses
+
+    import widthlab.checks
+    from widthlab.cli import main
+
+    def never(*args):
+        raise AssertionError("evaluated an instance")
+
+    registered = widthlab.checks.CHECKS[check]
+    monkeypatch.setitem(widthlab.checks.CHECKS, check, dataclasses.replace(registered, evaluate=never))
+    if config is not None:
+        path = tmp_path / "settings.json"
+        path.write_text(json.dumps(config))
+        argv = [*argv, "--config", str(path)]
+    assert main(["verify", check, *argv]) == 2
+    assert capsys.readouterr() == ("", f"error: {line}\n")
+
+
+def test_td_path_formula_names_the_failing_side_of_the_pair(monkeypatch):
+    # A td decision form that answers "<= k" exactly for k >= 2 puts P_1
+    # above its value and P_4 at or below one less than its value.
+    import widthlab.checks
+
+    monkeypatch.setattr(widthlab.checks, "lambda_td_at_most", lambda g, kind, k, budgets: k >= 2)
+    report = run_check(CheckSpec("td-path-formula", {"max_n": 4}))
+    assert report.failures == [
+        ('{"n": 1}', "td(P_1) > 1, expected 1"),
+        ('{"n": 4}', "td(P_4) <= 2, expected 3"),
+    ]
+
+
 def test_cli_construct():
     code, out, _ = run_cli("construct", "s-claw", "--iterate", "2")
     assert code == 0
@@ -683,6 +745,7 @@ def test_cli_construct_zero_iterations_is_k1(capsys):
         '{"suite": {"td_path_max_n": "4"}}',
         '{"budgets": {"width_exact": "x"}}',
         '{"budgets": {"width_exact": true}}',
+        '{"budgets": {"modulator": 16}}',
     ],
     ids=[
         "missing",
@@ -692,6 +755,7 @@ def test_cli_construct_zero_iterations_is_k1(capsys):
         "string-suite",
         "string-budget",
         "bool-budget",
+        "replaced-budget",
     ],
 )
 def test_cli_bad_config_exits_2(tmp_path, capsys, content):

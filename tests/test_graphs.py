@@ -268,8 +268,8 @@ GUARDED = [
     ("lambda_treedepth", "width_exact", lambda g, b: lambda_treedepth(g, CARD, b)),
     ("lambda_td_at_most", "td_decision", lambda g, b: lambda_td_at_most(g, CARD, 1, b)),
     ("alpha_chromatic", "alpha_chromatic", alpha_chromatic),
-    ("modulator_number", "modulator", lambda g, b: modulator_number(g, TW1, ALPHA, b)),
-    ("minimum_modulators", "modulator", lambda g, b: minimum_modulators(g, TW1, b)),
+    ("modulator_number", "width_exact", lambda g, b: modulator_number(g, TW1, ALPHA, b)),
+    ("minimum_modulators", "width_exact", lambda g, b: minimum_modulators(g, TW1, b)),
     ("vertex_cover_number", "cover_solvers", vertex_cover_number),
     ("feedback_vertex_number", "cover_solvers", feedback_vertex_number),
     ("oct_number", "cover_solvers", oct_number),

@@ -40,7 +40,6 @@ from widthlab.modulators import (
     ModulatorSpec,
     binding_f,
     check_modulator_minimality,
-    check_modulator_slack,
     feedback_vertex_number,
     minimum_modulators,
     modulator_number,
@@ -50,6 +49,7 @@ from widthlab.modulators import (
     ramsey_property_check,
     ramsey_upper,
     rho_at_most,
+    slack_failure,
     vertex_cover_number,
 )
 from widthlab.mwis import WeightedGraph, mwis_exact
@@ -197,17 +197,22 @@ def test_check_modulator_minimality():
     assert check_modulator_minimality(Graph(3, (0, 0, 0)), ModulatorSpec("tw", 1)) is None
 
 
+def _slack(g: Graph, spec: ModulatorSpec, kind: CostKind) -> str | None:
+    lhs = parameter(spec.rho, kind)(g, DEFAULT_BUDGETS)[0]
+    return slack_failure(spec, kind, lhs, modulator_number(g, spec, kind))
+
+
 def test_check_modulator_slack_known():
-    assert check_modulator_slack(cycle_graph(5), ModulatorSpec("tw", 2), ALPHA) is None
-    assert check_modulator_slack(complete_graph(4), ModulatorSpec("tw", 1), CARD) is None
-    assert check_modulator_slack(path_graph(4), ModulatorSpec("td", 1), CARD) is None
+    assert _slack(cycle_graph(5), ModulatorSpec("tw", 2), ALPHA) is None
+    assert _slack(complete_graph(4), ModulatorSpec("tw", 1), CARD) is None
+    assert _slack(path_graph(4), ModulatorSpec("td", 1), CARD) is None
 
 
 def test_slack_fails_for_max_degree_on_stars():
     # The paper's non-inheritability witness: stars have mu_{delta,0} = 1
     # but unbounded maximum degree.
     for q in range(2, 9):
-        detail = check_modulator_slack(star(q), ModulatorSpec("delta", 0), CARD)
+        detail = _slack(star(q), ModulatorSpec("delta", 0), CARD)
         assert detail is not None
 
 
@@ -287,6 +292,11 @@ def test_td_fallback_reads_table_within_td_exact():
             assert rho_at_most(g, "td", c) == (value <= c), (g.adj, c)
     # The decision pair at td = 9 is pinned in test_widths.
     assert rho_at_most(g, "td", value) and not rho_at_most(g, "td", value - 1)
+    # Past width_exact only the decision form answers: td(P_n) is the bit
+    # length of n.
+    for n in range(DEFAULT_BUDGETS.width_exact + 1, 21):
+        for c in range(3, 7):
+            assert rho_at_most(path_graph(n), "td", c) == (n.bit_length() <= c), (n, c)
 
 
 def test_lambda_rho_dispatch(zoo):
