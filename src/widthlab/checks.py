@@ -30,6 +30,7 @@ from .graphs import (
     copies,
     enumerate_graphs,
     mask_of,
+    named_graph,
     path_graph,
     random_graph,
     random_permutation,
@@ -547,8 +548,6 @@ def _eval_nk2_knn(inst, params, budgets) -> str | None:
 
 def _eval_alpha_chi(inst, params, budgets) -> str | None:
     """alpha-chi(K_s) = 1, alpha-chi(2K2) = 2, alpha-chi(3K3) >= 3."""
-    from .graphs import named_graph
-
     g = named_graph(inst["graph"])
     value = parameter("chi", ALPHA)(g, budgets)[0]
     if "expect" in inst and value != inst["expect"]:

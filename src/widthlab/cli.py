@@ -20,8 +20,8 @@ from .checks import CHECK_NAMES, CheckSpec, default_params, graphs_upto, run_che
 from .config import DEFAULT_BUDGETS, DEFAULT_SUITE, load_config
 from .constructions import SubstitutionKind, gamma_family, subdivided_claw, substitute
 from .decomp import CostKind
-from .formats import FORMATS, FormatError, emit, parse
-from .graphs import BudgetExceededError, Graph, named_graph
+from .formats import FORMATS, FormatError, emit, parse, to_graph6
+from .graphs import BudgetExceededError, Graph, enumerate_graphs, named_graph, random_graph
 from .modulators import ALPHA, ModulatorSpec, modulator_number, parameter
 from .mwis import WeightedGraph, mwis_bipartite, mwis_exact, mwis_via_oct
 
@@ -122,9 +122,6 @@ def cmd_verify(args) -> int:
 
 
 def _resolve_family(text: str, seed: int | None) -> list[str]:
-    from .formats import to_graph6
-    from .graphs import enumerate_graphs, random_graph
-
     head, _, rest = text.partition(":")
     try:
         if head in ("all", "upto"):

@@ -135,7 +135,7 @@ class RootedForest:
         return self.root_to_leaf_sets()
 
     def to_json(self) -> dict:
-        return {"parent": [p if p is not None else None for p in self.parent]}
+        return {"parent": list(self.parent)}
 
 
 Decomposition = TreeDecomposition | PathDecomposition | RootedForest

@@ -111,6 +111,34 @@ def lex_min_witness(mask: int, value: int, opt, step) -> tuple[int, ...]:
     return tuple(chosen)
 
 
+def largest_choice(groups: list[int], fits) -> int:
+    """The most vertices that can be chosen, one or none from each group (a
+    vertex mask), with ``fits(chosen, v)`` true each time v joins the mask
+    ``chosen``.
+
+    The rule must be hereditary, so every good set is reached by taking its
+    vertices group by group.  Branch and bound: each vertex of a group is
+    tried before the group is skipped, and a branch stops once its size plus
+    the groups left is no better than the best so far.
+    """
+    best = 0
+
+    def rec(i: int, chosen: int, size: int):
+        nonlocal best
+        if size + len(groups) - i <= best:
+            return
+        if i == len(groups):
+            best = size
+            return
+        for v in bits(groups[i]):
+            if fits(chosen, v):
+                rec(i + 1, chosen | 1 << v, size + 1)
+        rec(i + 1, chosen, size)
+
+    rec(0, 0, 0)
+    return best
+
+
 def max_independent_set(g: Graph) -> tuple[int, ...]:
     """A maximum independent set; lexicographically smallest among optima."""
     alpha = SubsetAlpha(g)
@@ -193,7 +221,7 @@ def is_k_colourable(g: Graph, k: int) -> bool:
     if g.n == 0:
         return True
     if k <= 0:
-        return g.n == 0
+        return False
     return all(_colour_component(g, comp, k) for comp in g.components())
 
 
@@ -409,12 +437,13 @@ def max_matching_size(g: Graph) -> int:
         v = next(bits(mask))
         rest = mask & ~(1 << v)
         nbs = adj[v] & mask
+        # Some maximum matching covers v if it has a neighbour u: a matching
+        # that misses v matches u to some w, and swapping uw for uv keeps
+        # its size.
         if not nbs:
             value = solve(rest)
         else:
-            value = solve(rest)  # v stays unmatched
-            for u in bits(nbs):
-                value = max(value, 1 + solve(rest & ~(1 << u)))
+            value = 1 + max(solve(rest & ~(1 << u)) for u in bits(nbs))
         memo[mask] = value
         return value
 

@@ -28,6 +28,7 @@ from .invariants import (
     independence_number,
     independent_subsets,
     is_k_colourable,
+    largest_choice,
     lex_min_witness,
     local_independence_number,
     max_degree,
@@ -277,27 +278,6 @@ def modulator_number(
 # Dedicated cover-type solvers (vertex cover, FVS, OCT)
 
 
-def _max_induced(good, within: int) -> int:
-    """Largest subset F of ``within`` with good(F), by branch and bound."""
-    order = sorted(bits(within))
-    best = 0
-
-    def rec(i: int, chosen: int, size: int):
-        nonlocal best
-        if size + len(order) - i <= best:
-            return
-        if i == len(order):
-            best = max(best, size)
-            return
-        v = order[i]
-        if good(chosen | 1 << v):
-            rec(i + 1, chosen | 1 << v, size + 1)
-        rec(i + 1, chosen, size)
-
-    rec(0, 0, 0)
-    return best
-
-
 def _cover_number(g: Graph, keep, budgets: Budgets, name: str) -> tuple[int, tuple[int, ...]]:
     """n - keep(V), where keep(m) is the largest good subset of m, with the
     lexicographically smallest witness."""
@@ -317,17 +297,27 @@ def vertex_cover_number(
     return _cover_number(g, SubsetAlpha(g), budgets, "vertex_cover_number")
 
 
+def _largest_good(g: Graph, good: Good, budgets: Budgets):
+    """keep(m): the size of the largest subset F of m with good(g, F), by
+    ``largest_choice`` over the single vertices of m."""
+
+    def fits(chosen: int, v: int) -> bool:
+        return good(g, chosen | 1 << v, budgets)
+
+    return lambda m: largest_choice([1 << v for v in bits(m)], fits)
+
+
 def feedback_vertex_number(
     g: Graph, budgets: Budgets = DEFAULT_BUDGETS
 ) -> tuple[int, tuple[int, ...]]:
-    keep = partial(_max_induced, lambda f: _is_acyclic(g, f, budgets))
+    keep = _largest_good(g, _is_acyclic, budgets)
     return _cover_number(g, keep, budgets, "feedback_vertex_number")
 
 
 def oct_number(
     g: Graph, budgets: Budgets = DEFAULT_BUDGETS
 ) -> tuple[int, tuple[int, ...]]:
-    keep = partial(_max_induced, lambda f: _is_bipartite(g, f, budgets))
+    keep = _largest_good(g, _is_bipartite, budgets)
     return _cover_number(g, keep, budgets, "oct_number")
 
 

@@ -80,7 +80,7 @@ from .decomp import (
     TreeDecomposition,
 )
 from .graphs import Graph, bits, check_budget, components, reach_components, reach_table
-from .invariants import SubsetAlpha, alpha_table
+from .invariants import SubsetAlpha, alpha_table, largest_choice
 
 
 @dataclass(frozen=True)
@@ -541,6 +541,11 @@ def alpha_chromatic(g: Graph, budgets: Budgets = DEFAULT_BUDGETS) -> WidthResult
     first-occurrence order.  For any colouring, the maximum of alpha over
     rainbow sets equals the maximum size of an independent set with pairwise
     distinct colours, since independent subsets of rainbow sets are rainbow.
+    That size is ``invariants.largest_choice`` over the colour classes,
+    smallest first, with independence as the rule: one vertex or none per
+    class.  A partial colouring is dropped once its value, which only grows
+    as vertices are added, reaches the best complete one; the witness is the
+    first colouring found at the minimum.
     """
     check_budget("alpha_chromatic", g.n, budgets.alpha_chromatic)
     n = g.n
@@ -550,25 +555,8 @@ def alpha_chromatic(g: Graph, budgets: Budgets = DEFAULT_BUDGETS) -> WidthResult
     best = n + 1
     best_blocks: tuple[int, ...] = ()
 
-    def rainbow_alpha(blocks: list[int]) -> int:
-        # Max independent set using each block at most once.
-        live = sorted(blocks, key=int.bit_count)
-        top = 0
-
-        def grow(i: int, chosen: int, size: int):
-            nonlocal top
-            if size + len(live) - i <= top:
-                return
-            if i == len(live):
-                top = max(top, size)
-                return
-            grow(i + 1, chosen, size)
-            for v in bits(live[i]):
-                if not adj[v] & chosen:
-                    grow(i + 1, chosen | 1 << v, size + 1)
-
-        grow(0, 0, 0)
-        return top
+    def fits(chosen: int, v: int) -> bool:  # a rainbow set stays independent
+        return not adj[v] & chosen
 
     blocks: list[int] = []  # the colour classes of the vertices below v, none empty
 
@@ -576,7 +564,7 @@ def alpha_chromatic(g: Graph, budgets: Budgets = DEFAULT_BUDGETS) -> WidthResult
         nonlocal best, best_blocks
         if best == 1:
             return
-        value = rainbow_alpha(blocks)
+        value = largest_choice(sorted(blocks, key=int.bit_count), fits)
         if value >= best:
             return
         if v == n:

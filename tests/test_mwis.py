@@ -7,6 +7,9 @@ import pytest
 
 from oracles import brute_mwis
 
+from widthlab.checks import default_params, instances_for
+from widthlab.decomp import CostKind
+from widthlab.formats import from_graph6
 from widthlab.graphs import (
     Graph,
     complete_bipartite,
@@ -18,7 +21,7 @@ from widthlab.graphs import (
     random_graph,
 )
 from widthlab.invariants import SubsetAlpha, is_bipartite
-from widthlab.modulators import vertex_cover_number
+from widthlab.modulators import ModulatorSpec, modulator_number, vertex_cover_number
 from widthlab.mwis import (
     FlowNetwork,
     MwisResult,
@@ -151,14 +154,20 @@ def test_find_oct_attains_minimum_alpha():
     # With an unconstrained bound, the search returns a transversal whose
     # independence number equals the alpha-variant of the OCT modulator
     # number (the minimum is attained on an inclusion-minimal transversal).
-    from widthlab.decomp import CostKind
-    from widthlab.modulators import ModulatorSpec, modulator_number
-
-    for g in _graphs_upto_7():
+    # The two least-alpha OCT searches are coded independently: odd-cycle
+    # branching over a SubsetAlpha oracle here, a lexicographic DFS over the
+    # dense alpha table in modulator_number.  Past the n <= 7 enumeration
+    # they meet on the seeded random graphs (n <= 14) of the default
+    # mwis-equivalence family.
+    params = default_params("mwis-equivalence")
+    insts = [i for i in instances_for("mwis-equivalence", params) if i["mode"] == "oct"]
+    randoms = [from_graph6(i["g6"]) for i in insts[-params["random_count"]:]]
+    assert len(randoms) == 200
+    for g in _graphs_upto_7() + randoms:
         s = find_oct_with_bounded_alpha(g, g.n)
         alpha = SubsetAlpha(g)
         expected = modulator_number(g, ModulatorSpec("chi", 2), CostKind.INDEPENDENCE)[0]
-        assert alpha(mask_of(s)) == expected
+        assert alpha(mask_of(s)) == expected, g.adj
 
 
 def test_find_oct_same_for_every_admissible_k():

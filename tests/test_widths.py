@@ -340,6 +340,25 @@ def test_alpha_chromatic_matches_function_enumeration():
             assert alpha_chromatic(g).value == alpha_chromatic_by_functions(g)
 
 
+# sha256 of _alpha_chromatic_outputs(), recorded from the colouring search
+# whose rainbow bound ran its own branch and bound over the colour classes:
+# the colouring is part of the output (CLI JSON), so values and tie-breaking
+# must not change.
+ALPHA_CHI_DIGEST = "4482bb4f43439063c1a7a77ec6768297c23975d1983c61b1fcb0a5f76347fe6c"
+
+
+def _alpha_chromatic_outputs() -> str:
+    graphs = [g for n in range(8) for g in enumerate_graphs(n)]
+    graphs += [
+        random_graph(n, p, seed) for n in (8, 9) for p in (0.25, 0.5, 0.75) for seed in range(2)
+    ]
+    return "\n".join(repr(alpha_chromatic(g)) for g in graphs)
+
+
+def test_alpha_chromatic_colourings_pinned():
+    assert hashlib.sha256(_alpha_chromatic_outputs().encode()).hexdigest() == ALPHA_CHI_DIGEST
+
+
 # ---------------------------------------------------------------------------
 # Known values
 
