@@ -1,9 +1,12 @@
 """Maximum Weight Independent Set solvers.
 
 Three routes: an exact branch-and-bound oracle, the bipartite min-cut
-reduction served by a Dinic max-flow core, and the odd-cycle-transversal
-algorithm that enumerates independent sets inside an OCT of bounded
-independence number and finishes each on the remaining bipartite part.
+reduction, and the odd-cycle-transversal algorithm that enumerates
+independent sets inside an OCT of bounded independence number and finishes
+each on the remaining bipartite part.  The min cut is computed on vertex
+masks, by augmenting paths grown as bitmask layers, and its
+lexicographically smallest witness is read from the residual graph of the
+maximum flow.
 """
 
 from __future__ import annotations
@@ -47,7 +50,13 @@ class MwisResult:
 
 class FlowNetwork:
     """Integer-capacity flow network; the source takes no in-arcs and the
-    sink no out-arcs."""
+    sink no out-arcs.
+
+    No solver path uses it: the bipartite min cut runs on vertex masks in
+    ``_bipartite_value``.  It stays exported as a general max-flow core and
+    the reference of the tests, and because the traced benchmark run
+    (``perfbench/layers.py``) counts ``max_flow`` calls.
+    """
 
     def __init__(self, num_nodes: int, source: int, sink: int):
         if not (0 <= source < num_nodes and 0 <= sink < num_nodes):
@@ -156,52 +165,163 @@ def mwis_exact(wg: WeightedGraph, budgets: Budgets = DEFAULT_BUDGETS) -> MwisRes
     # smallest among such optima.
     positive = mask_of(v for v in range(g.n) if weights[v] > 0)
     total = solve(positive)
-    return MwisResult(total, lex_min_witness(positive, total, solve, _take(g, weights)))
+    witness = lex_min_witness(
+        positive, total, solve, lambda v, m: (weights[v], m & ~(g.adj[v] | 1 << v))
+    )
+    return MwisResult(total, witness)
 
 
 # ---------------------------------------------------------------------------
 # Bipartite solver via min cut
 
 
-def _bipartite_value(g: Graph, weights, colour, mask: int) -> int:
+def _bipartite_value(g: Graph, weights, colour, mask: int, witness: bool = False):
     """MWIS weight of G[mask], which ``colour`` 2-colours: its total weight
-    minus a minimum s-t cut.  Flow nodes are the vertex ids of g."""
-    total = sum(weights[v] for v in bits(mask))
-    if not any(g.adj[v] & mask for v in bits(mask)):
-        return total  # edgeless: the cut is empty
-    source, sink = g.n, g.n + 1
-    net = FlowNetwork(g.n + 2, source, sink)
+    minus a minimum s-t cut.  With ``witness`` the result is ``(weight,
+    vertices)``: the lexicographically smallest optimum with no zero-weight
+    member, the set ``lex_min_witness``'s take step would build.
+
+    The network has an arc s -> v of capacity w(v) for each left (colour 0)
+    vertex v, an arc v -> t of capacity w(v) for each right vertex v, and an
+    uncapped arc l -> r for each edge.  A source side X with a finite cut is
+    the independent set I = (X & left) | (right - X), and the cut costs
+    w(mask) - w(I).  No network object is built: ``res[v]`` is the residual
+    capacity of v's arc to s or t, ``free`` the vertices where it is
+    positive, ``flow`` the flow on each edge (l, r) and ``carried[v]`` the
+    partners of v along edges that carry flow.  Paths of one edge are
+    saturated first; then shortest augmenting paths are grown as bitmask
+    layers, a left vertex reaching every right neighbour and a right vertex
+    the left vertices whose edge to it carries flow.
+
+    The witness.  The optimal independent sets correspond one to one to the
+    minimum cuts, and by Picard and Queyranne (Math. Programming Study 13,
+    1980) these are exactly the sets X that hold s, miss t and are closed
+    under the residual arcs of a maximum flow.  So some optimum holds a
+    vertex set F exactly when some such X holds the left members of F and
+    misses the right ones.  Every such X contains ``inside``, the residual
+    closure of s and the left members of F, which is closed itself; so one
+    exists exactly when ``inside`` misses ``outside``: the right members of
+    F and the right vertices with residual capacity to t, whose arc would
+    pull t in.  The vertices of positive weight are visited lowest first,
+    and v joins F when that test still passes.  That is the test of the
+    self-reduction: it takes v when w(v) > 0 and w(v) plus the optimum of
+    the mask left after the taken vertices, v and their neighbours is the
+    weight still missing, which says that some optimum holds v and the
+    vertices taken so far (a vertex it rejected stays in its mask, but lies
+    in no such optimum).  F only grows, so both searches take the same
+    vertices.
+    """
+    adj = g.adj
+    total = left = free = touched = 0
     for v in bits(mask):
-        if colour[v] == 0:
-            net.add_arc(source, v, weights[v])
-            for u in bits(g.adj[v] & mask):
-                net.add_arc(v, u, total + 1)
-        else:
-            net.add_arc(v, sink, weights[v])
-    return total - net.max_flow()
+        total += weights[v]
+        if weights[v]:
+            free |= 1 << v
+        if not colour[v]:
+            left |= 1 << v
+            touched |= adj[v]
+    if not touched & mask:  # edgeless: the cut is empty
+        return (total, tuple(bits(free))) if witness else total
+    right = mask & ~left
+    res = list(weights)
+    flow: dict[tuple[int, int], int] = {}
+    carried = [0] * g.n
+    cut = 0
+    for l in bits(left & free):
+        for r in bits(adj[l] & right & free):
+            delta = min(res[l], res[r])
+            res[l] -= delta
+            res[r] -= delta
+            flow[l, r] = delta
+            carried[l] |= 1 << r
+            carried[r] |= 1 << l
+            cut += delta
+            if not res[r]:
+                free &= ~(1 << r)
+            if not res[l]:
+                free &= ~(1 << l)
+                break
+    while True:
+        parent: dict[int, int] = {}
+        frontier = seen = left & free
+        end = -1
+        while frontier and end < 0:
+            reached = 0
+            for v in bits(frontier):
+                step = (adj[v] & mask if left >> v & 1 else carried[v]) & ~seen
+                if step:
+                    seen |= step
+                    reached |= step
+                    for u in bits(step):
+                        parent[u] = v
+                    if step & right & free:
+                        end = (step & right & free).bit_length() - 1
+                        break
+            frontier = reached
+        if end < 0:
+            break
+        path = [end]  # right, left, right, ..., left: the path read backwards
+        while path[-1] in parent:
+            path.append(parent[path[-1]])
+        # Each (l, r, sign): +1 runs forward along edge lr, -1 back along it.
+        edges = [
+            (path[i], path[i - 1], 1) if i % 2 else (path[i - 1], path[i], -1)
+            for i in range(1, len(path))
+        ]
+        delta = min([res[end], res[path[-1]]] + [flow[l, r] for l, r, sign in edges if sign < 0])
+        for v in (end, path[-1]):
+            res[v] -= delta
+            if not res[v]:
+                free &= ~(1 << v)
+        for l, r, sign in edges:
+            f = flow[l, r] = flow.get((l, r), 0) + sign * delta
+            if f:
+                carried[l] |= 1 << r
+                carried[r] |= 1 << l
+            else:
+                carried[l] &= ~(1 << r)
+                carried[r] &= ~(1 << l)
+        cut += delta
+    if not witness:
+        return total - cut
 
+    def close(reach: int, frontier: int) -> int:
+        # Left vertices follow the edges of G, right ones the edges that
+        # carry flow.
+        while frontier:
+            step = 0
+            for v in bits(frontier):
+                step |= adj[v] & mask if left >> v & 1 else carried[v]
+            frontier = step & ~reach
+            reach |= frontier
+        return reach
 
-def _take(g: Graph, weights):
-    """The take step of ``lex_min_witness``: v joins the independent set."""
-    return lambda v, m: (weights[v], m & ~(g.adj[v] | 1 << v))
-
-
-def _forced_witness(g: Graph, weights, colour, mask: int, value: int) -> tuple[int, ...]:
-    """The lexicographically smallest independent set of G[mask] of weight
-    ``value`` (its MWIS weight) with no zero-weight member."""
-    return lex_min_witness(
-        mask, value, lambda m: _bipartite_value(g, weights, colour, m), _take(g, weights)
-    )
+    inside = close(left & free, left & free)
+    outside = right & free
+    chosen = []
+    for v in bits(mask):
+        if not weights[v]:
+            continue
+        bit = 1 << v
+        if left & bit:
+            grown = close(inside | bit, bit & ~inside)
+            if not grown & outside:
+                inside = grown
+                chosen.append(v)
+        elif not inside & bit:
+            outside |= bit
+            chosen.append(v)
+    return total - cut, tuple(chosen)
 
 
 def mwis_bipartite(wg: WeightedGraph, budgets: Budgets = DEFAULT_BUDGETS) -> MwisResult:
-    """MWIS on a bipartite graph: total weight minus a minimum s-t cut."""
+    """MWIS on a bipartite graph: total weight minus a minimum s-t cut, with
+    the witness read from the residual graph of the maximum flow."""
     g = wg.graph
     ok, colour = is_bipartite(g)
     if not ok:
         raise ValueError("mwis_bipartite needs a bipartite input")
-    value = _bipartite_value(g, wg.weights, colour, g.full_mask)
-    return MwisResult(value, _forced_witness(g, wg.weights, colour, g.full_mask, value))
+    return MwisResult(*_bipartite_value(g, wg.weights, colour, g.full_mask, witness=True))
 
 
 # ---------------------------------------------------------------------------
@@ -288,9 +408,9 @@ def mwis_via_oct(
     again.  The I are then visited in decreasing order of the bound
     w(I) + w(rest), and the visit stops at the first bound below the best
     weight found, since no later I can reach it.  Every visited I gets only
-    its min-cut value; the witness I' is forced only for the I that reach
-    the top weight, and of those the lexicographically smallest I + I'
-    wins.
+    its min-cut value; the witness I' is read from the residual graph of a
+    second cut only for the I that reach the top weight, and of those the
+    lexicographically smallest I + I' wins.
     """
     g, weights = wg.graph, wg.weights
     layout = _oct_layout(g, k, budgets)
@@ -310,9 +430,9 @@ def mwis_via_oct(
         if w_i + inner > top:
             top, tied = w_i + inner, []
         if w_i + inner == top:
-            tied.append((i_mask, rest, inner))
+            tied.append((i_mask, rest))
     vertices = min(
-        tuple(sorted([*bits(i_mask), *_forced_witness(g, weights, colour, rest, inner)]))
-        for i_mask, rest, inner in tied
+        tuple(sorted([*bits(i_mask), *_bipartite_value(g, weights, colour, rest, witness=True)[1]]))
+        for i_mask, rest in tied
     )
     return MwisResult(top, vertices)

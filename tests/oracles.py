@@ -7,7 +7,10 @@ Burnside's lemma, and the base parameters from raw subset enumeration.
 subset DP, which the package's specialised kernels must reproduce exactly.
 So are ``pw_at_most_reference`` and ``td_at_most_reference``: the decision
 forms with one bag-cost call per (state, vertex), whose answers the
-package's forms, which read one per state, must reproduce.
+package's forms, which read one per state, must reproduce, and
+``bipartite_mwis_reference``: a Dinic flow network per min cut and one cut
+per vertex for the witness, which the package's mask kernel, reading its
+witness from one residual graph, must reproduce.
 The last section holds plain helpers over the package's types that only
 tests use.
 """
@@ -25,7 +28,8 @@ from widthlab.decomp import (
     validate_treedepth_decomposition,
 )
 from widthlab.graphs import Graph, _triangle_code, bits, components, mask_of
-from widthlab.invariants import SubsetAlpha, alpha_table
+from widthlab.invariants import SubsetAlpha, alpha_table, lex_min_witness
+from widthlab.mwis import FlowNetwork
 
 
 def subsets(iterable):
@@ -586,6 +590,35 @@ def brute_mwis(g: Graph, weights) -> int:
             continue
         best = max(best, sum(weights[v] for v in cand))
     return best
+
+
+def bipartite_mwis_reference(
+    g: Graph, weights, colour, mask: int
+) -> tuple[int, tuple[int, ...]]:
+    """MWIS weight of G[mask], which ``colour`` 2-colours, and the
+    lexicographically smallest optimum with no zero-weight member.  The
+    weight is w(mask) minus a Dinic max flow from s through the colour-0
+    vertices and the uncapped edges to the colour-1 vertices and t; the
+    witness comes from ``lex_min_witness``, one such flow per vertex."""
+
+    def value(m: int) -> int:
+        source, sink = g.n, g.n + 1
+        net = FlowNetwork(g.n + 2, source, sink)
+        total = sum(weights[v] for v in bits(m))
+        for v in bits(m):
+            if colour[v] == 0:
+                net.add_arc(source, v, weights[v])
+                for u in bits(g.adj[v] & m):
+                    net.add_arc(v, u, total + 1)
+            else:
+                net.add_arc(v, sink, weights[v])
+        return total - net.max_flow()
+
+    def take(v: int, m: int) -> tuple[int, int]:
+        return weights[v], m & ~(g.adj[v] | 1 << v)
+
+    best = value(mask)
+    return best, lex_min_witness(mask, best, value, take)
 
 
 def burnside_graph_count(n: int) -> int:

@@ -5,9 +5,10 @@ import random
 
 import pytest
 
-from oracles import brute_mwis
+from oracles import bipartite_mwis_reference, brute_mwis
 
-from widthlab.checks import default_params, instances_for
+from widthlab.checks import _random_bipartite, default_params, instances_for
+from widthlab.config import DEFAULT_BUDGETS
 from widthlab.decomp import CostKind
 from widthlab.formats import from_graph6
 from widthlab.graphs import (
@@ -26,6 +27,8 @@ from widthlab.mwis import (
     FlowNetwork,
     MwisResult,
     WeightedGraph,
+    _bipartite_value,
+    _oct_layout,
     find_oct_with_bounded_alpha,
     mwis_bipartite,
     mwis_exact,
@@ -116,6 +119,31 @@ def test_mwis_bipartite_against_exact_random():
         _assert_independent(g, got.vertices)
         count += 1
     assert count == 300
+
+
+def test_bipartite_kernel_matches_flow_network_reference():
+    # The mask kernel against a Dinic network per cut and a self-reduction
+    # of one cut per vertex: on every rest the OCT route finishes for the
+    # graphs with n <= 7, and on seeded random bipartite graphs of 2 to 40
+    # vertices, whose small weight ranges make zero weights and ties common.
+    rng = random.Random(25)
+    cases = []
+    for g in _graphs_upto_7():
+        weights = tuple(rng.randint(0, 9) for _ in range(g.n))
+        colour, parts = _oct_layout(g, g.n, DEFAULT_BUDGETS)
+        cases.extend((g, weights, colour, rest) for _, rest in parts)
+    for i in range(400):
+        g = _random_bipartite(40, 2500 + i)
+        colour = is_bipartite(g)[1]
+        for top in (1, 3, 100, 10**6):
+            weights = tuple(rng.randint(0, top) for _ in range(g.n))
+            cases.append((g, weights, colour, g.full_mask))
+    for g, weights, colour, mask in cases:
+        expected = bipartite_mwis_reference(g, weights, colour, mask)
+        got = _bipartite_value(g, weights, colour, mask, witness=True)
+        assert got == expected, (g.adj, weights, mask)
+        assert _bipartite_value(g, weights, colour, mask) == expected[0]
+    assert len(cases) == 5181
 
 
 def test_koenig_duality_unit_weights():
