@@ -20,7 +20,7 @@ from .config import Budgets, SuiteParams, DEFAULT_BUDGETS, DEFAULT_SUITE
 from .constructions import SubstitutionKind, check_gamma_budget, gamma_family
 from .constructions import substitute, substitution_order
 from .decomp import CostKind, chordal_clique_tree, cost, tree_decomp_from_fvs
-from .formats import to_graph6, from_graph6
+from .formats import FormatError, to_graph6, from_graph6
 from .graphs import (
     Graph,
     check_budget,
@@ -122,10 +122,17 @@ def _random_bipartite(n_max: int, seed: int) -> Graph:
 
 
 def _graph_family(params: dict) -> list[str]:
-    """The ``graphs`` param, else every graph on 1 .. max_n vertices."""
-    if "graphs" in params:
-        return list(params["graphs"])
-    return [to_graph6(g) for g in graphs_upto(params["max_n"])]
+    """The ``graphs`` param, else every graph on 1 .. max_n vertices.  A
+    ``graphs`` entry that is not graph6 fails, named, before any member is
+    evaluated."""
+    if "graphs" not in params:
+        return [to_graph6(g) for g in graphs_upto(params["max_n"])]
+    for i, g6 in enumerate(params["graphs"]):
+        try:
+            from_graph6(g6)
+        except FormatError as exc:
+            raise FormatError(f"graphs[{i}] {g6!r} is not graph6: {exc}") from None
+    return list(params["graphs"])
 
 
 def _per_graph(params: dict, budgets: Budgets) -> list[dict]:
@@ -163,7 +170,7 @@ def _sclaw_instances(params: dict, budgets: Budgets) -> list[dict]:
     exceeds ``td_decision``, fails before any member is evaluated; the net
     substitution is never larger than the s-claw one."""
     if "graphs" in params:
-        n = max((from_graph6(g6).n for g6 in params["graphs"]), default=0)
+        n = max((from_graph6(g6).n for g6 in _graph_family(params)), default=0)
     else:
         n = params["max_n"]
         check_enumeration(n)  # an enumeration range error is reported first
@@ -203,11 +210,29 @@ def _minimality_instances(params: dict, budgets: Budgets) -> list[dict]:
 
 
 def _mwis_instances(params: dict, budgets: Budgets) -> list[dict]:
+    """The weighted graphs on 1 .. max_n vertices, the random graphs and the
+    random bipartite graphs, or the ``graphs`` param.  ``random_max_n`` and
+    the order of each ``graphs`` member must fit ``mwis_exact`` and then
+    ``oct_alpha``, ``bipartite_max_n`` must fit ``mwis_exact``: the budgets
+    the evaluator would hit first, checked before any member is built."""
+
+    def check_order(n: int, oct_route: bool = True) -> None:
+        check_budget("mwis_exact", n, budgets.mwis_exact)
+        if oct_route:
+            check_budget("find_oct_with_bounded_alpha", n, budgets.oct_alpha)
+
     if "graphs" in params:
+        family = _graph_family(params)
+        for g6 in family:
+            check_order(from_graph6(g6).n)
         return [
             {"g6": g6, "wseed": params["seed"] + i, "mode": "oct"}
-            for i, g6 in enumerate(params["graphs"])
+            for i, g6 in enumerate(family)
         ]
+    if params["random_count"]:
+        check_order(params["random_max_n"])
+    if params["bipartite_count"]:
+        check_order(params["bipartite_max_n"], oct_route=False)
     out = []
     seed = params["seed"]
     for idx, g in enumerate(graphs_upto(params["max_n"])):

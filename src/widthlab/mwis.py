@@ -3,10 +3,10 @@
 Three routes: an exact branch-and-bound oracle, the bipartite min-cut
 reduction, and the odd-cycle-transversal algorithm that enumerates
 independent sets inside an OCT of bounded independence number and finishes
-each on the remaining bipartite part.  The min cut is computed on vertex
-masks, by augmenting paths grown as bitmask layers, and its
-lexicographically smallest witness is read from the residual graph of the
-maximum flow.
+each on the remaining bipartite part with one min cut.  The min cut is
+computed on vertex masks, by augmenting paths grown as bitmask layers, and
+every call also reads its lexicographically smallest witness from the
+residual graph of that maximum flow.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ class FlowNetwork:
     sink no out-arcs.
 
     No solver path uses it: the bipartite min cut runs on vertex masks in
-    ``_bipartite_value``.  It stays exported as a general max-flow core and
+    ``_bipartite_mwis``.  It stays exported as a general max-flow core and
     the reference of the tests, and because the traced benchmark run
     (``perfbench/layers.py``) counts ``max_flow`` calls.
     """
@@ -175,11 +175,11 @@ def mwis_exact(wg: WeightedGraph, budgets: Budgets = DEFAULT_BUDGETS) -> MwisRes
 # Bipartite solver via min cut
 
 
-def _bipartite_value(g: Graph, weights, colour, mask: int, witness: bool = False):
-    """MWIS weight of G[mask], which ``colour`` 2-colours: its total weight
-    minus a minimum s-t cut.  With ``witness`` the result is ``(weight,
-    vertices)``: the lexicographically smallest optimum with no zero-weight
-    member, the set ``lex_min_witness``'s take step would build.
+def _bipartite_mwis(g: Graph, weights, colour, mask: int) -> tuple[int, tuple[int, ...]]:
+    """MWIS of G[mask], which ``colour`` 2-colours, as ``(weight, vertices)``:
+    the total weight minus a minimum s-t cut, and the lexicographically
+    smallest optimum with no zero-weight member, the set
+    ``lex_min_witness``'s take step would build.
 
     The network has an arc s -> v of capacity w(v) for each left (colour 0)
     vertex v, an arc v -> t of capacity w(v) for each right vertex v, and an
@@ -202,14 +202,17 @@ def _bipartite_value(g: Graph, weights, colour, mask: int, witness: bool = False
     closure of s and the left members of F, which is closed itself; so one
     exists exactly when ``inside`` misses ``outside``: the right members of
     F and the right vertices with residual capacity to t, whose arc would
-    pull t in.  The vertices of positive weight are visited lowest first,
-    and v joins F when that test still passes.  That is the test of the
-    self-reduction: it takes v when w(v) > 0 and w(v) plus the optimum of
-    the mask left after the taken vertices, v and their neighbours is the
-    weight still missing, which says that some optimum holds v and the
-    vertices taken so far (a vertex it rejected stays in its mask, but lies
-    in no such optimum).  F only grows, so both searches take the same
-    vertices.
+    pull t in.  The closure of s alone is the ``seen`` mask of the last
+    path search: it starts from the left vertices s still reaches, follows
+    every residual arc but those into t, and finds no path, so it stops
+    only once no residual arc leaves it.  The vertices of positive weight
+    are visited lowest first, and v joins F when that test still passes.
+    That is the test of the self-reduction: it takes v when w(v) > 0 and
+    w(v) plus the optimum of the mask left after the taken vertices, v and
+    their neighbours is the weight still missing, which says that some
+    optimum holds v and the vertices taken so far (a vertex it rejected
+    stays in its mask, but lies in no such optimum).  F only grows, so both
+    searches take the same vertices.
     """
     adj = g.adj
     total = left = free = touched = 0
@@ -221,7 +224,7 @@ def _bipartite_value(g: Graph, weights, colour, mask: int, witness: bool = False
             left |= 1 << v
             touched |= adj[v]
     if not touched & mask:  # edgeless: the cut is empty
-        return (total, tuple(bits(free))) if witness else total
+        return total, tuple(bits(free))
     right = mask & ~left
     res = list(weights)
     flow: dict[tuple[int, int], int] = {}
@@ -282,8 +285,6 @@ def _bipartite_value(g: Graph, weights, colour, mask: int, witness: bool = False
                 carried[l] &= ~(1 << r)
                 carried[r] &= ~(1 << l)
         cut += delta
-    if not witness:
-        return total - cut
 
     def close(reach: int, frontier: int) -> int:
         # Left vertices follow the edges of G, right ones the edges that
@@ -296,8 +297,7 @@ def _bipartite_value(g: Graph, weights, colour, mask: int, witness: bool = False
             reach |= frontier
         return reach
 
-    inside = close(left & free, left & free)
-    outside = right & free
+    inside, outside = seen, right & free
     chosen = []
     for v in bits(mask):
         if not weights[v]:
@@ -321,7 +321,7 @@ def mwis_bipartite(wg: WeightedGraph, budgets: Budgets = DEFAULT_BUDGETS) -> Mwi
     ok, colour = is_bipartite(g)
     if not ok:
         raise ValueError("mwis_bipartite needs a bipartite input")
-    return MwisResult(*_bipartite_value(g, wg.weights, colour, g.full_mask, witness=True))
+    return MwisResult(*_bipartite_mwis(g, wg.weights, colour, g.full_mask))
 
 
 # ---------------------------------------------------------------------------
@@ -407,10 +407,10 @@ def mwis_via_oct(
     per (graph, k, budgets) and reused while the same graph is weighted
     again.  The I are then visited in decreasing order of the bound
     w(I) + w(rest), and the visit stops at the first bound below the best
-    weight found, since no later I can reach it.  Every visited I gets only
-    its min-cut value; the witness I' is read from the residual graph of a
-    second cut only for the I that reach the top weight, and of those the
-    lexicographically smallest I + I' wins.
+    weight found, since no later I can reach it.  Each visited I takes one
+    min cut, which gives both the weight and the witness I' of its rest;
+    the heaviest I + I' wins, and of equal weights the lexicographically
+    smallest vertex tuple.
     """
     g, weights = wg.graph, wg.weights
     layout = _oct_layout(g, k, budgets)
@@ -422,17 +422,13 @@ def mwis_via_oct(
         w_i = wg.weight_of(bits(i_mask))
         bounded.append((w_i + wg.weight_of(bits(rest)), w_i, i_mask, rest))
     bounded.sort(key=lambda item: item[0], reverse=True)
-    top, tied = -1, []
+    top, vertices = -1, ()
     for bound, w_i, i_mask, rest in bounded:
         if bound < top:
             break
-        inner = _bipartite_value(g, weights, colour, rest)
-        if w_i + inner > top:
-            top, tied = w_i + inner, []
-        if w_i + inner == top:
-            tied.append((i_mask, rest))
-    vertices = min(
-        tuple(sorted([*bits(i_mask), *_bipartite_value(g, weights, colour, rest, witness=True)[1]]))
-        for i_mask, rest in tied
-    )
+        inner, found = _bipartite_mwis(g, weights, colour, rest)
+        if w_i + inner >= top:
+            cand = tuple(sorted([*bits(i_mask), *found]))
+            if w_i + inner > top or cand < vertices:
+                top, vertices = w_i + inner, cand
     return MwisResult(top, vertices)

@@ -10,7 +10,9 @@ forms with one bag-cost call per (state, vertex), whose answers the
 package's forms, which read one per state, must reproduce, and
 ``bipartite_mwis_reference``: a Dinic flow network per min cut and one cut
 per vertex for the witness, which the package's mask kernel, reading its
-witness from one residual graph, must reproduce.
+witness from one residual graph, must reproduce.  So is
+``oct_route_reference``: the OCT route with no bound and that reference on
+every rest, whose top weight and tie rule ``mwis_via_oct`` must reproduce.
 The last section holds plain helpers over the package's types that only
 tests use.
 """
@@ -29,7 +31,7 @@ from widthlab.decomp import (
 )
 from widthlab.graphs import Graph, _triangle_code, bits, components, mask_of
 from widthlab.invariants import SubsetAlpha, alpha_table, lex_min_witness
-from widthlab.mwis import FlowNetwork
+from widthlab.mwis import FlowNetwork, WeightedGraph, find_oct_with_bounded_alpha
 
 
 def subsets(iterable):
@@ -565,7 +567,8 @@ def mask_is_acyclic(g: Graph, rest: int) -> bool:
     return sub_edges == rest.bit_count() - comps
 
 
-def mask_is_bipartite(g: Graph, rest: int) -> bool:
+def mask_two_colouring(g: Graph, rest: int) -> dict[int, int] | None:
+    """A proper 0/1 colouring of G[rest] by depth-first search, or None."""
     colour = {}
     for v in bits(rest):
         if v in colour:
@@ -579,8 +582,12 @@ def mask_is_bipartite(g: Graph, rest: int) -> bool:
                     colour[u] = 1 - colour[x]
                     stack.append(u)
                 elif colour[u] == colour[x]:
-                    return False
-    return True
+                    return None
+    return colour
+
+
+def mask_is_bipartite(g: Graph, rest: int) -> bool:
+    return mask_two_colouring(g, rest) is not None
 
 
 def brute_mwis(g: Graph, weights) -> int:
@@ -619,6 +626,30 @@ def bipartite_mwis_reference(
 
     best = value(mask)
     return best, lex_min_witness(mask, best, value, take)
+
+
+def oct_route_reference(wg: WeightedGraph, k: int) -> tuple[int, tuple[int, ...]]:
+    """The OCT route with no bound: every independent I inside the
+    transversal S = ``find_oct_with_bounded_alpha(g, k)`` is finished by
+    ``bipartite_mwis_reference`` on G - S - N(I); of the heaviest I + I',
+    the result is the top weight and the lexicographically smallest
+    ``sorted(I + I')``."""
+    g, weights = wg.graph, wg.weights
+    s = find_oct_with_bounded_alpha(g, k)
+    outside = g.full_mask & ~mask_of(s)
+    colour = mask_two_colouring(g, outside)
+    best = None
+    for chosen in subsets(s):
+        if any(has_edge(g, u, v) for u, v in combinations(chosen, 2)):
+            continue
+        rest = outside
+        for v in chosen:
+            rest &= ~g.adj[v]
+        inner, found = bipartite_mwis_reference(g, weights, colour, rest)
+        key = (-sum(weights[v] for v in chosen) - inner, tuple(sorted(chosen + found)))
+        if best is None or key < best:
+            best = key
+    return -best[0], best[1]
 
 
 def burnside_graph_count(n: int) -> int:

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from widthlab.checks import CHECK_NAMES, CheckSpec, default_params, run_check
+from widthlab.checks import CHECK_NAMES, CHECKS, CheckSpec, default_params, run_check
 from widthlab.formats import to_graph6
 from widthlab.graphs import cycle_graph, star
 
@@ -685,6 +685,70 @@ def test_cli_family_without_graphs_exits_2(tmp_path, capsys, family):
         family += str(path)
     assert main(["verify", "chain-inequality", "--family", family]) == 2
     assert capsys.readouterr() == ("", f"error: bad family {family!r}: no graphs\n")
+
+
+_FAMILY_CHECKS = [name for name in CHECK_NAMES if CHECKS[name].family]
+
+
+@pytest.mark.parametrize("name", _FAMILY_CHECKS)
+def test_cli_malformed_family_member_exits_2_before_any_evaluation(
+    tmp_path, monkeypatch, capsys, name
+):
+    # The second line is not graph6: every family check names it and
+    # exits 2 before its evaluator sees the first, valid member.
+    import dataclasses
+
+    import widthlab.checks
+    from widthlab.cli import main
+
+    calls = []
+    registered = widthlab.checks.CHECKS[name]
+    monkeypatch.setitem(
+        widthlab.checks.CHECKS,
+        name,
+        dataclasses.replace(registered, evaluate=lambda *args: calls.append(args)),
+    )
+    path = tmp_path / "family.g6"
+    path.write_text("Dhc\nzzz\n")
+    assert main(["verify", name, "--family", f"file:{path}"]) == 2
+    line = "error: graphs[1] 'zzz' is not graph6: graph6 body has 2 chars, expected 286 for n=59\n"
+    assert capsys.readouterr() == ("", line)
+    assert calls == []
+    assert len(_FAMILY_CHECKS) == 9
+
+
+@pytest.mark.parametrize(
+    "argv, config, line",
+    [
+        ([], {"suite": {"mwis_random_max_n": 21}}, "find_oct_with_bounded_alpha: n=21 exceeds budget 20"),
+        ([], {"budgets": {"mwis_exact": 13}}, "mwis_exact: n=14 exceeds budget 13"),
+        # No random graphs: their order is not held to a budget.
+        (
+            [],
+            {"suite": {"mwis_random_count": 0, "mwis_random_max_n": 99, "mwis_bipartite_max_n": 31}},
+            "mwis_exact: n=31 exceeds budget 30",
+        ),
+        (["--family", "random:21,0.3,1"], None, "find_oct_with_bounded_alpha: n=21 exceeds budget 20"),
+        (["--family", "named:K3,K31"], None, "mwis_exact: n=31 exceeds budget 30"),
+    ],
+)
+def test_cli_over_budget_mwis_equivalence_fails_fast(tmp_path, monkeypatch, capsys, argv, config, line):
+    # The largest random and bipartite orders, and each --family member,
+    # meet the budgets the evaluator would hit first before any member is
+    # built.
+    import widthlab.checks
+    from widthlab.cli import main
+
+    built = []
+    monkeypatch.setattr(widthlab.checks, "random_graph", lambda *args: built.append(args))
+    monkeypatch.setattr(widthlab.checks, "_eval_one", _no_eval)
+    if config is not None:
+        path = tmp_path / "settings.json"
+        path.write_text(json.dumps(config))
+        argv = [*argv, "--config", str(path)]
+    assert main(["verify", "mwis-equivalence", *argv]) == 2
+    assert capsys.readouterr() == ("", f"error: {line}\n")
+    assert built == []
 
 
 @pytest.mark.parametrize(

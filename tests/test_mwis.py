@@ -5,9 +5,9 @@ import random
 
 import pytest
 
-from oracles import bipartite_mwis_reference, brute_mwis
+from oracles import bipartite_mwis_reference, brute_mwis, oct_route_reference
 
-from widthlab.checks import _random_bipartite, default_params, instances_for
+from widthlab.checks import _random_bipartite, _seeded_weights, default_params, instances_for
 from widthlab.config import DEFAULT_BUDGETS
 from widthlab.decomp import CostKind
 from widthlab.formats import from_graph6
@@ -27,7 +27,7 @@ from widthlab.mwis import (
     FlowNetwork,
     MwisResult,
     WeightedGraph,
-    _bipartite_value,
+    _bipartite_mwis,
     _oct_layout,
     find_oct_with_bounded_alpha,
     mwis_bipartite,
@@ -140,10 +140,38 @@ def test_bipartite_kernel_matches_flow_network_reference():
             cases.append((g, weights, colour, g.full_mask))
     for g, weights, colour, mask in cases:
         expected = bipartite_mwis_reference(g, weights, colour, mask)
-        got = _bipartite_value(g, weights, colour, mask, witness=True)
+        got = _bipartite_mwis(g, weights, colour, mask)
         assert got == expected, (g.adj, weights, mask)
-        assert _bipartite_value(g, weights, colour, mask) == expected[0]
     assert len(cases) == 5181
+
+
+def test_mwis_via_oct_matches_the_unbounded_reference():
+    # The bound stop and the one-pass tie rule against every independent I
+    # of the transversal, each rest solved by the flow-network reference:
+    # the same top weight and, of the tied I + I', the lexicographically
+    # smallest.  On C5 with S = {0}, I = {} and I = {0} tie, and only {0}
+    # gives [0, 2].  Weights 0..2 make such ties common; the random graphs
+    # of the default mwis-equivalence family also carry the check's own
+    # weights.
+    rng = random.Random(26)
+    cases = [
+        WeightedGraph(g, tuple(rng.randint(0, top) for _ in range(g.n)))
+        for top in (2, 9)
+        for g in _graphs_upto_7()
+    ]
+    params = default_params("mwis-equivalence")
+    insts = [i for i in instances_for("mwis-equivalence", params) if i["mode"] == "oct"]
+    for inst in insts[-params["random_count"]:][:50]:
+        g = from_graph6(inst["g6"])
+        cases.append(WeightedGraph(g, _seeded_weights(g.n, inst["wseed"], params["weight_max"])))
+        cases.append(WeightedGraph(g, tuple(rng.randint(0, 2) for _ in range(g.n))))
+    cases.append(WeightedGraph(cycle_graph(5), (1,) * 5))
+    for wg in cases:
+        expected = oct_route_reference(wg, wg.n)
+        got = mwis_via_oct(wg, wg.n)
+        assert (got.weight, got.vertices) == expected, (wg.graph.adj, wg.weights)
+    assert mwis_via_oct(cases[-1], 1) == MwisResult(2, (0, 2))
+    assert len(cases) == 2 * 1253 + 2 * 50 + 1
 
 
 def test_koenig_duality_unit_weights():
