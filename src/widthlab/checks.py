@@ -13,22 +13,21 @@ import random
 import time
 from functools import lru_cache
 from collections.abc import Callable
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from .config import Budgets, SuiteParams, DEFAULT_BUDGETS, DEFAULT_SUITE
 from .constructions import SubstitutionKind, check_gamma_budget, gamma_family
 from .constructions import substitute, substitution_order
 from .decomp import CostKind, chordal_clique_tree, cost, tree_decomp_from_fvs
-from .formats import FormatError, to_graph6, from_graph6
+from .formats import FormatError, from_graph6, graph6_from_code, to_graph6
 from .graphs import (
     Graph,
+    _canonical_codes,
     check_budget,
     check_enumeration,
     complete_bipartite,
     complete_graph,
     copies,
-    enumerate_graphs,
     mask_of,
     named_graph,
     path_graph,
@@ -94,12 +93,15 @@ class CheckReport:
 # Families
 
 
-def graphs_upto(max_n: int):
-    """All graphs on 1 .. max_n vertices.  An over-budget max_n fails
-    before any smaller n is enumerated."""
+def enumerated_graph6(max_n: int, min_n: int = 1) -> list[str]:
+    """The graph6 string of every graph on min_n .. max_n vertices, by order
+    and then canonical code, encoded straight from the canonical codes with
+    no ``Graph`` built.  An over-budget max_n fails before any smaller n is
+    enumerated."""
     check_enumeration(max_n)
-    for n in range(1, max_n + 1):
-        yield from enumerate_graphs(n)
+    return [
+        graph6_from_code(n, code) for n in range(min_n, max_n + 1) for code in _canonical_codes(n)
+    ]
 
 
 def _seeded_weights(n: int, seed: int, weight_max: int) -> tuple[int, ...]:
@@ -126,7 +128,7 @@ def _graph_family(params: dict) -> list[str]:
     ``graphs`` entry that is not graph6 fails, named, before any member is
     evaluated."""
     if "graphs" not in params:
-        return [to_graph6(g) for g in graphs_upto(params["max_n"])]
+        return enumerated_graph6(params["max_n"])
     for i, g6 in enumerate(params["graphs"]):
         try:
             from_graph6(g6)
@@ -235,8 +237,7 @@ def _mwis_instances(params: dict, budgets: Budgets) -> list[dict]:
         check_order(params["bipartite_max_n"], oct_route=False)
     out = []
     seed = params["seed"]
-    for idx, g in enumerate(graphs_upto(params["max_n"])):
-        g6 = to_graph6(g)
+    for idx, g6 in enumerate(enumerated_graph6(params["max_n"])):
         for s in range(params["weight_seeds"]):
             out.append({"g6": g6, "wseed": seed + 1000 * s + idx, "mode": "oct"})
     for i in range(params["random_count"]):
@@ -773,6 +774,12 @@ def run_check(
     jobs: int = 1,
     log_path: str | None = None,
 ) -> CheckReport:
+    """Build the family of ``spec`` and evaluate the check on every member.
+
+    ``jobs`` > 1 spreads the members over that many worker processes;
+    ``concurrent.futures`` is imported only then, so a ``jobs=1`` run never
+    loads ``multiprocessing``.  The report does not depend on ``jobs``.
+    ``log_path`` gets one JSONL row per member, written after the run."""
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     check = _check(spec.name)
@@ -797,6 +804,8 @@ def run_check(
         except OSError as exc:
             raise ValueError(f"cannot write log {log_path}: {exc}") from None
     if jobs > 1 and len(tasks) > 1:
+        from concurrent.futures import ProcessPoolExecutor  # loaded only for a pool
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             details = list(pool.map(_eval_one, tasks, chunksize=8))
     else:

@@ -16,12 +16,12 @@ import os
 import sys
 import time
 
-from .checks import CHECK_NAMES, CheckSpec, default_params, graphs_upto, run_check
+from .checks import CHECK_NAMES, CheckSpec, default_params, enumerated_graph6, run_check
 from .config import DEFAULT_BUDGETS, DEFAULT_SUITE, load_config
 from .constructions import SubstitutionKind, gamma_family, subdivided_claw, substitute
 from .decomp import CostKind
 from .formats import FORMATS, FormatError, emit, parse, to_graph6
-from .graphs import BudgetExceededError, Graph, enumerate_graphs, named_graph, random_graph
+from .graphs import BudgetExceededError, Graph, named_graph, random_graph
 from .modulators import ALPHA, ModulatorSpec, modulator_number, parameter
 from .mwis import WeightedGraph, mwis_bipartite, mwis_exact, mwis_via_oct
 
@@ -151,8 +151,7 @@ def _resolve_family(text: str, seed: int | None) -> list[str]:
     if head in ("all", "upto"):
         # Enumerated outside the wrap: an n out of range reads as it does
         # for --max-n.
-        enumerated = enumerate_graphs(n) if head == "all" else graphs_upto(n)
-        graphs = [to_graph6(g) for g in enumerated]
+        graphs = enumerated_graph6(n, n if head == "all" else 1)
     if not graphs:
         raise UsageError(f"bad family {text!r}: no graphs")
     return graphs
@@ -270,6 +269,10 @@ def main(argv=None) -> int:
         if isinstance(exc, KeyError) and exc.args:
             exc = exc.args[0]  # str() of a KeyError quotes its message
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except RecursionError:  # e.g. the chi and matching searches: no budget bounds their depth
+        command = f"param {args.parameter}" if args.command == "param" else args.command
+        print(f"error: {command}: the input is too deep for the recursive search", file=sys.stderr)
         return 2
 
 

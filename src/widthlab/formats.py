@@ -20,20 +20,28 @@ GRAPH6_MAX_N = 258047
 
 
 def _graph6_size(n: int) -> str:
+    if n > GRAPH6_MAX_N:
+        raise FormatError(f"graph6 writer supports n <= {GRAPH6_MAX_N}, got {n}")
     if n <= 62:
         return chr(n + 63)
     return "~" + "".join(chr((n >> shift & 63) + 63) for shift in (12, 6, 0))
 
 
-def to_graph6(g: Graph) -> str:
-    if g.n > GRAPH6_MAX_N:
-        raise FormatError(f"graph6 writer supports n <= {GRAPH6_MAX_N}, got {g.n}")
-    nbits = g.n * (g.n - 1) // 2
+def graph6_from_code(n: int, code: int) -> str:
+    """The graph6 string of the graph on n vertices whose upper triangle is
+    ``code`` (the layout of ``_triangle_code``), with no ``Graph`` built."""
+    header = _graph6_size(n)
+    nbits = n * (n - 1) // 2
     nchunks = (nbits + 5) // 6
-    body = _triangle_code(g, range(g.n)) << (nchunks * 6 - nbits)
-    return _graph6_size(g.n) + "".join(
+    body = code << (nchunks * 6 - nbits)
+    return header + "".join(
         chr((body >> shift & 63) + 63) for shift in range(nchunks * 6 - 6, -6, -6)
     )
+
+
+def to_graph6(g: Graph) -> str:
+    _graph6_size(g.n)  # an oversized n fails before the quadratic triangle code
+    return graph6_from_code(g.n, _triangle_code(g, range(g.n)))
 
 
 def from_graph6(text: str) -> Graph:

@@ -287,6 +287,22 @@ def test_cli_param_bad_modulator_spec_exits_2(tmp_path, capsys, spec, message):
     assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("parameter", ["chi", "matching"])
+def test_cli_param_too_deep_for_the_recursion_exits_2(tmp_path, capsys, parameter):
+    # No budget bounds these searches, which recurse once per vertex: on a
+    # long path they exceed the recursion limit, reported as one line.  The
+    # path is an edge list, which reads in linear time.
+    from widthlab.cli import main
+    from widthlab.formats import to_edge_list
+    from widthlab.graphs import path_graph
+
+    path = tmp_path / "p1500.txt"
+    path.write_text(to_edge_list(path_graph(1500)))
+    assert main(["param", parameter, "--input", str(path), "--format", "edges"]) == 2
+    line = f"error: param {parameter}: the input is too deep for the recursive search\n"
+    assert capsys.readouterr() == ("", line)
+
+
 def test_family_all_exact_count():
     # "all:5" resolves to exactly the 34 graphs on five vertices.
     from widthlab.cli import _resolve_family
@@ -339,6 +355,23 @@ def test_cli_verify_exit_codes(tmp_path):
     # The registered inverted check passes because the violation exists.
     code, out, _ = run_cli("verify", "delta-not-inheritable")
     assert code == 0
+
+
+def test_enumerated_families_equal_the_encoded_graphs():
+    # Families encoded straight from the canonical codes read exactly as
+    # to_graph6 of the enumerated graphs, in the same order.
+    from widthlab.checks import enumerated_graph6
+    from widthlab.cli import _resolve_family
+    from widthlab.graphs import enumerate_graphs
+
+    per_order = [[to_graph6(g) for g in enumerate_graphs(n)] for n in range(8)]
+    assert enumerated_graph6(0) == []
+    for n in range(8):
+        upto = [g6 for graphs in per_order[1 : n + 1] for g6 in graphs]
+        assert enumerated_graph6(n) == upto
+        assert _resolve_family(f"all:{n}", seed=None) == per_order[n]
+        if n:
+            assert _resolve_family(f"upto:{n}", seed=None) == upto
 
 
 def test_cli_over_budget_enumeration_fails_fast(capsys):
@@ -916,6 +949,27 @@ def test_graph_memos_are_invisible(name, params):
     assert serial["pass"] and serial["instances_tested"] > 0
 
 
+def test_serial_run_loads_no_process_pool():
+    """A cold ``jobs=1`` run, CLI import included, never loads the process
+    pool machinery.  ``test_graph_memos_are_invisible`` shows that ``jobs=2``
+    gives the same report."""
+    code = (
+        "import sys\n"
+        "import widthlab.cli\n"
+        "from widthlab.checks import CheckSpec, run_check\n"
+        "assert run_check(CheckSpec('chain-inequality', {'max_n': 3}), jobs=1).passed\n"
+        "print(sorted({'concurrent.futures.process', 'multiprocessing'} & set(sys.modules)))\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
 def _count_calls(monkeypatch, module, name):
     calls = []
     real = getattr(module, name)
@@ -959,9 +1013,10 @@ def test_profile_modulator_matches_a_fresh_search():
     import widthlab.checks as checks
     from widthlab.config import DEFAULT_BUDGETS
     from widthlab.decomp import CostKind
+    from widthlab.graphs import enumerate_graphs
     from widthlab.modulators import RHO_NAMES, ModulatorSpec, modulator_number
 
-    for g in checks.graphs_upto(5):
+    for g in (g for n in range(1, 6) for g in enumerate_graphs(n)):
         profile = checks._Profile(g, DEFAULT_BUDGETS)
         for rho in RHO_NAMES:
             for c in range(4):

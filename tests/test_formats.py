@@ -1,5 +1,7 @@
 """graph6, DIMACS, and edge-list round trips and error handling."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from widthlab.formats import (
@@ -7,6 +9,7 @@ from widthlab.formats import (
     from_dimacs,
     from_edge_list,
     from_graph6,
+    graph6_from_code,
     to_dimacs,
     to_edge_list,
     to_graph6,
@@ -14,6 +17,7 @@ from widthlab.formats import (
 from widthlab.graphs import (
     Graph,
     _canonical_codes,
+    _triangle_code,
     enumerate_graphs,
     graph_from_triangle_code,
     random_graph,
@@ -57,7 +61,7 @@ def test_graph6_body_is_the_canonical_code():
             chunks = [bitstring[i : i + 6] for i in range(0, width, 6)]
             expected = chr(n + 63) + "".join(chr(int(c, 2) + 63) for c in chunks)
             g = graph_from_triangle_code(n, code)
-            assert to_graph6(g) == expected
+            assert to_graph6(g) == graph6_from_code(n, code) == expected
             assert from_graph6(expected) == g
 
 
@@ -68,6 +72,30 @@ def test_graph6_multibyte_size_header():
         text = to_graph6(g)
         assert text.startswith("~") == (n > 62)
         assert from_graph6(text) == g
+
+
+@pytest.mark.parametrize("n", [0, 1, 62, 63, 100])
+def test_graph6_from_code_across_the_size_header(n):
+    # The code encoder writes the one-byte header up to n = 62 and "~" plus
+    # 18 bits of n from 63 on.
+    g = random_graph(n, 0.5, n)
+    text = graph6_from_code(n, _triangle_code(g, range(n)))
+    header = chr(n + 63) if n <= 62 else "~" + "".join(chr((n >> s & 63) + 63) for s in (12, 6, 0))
+    nbits = n * (n - 1) // 2
+    assert text.startswith(header) and len(text) == len(header) + (nbits + 5) // 6
+    assert text == to_graph6(g)
+    assert from_graph6(text) == g
+
+
+def test_graph6_writer_rejects_an_oversized_order_first():
+    # The size header holds 18 bits of n; a larger graph fails before its
+    # quadratic upper triangle is read (the stand-in has no adjacency, and
+    # building a real Graph of that order takes seconds).
+    oversized = SimpleNamespace(n=258048)
+    with pytest.raises(FormatError, match="graph6 writer supports n <= 258047, got 258048"):
+        to_graph6(oversized)
+    with pytest.raises(FormatError, match="got 258048"):
+        graph6_from_code(258048, 0)
 
 
 def test_graph6_malformed():
