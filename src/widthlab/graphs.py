@@ -76,9 +76,8 @@ class Graph:
             raise ValueError("vertex count must be non-negative")
         if len(self.adj) != self.n:
             raise ValueError("adjacency length does not match vertex count")
-        full = (1 << self.n) - 1
         for v, nb in enumerate(self.adj):
-            if nb & ~full:
+            if nb >> self.n:  # a bit at n or above, or a negative mask
                 raise ValueError(f"neighbour of {v} out of range")
             if nb >> v & 1:
                 raise ValueError(f"self-loop at {v}")

@@ -1,9 +1,11 @@
 """Maximum Weight Independent Set solvers.
 
-Three routes: an exact branch-and-bound oracle, the bipartite min-cut
-reduction, and the odd-cycle-transversal algorithm that enumerates
-independent sets inside an OCT of bounded independence number and finishes
-each on the remaining bipartite part with one min cut.  The min cut is
+Three routes: an exact oracle, the bipartite min-cut reduction, and the
+odd-cycle-transversal algorithm that enumerates independent sets inside an
+OCT of bounded independence number and finishes each on the remaining
+bipartite part with one min cut.  The exact oracle and the transversal
+search's alpha share one memoised recursion on the lowest vertex of a mask,
+``_MaxWeight``, whose state count is bounded by 2^(n/2 + 1).  The min cut is
 computed on vertex masks, by augmenting paths grown as bitmask layers, and
 every call also reads its lexicographically smallest witness from the
 residual graph of that maximum flow.
@@ -16,7 +18,7 @@ from functools import lru_cache
 
 from .config import Budgets, DEFAULT_BUDGETS
 from .graphs import Graph, bits, check_budget, mask_of
-from .invariants import SubsetAlpha, independent_subsets, is_bipartite, lex_min_witness, odd_cycle
+from .invariants import independent_subsets, is_bipartite, lex_min_witness, odd_cycle
 
 
 @dataclass(frozen=True)
@@ -135,38 +137,89 @@ class FlowNetwork:
 # Exact oracle
 
 
-def mwis_exact(wg: WeightedGraph, budgets: Budgets = DEFAULT_BUDGETS) -> MwisResult:
-    check_budget("mwis_exact", wg.n, budgets.mwis_exact)
-    g, weights = wg.graph, wg.weights
-    memo: dict[int, int] = {0: 0}
+class _MaxWeight:
+    """Memoised maximum weight of an independent set inside a vertex mask,
+    ``self(mask)``; under unit weights, the independence number.
 
-    def solve(mask: int) -> int:
-        cached = memo.get(mask)
-        if cached is not None:
-            return cached
-        best_v, best_deg = -1, -1
-        for v in bits(mask):
-            d = (g.adj[v] & mask).bit_count()
-            if d > best_deg:
-                best_v, best_deg = v, d
-        if best_deg == 0:
-            value = sum(weights[v] for v in bits(mask))
+    The recursion branches on the lowest vertex v of the mask.  When v has
+    no neighbour left in the mask it is taken; otherwise the value is the
+    better of leaving v out and taking v with N(v) removed.  There is no
+    component split and no degree scan: a state costs one lookup.
+
+    The state bound.  Below the lowest vertex u of a state reached from the
+    root R, every vertex of R was either left out or taken, and taking a
+    vertex removes only its neighbours; so the state is R & [u, n) minus
+    N(J) for some independent J inside R & [0, u).  There are at most 2^u
+    such J, and the state is u plus a subset of (u, n), which leaves
+    2^(n - u - 1) choices; so at most min(2^u, 2^(n - u - 1)) states have
+    lowest vertex u.  With the empty mask that is 2^(n/2 + 1) - 1 states
+    for even n (3 * 2^((n - 1)/2) - 1 for odd n): 65,535 at n = 30, the
+    ``mwis_exact`` budget, and 2,047 per call at n = 20, the ``oct_alpha``
+    budget.  Within those budgets the component split of ``SubsetAlpha``
+    buys nothing this bound does not already give, and it costs a search on
+    every state.  ``SubsetAlpha`` keeps it for the sparse 25 to 80-vertex
+    decision forms, where components keep the memo small and this bound
+    would not.
+
+    The callers read only exact optimum values, which do not depend on the
+    branching rule, so no witness of ``mwis_exact`` and no transversal of
+    ``find_oct_with_bounded_alpha`` depends on the choice of v.
+    """
+
+    def __init__(self, adj: tuple[int, ...], weights):
+        self.adj = adj
+        self.weights = weights
+        self.memo: dict[int, int] = {0: 0}
+
+    def __call__(self, mask: int) -> int:
+        value = self.memo.get(mask)
+        return self._solve(mask) if value is None else value
+
+    def _solve(self, mask: int) -> int:
+        # A mask not yet in the memo; each branch looks its mask up before
+        # it recurses, which saves a call on every memo hit.
+        memo = self.memo
+        low = mask & -mask
+        v = low.bit_length() - 1
+        near = self.adj[v] & mask
+        rest = mask ^ low
+        value = memo.get(rest)
+        if value is None:
+            value = self._solve(rest)
+        if near:
+            rest &= ~near
+            take = memo.get(rest)
+            if take is None:
+                take = self._solve(rest)
+            take += self.weights[v]
+            if take > value:
+                value = take
         else:
-            v = best_v
-            value = max(
-                solve(mask & ~(1 << v)),
-                weights[v] + solve(mask & ~(g.adj[v] | 1 << v)),
-            )
+            value += self.weights[v]
         memo[mask] = value
         return value
 
-    # Zero-weight vertices never help; dropping them up front makes the
-    # witness canonical (no zero-weight members) and lexicographically
-    # smallest among such optima.
+
+def mwis_exact(wg: WeightedGraph, budgets: Budgets = DEFAULT_BUDGETS) -> MwisResult:
+    """An MWIS by ``_MaxWeight``; the witness is the lexicographically
+    smallest optimum with no zero-weight member.
+
+    Zero-weight vertices never help; dropping them up front makes the
+    witness canonical.  The self-reduction's probe for v also drops the
+    vertices below v that are still in its mask, the rejected ones: each
+    lies in no optimum of that mask, so the probe's test comes out the
+    same.  The probe is then the positive vertices above v minus the
+    neighbours of the taken vertices and v, a state of the first solve, so
+    the witness reads only memoised values and the state bound holds for
+    the whole call.
+    """
+    check_budget("mwis_exact", wg.n, budgets.mwis_exact)
+    g, weights = wg.graph, wg.weights
+    solve = _MaxWeight(g.adj, weights)
     positive = mask_of(v for v in range(g.n) if weights[v] > 0)
     total = solve(positive)
     witness = lex_min_witness(
-        positive, total, solve, lambda v, m: (weights[v], m & ~(g.adj[v] | 1 << v))
+        positive, total, solve, lambda v, m: (weights[v], m & ~(g.adj[v] | (2 << v) - 1))
     )
     return MwisResult(total, witness)
 
@@ -346,32 +399,30 @@ def find_oct_with_bounded_alpha(
     check_budget("find_oct_with_bounded_alpha", g.n, budgets.oct_alpha)
     if k < 0:
         return None
-    alpha = SubsetAlpha(g)
-    best: tuple[int, tuple[int, ...]] | None = None
-
-    def rec(s_mask: int, forbidden: int):
-        nonlocal best
-        a = alpha(s_mask)
-        if a > k:
-            return
-        if best is not None and a > best[0]:
-            return
-        cycle = odd_cycle(g, g.full_mask & ~s_mask)
-        if cycle is None:
-            witness = tuple(bits(s_mask))
-            cand = (a, witness)
-            if best is None or cand < best:
-                best = cand
-            return
-        blocked = forbidden
-        for v in cycle:
-            if blocked >> v & 1:
-                continue
-            rec(s_mask | 1 << v, blocked)
-            blocked |= 1 << v
-
-    rec(0, 0)
+    best = _least_alpha_oct(g, k, _MaxWeight(g.adj, (1,) * g.n), 0, 0, None)
     return best[1] if best is not None else None
+
+
+def _least_alpha_oct(g: Graph, k: int, alpha: _MaxWeight, s_mask: int, forbidden: int, best):
+    """The branching of ``find_oct_with_bounded_alpha`` below the partial
+    transversal ``s_mask``: the better of ``best`` and the least
+    ``(alpha, vertices)`` it reaches, vertices in ``forbidden`` never
+    joining.  Its state comes in as arguments, so a finished search leaves
+    no reference cycle behind."""
+    a = alpha(s_mask)
+    if a > k or best is not None and a > best[0]:
+        return best
+    cycle = odd_cycle(g, g.full_mask & ~s_mask)
+    if cycle is None:
+        cand = (a, tuple(bits(s_mask)))
+        return cand if best is None or cand < best else best
+    blocked = forbidden
+    for v in cycle:
+        if blocked >> v & 1:
+            continue
+        best = _least_alpha_oct(g, k, alpha, s_mask | 1 << v, blocked, best)
+        blocked |= 1 << v
+    return best
 
 
 @lru_cache(maxsize=1)

@@ -1,7 +1,5 @@
 """graph6, DIMACS, and edge-list round trips and error handling."""
 
-from types import SimpleNamespace
-
 import pytest
 
 from widthlab.formats import (
@@ -89,9 +87,8 @@ def test_graph6_from_code_across_the_size_header(n):
 
 def test_graph6_writer_rejects_an_oversized_order_first():
     # The size header holds 18 bits of n; a larger graph fails before its
-    # quadratic upper triangle is read (the stand-in has no adjacency, and
-    # building a real Graph of that order takes seconds).
-    oversized = SimpleNamespace(n=258048)
+    # quadratic upper triangle is read.
+    oversized = Graph(258048, (0,) * 258048)
     with pytest.raises(FormatError, match="graph6 writer supports n <= 258047, got 258048"):
         to_graph6(oversized)
     with pytest.raises(FormatError, match="got 258048"):

@@ -69,6 +69,8 @@ def test_graph_validation_rejects_loops_and_asymmetry():
         Graph(2, (1 << 1, 0))  # 0->1 without 1->0
     with pytest.raises(ValueError):
         Graph(1, (1 << 3,))  # out of range
+    with pytest.raises(ValueError, match="neighbour of 1 out of range"):
+        Graph(2, (0, -1))  # a negative mask has bits at every position
     with pytest.raises(ValueError):
         Graph.from_edges(2, [(0, 0)])
 

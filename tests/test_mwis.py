@@ -1,11 +1,12 @@
 """MWIS solvers: exact oracle, bipartite min-cut route, OCT route, max flow."""
 
+import gc
 import hashlib
 import random
 
 import pytest
 
-from oracles import bipartite_mwis_reference, brute_mwis, oct_route_reference
+from oracles import bipartite_mwis_reference, brute_alpha, brute_mwis, oct_route_reference
 
 from widthlab.checks import _random_bipartite, _seeded_weights, default_params, instances_for
 from widthlab.config import DEFAULT_BUDGETS
@@ -27,6 +28,7 @@ from widthlab.mwis import (
     FlowNetwork,
     MwisResult,
     WeightedGraph,
+    _MaxWeight,
     _bipartite_mwis,
     _oct_layout,
     find_oct_with_bounded_alpha,
@@ -86,6 +88,43 @@ def test_mwis_exact_against_bruteforce(small_graphs):
         _assert_independent(g, result.vertices)
         assert sum(weights[v] for v in result.vertices) == result.weight
         assert all(weights[v] > 0 for v in result.vertices)
+
+
+def test_max_weight_kernel_against_brute_force():
+    # Every graph with n <= 7, seeded weights 0..9 (zeros included), and
+    # unit weights against brute_alpha.
+    rng = random.Random(28)
+    for g in _graphs_upto_7():
+        weights = tuple(rng.randint(0, 9) for _ in range(g.n))
+        assert _MaxWeight(g.adj, weights)(g.full_mask) == brute_mwis(g, weights), g.adj
+        assert _MaxWeight(g.adj, (1,) * g.n)(g.full_mask) == brute_alpha(g), g.adj
+
+
+def test_max_weight_kernel_meets_its_state_bound_at_the_budget():
+    # The matching {i, i + 15} on 30 vertices, the mwis_exact budget,
+    # reaches every state the bound min(2^u, 2^(n - u - 1)) allows for each
+    # lowest vertex u, plus the empty mask: 2^16 - 1 in all.
+    n = DEFAULT_BUDGETS.mwis_exact
+    g = Graph.from_edges(n, [(i, i + n // 2) for i in range(n // 2)])
+    kernel = _MaxWeight(g.adj, (1,) * n)
+    assert kernel(g.full_mask) == 15
+    assert len(kernel.memo) == 65535
+
+
+def test_exact_and_oct_searches_leave_no_reference_cycle():
+    # Each call's memo is freed by reference counting alone: the cyclic
+    # collector finds nothing unreachable after either search.
+    g = random_graph(12, 0.4, 3)
+    wg = WeightedGraph(g, tuple(range(g.n)))
+    gc.collect()
+    gc.disable()
+    try:
+        mwis_exact(wg)
+        assert gc.collect() == 0
+        find_oct_with_bounded_alpha(g, g.n)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_mwis_bipartite_known():
@@ -211,8 +250,9 @@ def test_find_oct_attains_minimum_alpha():
     # independence number equals the alpha-variant of the OCT modulator
     # number (the minimum is attained on an inclusion-minimal transversal).
     # The two least-alpha OCT searches are coded independently: odd-cycle
-    # branching over a SubsetAlpha oracle here, a lexicographic DFS over the
-    # dense alpha table in modulator_number.  Past the n <= 7 enumeration
+    # branching over the lowest-vertex kernel _MaxWeight here, a
+    # lexicographic DFS over the dense alpha table in modulator_number; the
+    # transversal's alpha is read back here with SubsetAlpha.  Past the n <= 7 enumeration
     # they meet on the seeded random graphs (n <= 14) of the default
     # mwis-equivalence family.
     params = default_params("mwis-equivalence")
