@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
-from .graphs import Graph, _triangle_code, graph_from_triangle_code
+import binascii
+
+from .graphs import Graph, _triangle_code, graph_from_triangle_bits
 
 
 class FormatError(ValueError):
@@ -27,20 +29,29 @@ def _graph6_size(n: int) -> str:
     return "~" + "".join(chr((n >> shift & 63) + 63) for shift in (12, 6, 0))
 
 
+# The graph6 body is base64 with its own alphabet: every 6-bit chunk, most
+# significant first, is one character.  The writer lets ``binascii`` cut the
+# chunks and maps its alphabet onto graph6's; the reader maps each character
+# to its 6 bits by one ``str.translate``.  Neither shifts an int per chunk,
+# which made both quadratic in the length of the body.
+_BASE64 = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+_BASE64_TO_GRAPH6 = bytes.maketrans(_BASE64, bytes(range(63, 127)))
+_CHAR_BITS = {v + 63: format(v, "06b") for v in range(64)}
+
+
 def graph6_from_code(n: int, code: int) -> str:
     """The graph6 string of the graph on n vertices whose upper triangle is
     ``code`` (the layout of ``_triangle_code``), with no ``Graph`` built."""
     header = _graph6_size(n)
     nbits = n * (n - 1) // 2
-    nchunks = (nbits + 5) // 6
-    body = code << (nchunks * 6 - nbits)
-    return header + "".join(
-        chr((body >> shift & 63) + 63) for shift in range(nchunks * 6 - 6, -6, -6)
-    )
+    # Zero-padded to whole 3-byte groups, which base64 writes as 4 chunks.
+    raw = (code << -nbits % 24).to_bytes((nbits + 23) // 24 * 3, "big")
+    body = binascii.b2a_base64(raw, newline=False).translate(_BASE64_TO_GRAPH6)
+    return header + body[: (nbits + 5) // 6].decode()
 
 
 def to_graph6(g: Graph) -> str:
-    _graph6_size(g.n)  # an oversized n fails before the quadratic triangle code
+    _graph6_size(g.n)  # an oversized n fails before the triangle code is built
     return graph6_from_code(g.n, _triangle_code(g, range(g.n)))
 
 
@@ -72,16 +83,13 @@ def from_graph6(text: str) -> Graph:
         raise FormatError(
             f"graph6 body has {len(body)} chars, expected {nchunks} for n={n}"
         )
-    bitstream = 0
-    for ch in body:
-        val = ord(ch) - 63
-        if not 0 <= val < 64:
-            raise FormatError(f"graph6 character {ch!r} out of range")
-        bitstream = bitstream << 6 | val
-    pad = nchunks * 6 - nbits
-    if pad and bitstream & ((1 << pad) - 1):
+    text = body.translate(_CHAR_BITS)
+    if len(text) != 6 * nchunks:  # a character outside the table stays one character
+        bad = next(ch for ch in body if ord(ch) - 63 not in range(64))
+        raise FormatError(f"graph6 character {bad!r} out of range")
+    if "1" in text[nbits:]:
         raise FormatError("nonzero padding bits in graph6 string")
-    return graph_from_triangle_code(n, bitstream >> pad)
+    return graph_from_triangle_bits(n, text[:nbits])
 
 
 # ---------------------------------------------------------------------------

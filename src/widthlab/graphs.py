@@ -180,6 +180,26 @@ def reach_table(adj: tuple[int, ...]) -> list[int]:
     return reach
 
 
+@lru_cache(maxsize=1)
+def component_table(adj: tuple[int, ...]) -> list[int]:
+    """``comp[s]``, the component of the lowest vertex of s in the subgraph
+    induced on s, for every subset s of the vertices of ``adj`` (0 for the
+    empty set), each grown from ``reach_table(adj)``.
+
+    For the passes that visit every subset; cached and read-only like
+    ``reach_table``.
+    """
+    reach = reach_table(adj)
+    table = [0] * len(reach)
+    for s in range(1, len(reach)):
+        comp, grow = 0, s & -s
+        while grow != comp:
+            comp = grow
+            grow = reach[comp] & s | comp
+        table[s] = comp
+    return table
+
+
 def reach_components(reach: list[int], mask: int) -> list[int]:
     """``components(adj, mask)`` read from ``reach = reach_table(adj)``: the
     same components in the same order, each grown by table lookups."""
@@ -297,14 +317,24 @@ ENUMERATION_MAX_N = 8
 
 def _triangle_code(g: Graph, order) -> int:
     """Encode the upper triangle, column-major (the graph6 bit order), as an
-    int whose most significant bit is the pair (0,1) of the relabelled graph."""
-    rows = [g.adj[v] for v in order]
-    code = 0
-    for j in range(1, g.n):
-        vj = order[j]
-        for row in rows[:j]:
-            code = code << 1 | (row >> vj & 1)
-    return code
+    int whose most significant bit is the pair (0,1) of the relabelled graph.
+
+    The pair (i, j), i < j, of the relabelled graph is character
+    j(j - 1)/2 + i of a bit string that ``int`` reads once, so no int grows
+    one pair at a time."""
+    n = g.n
+    position = [0] * n
+    for i, v in enumerate(order):
+        position[v] = i
+    text = bytearray(b"0" * (n * (n - 1) // 2))
+    for v, nb in enumerate(g.adj):
+        j = position[v]
+        column = j * (j - 1) // 2
+        for u in bits(nb):
+            i = position[u]
+            if i < j:
+                text[column + i] = 49  # "1"
+    return int(text, 2) if text else 0
 
 
 def _twin_below(adj) -> list[int]:
@@ -412,14 +442,28 @@ def canonical_form(g: Graph) -> int:
 
 
 def graph_from_triangle_code(n: int, code: int) -> Graph:
-    edges = []
-    pos = n * (n - 1) // 2
+    """The graph on n vertices whose upper triangle is ``code`` (the layout
+    of ``_triangle_code``)."""
+    return graph_from_triangle_bits(n, format(code, "0%db" % (n * (n - 1) // 2)))
+
+
+def graph_from_triangle_bits(n: int, text: str) -> Graph:
+    """``graph_from_triangle_code`` from the code's n(n - 1)/2 binary digits,
+    most significant first.  Column j, the pairs (i, j) for i < j, is the j
+    digits after the first j(j - 1)/2; read backwards it is the mask of the
+    neighbours of j below j.  So each column costs one ``int``, where a
+    shift of the whole code per pair made the read quadratic in the pairs."""
+    backwards = text[::-1]
+    adj = [0] * n
+    stop = len(backwards)
     for j in range(1, n):
-        for i in range(j):
-            pos -= 1
-            if code >> pos & 1:
-                edges.append((i, j))
-    return Graph.from_edges(n, edges)
+        start = stop - j
+        below = int(backwards[start:stop], 2)
+        stop = start
+        adj[j] = below
+        for i in bits(below):
+            adj[i] |= 1 << j
+    return Graph(n, tuple(adj))
 
 
 def _subset_orbit_reps(n: int, gens) -> list[int]:

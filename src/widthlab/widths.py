@@ -15,12 +15,18 @@ Algorithms (all exact for monotone bag costs):
     through placed ones, i.e. the elimination bag.  Any tree decomposition
     refines to the clique tree of a chordal completion, and the completions
     reachable by vertex elimination include all minimal ones, so the DP
-    minimum equals the decomposition minimum.
+    minimum equals the decomposition minimum.  The DP splits by components:
+    f(A + B) = max(f(A), f(B)) when no edge joins A and B, and on a
+    connected S every bag is v + N(S) - S (proof in ``_subset_dp``).
   - pathwidth: the bag of v is the boundary of the placed set (its vertices
     with a neighbour outside it) plus v; a first-appearance ordering of any
-    path decomposition produces bags inside the original ones.
+    path decomposition produces bags inside the original ones.  Under
+    cardinality that bag has |boundary(S - v)| + 1 vertices for every v, so
+    max(f(T), |boundary(T)| + 1) is kept once per set T.
   The DP reads bag costs from a dense table over all 2^n subsets (popcounts,
-  or alpha filled in one pass).
+  or alpha filled in one pass).  It keeps no choice per set: the witness
+  ordering is read backwards along the optimal path, n sets, each placing
+  last its lowest v that attains f(S).
 * pathwidth decision form: a pruned depth-first search over feasible
   prefixes.  Each bag is the boundary B of a prefix plus one vertex v
   outside B, so |B + v| = |B| + 1 and alpha(B + v) = max(alpha(B),
@@ -33,38 +39,42 @@ Algorithms (all exact for monotone bag costs):
   order (the O*(2^n) baseline of Fomin, Giannopoulou & Pilipczuk,
   "Computing tree-depth faster than 2^n", Algorithmica 2015).  A
   disconnected s takes the larger height of its lowest vertex's component
-  and the rest; a connected s takes 1 + min over v of td(s - v), with the
-  lowest such v as its root.  The forest is rebuilt from the root table.
+  and the rest; a connected s takes 1 + min over v of td(s - v).  The table
+  holds heights only: the forest is built top-down, and each component on
+  the way takes as its root its lowest v with td(c - v) = td(c) - 1.
 * treedepth under alpha: recursion on a connected component below its
   ancestor set, choosing the component's root; a root-to-leaf path costs
   alpha of the ancestors plus the path, so the memo keys on (component,
-  ancestor set).  Every path pays at least floor = max over v of
-  alpha(ancestors + v), so the root loop stops at the first root that
-  reaches floor; if alpha(ancestors + component) is already floor, every
-  root reaches it and the lowest one is taken without recursing.
+  ancestor set).  Every root reaches at most alpha(ancestors + component),
+  so each state starts there with its lowest root and keeps a later root
+  only if it does strictly better.  Every path pays at least floor = max
+  over v of alpha(ancestors + v), so the root loop stops at the first root
+  that reaches floor, and is skipped when the starting bound is floor.
 * degeneracy: greedy peeling of a vertex with the cheapest closed
   neighbourhood cost; exact because the cost is monotone under subsets.
 
 The exact tw, pw and td solvers keep 2^n-entry tables, within one budget,
 ``width_exact``.  The subset DP reads at most n * 2^(n-1) bag costs, one per
-pair (s, v in s), and builds n more bags for the witness.  They share two
+pair (s, v in s), and builds n bags for the witness.  They share three
 per-graph tables, each cached for the last graph asked and read-only to
 every caller: ``graphs.reach_table``, the union of the neighbourhoods of
-every subset, and ``invariants.alpha_table``, alpha of every subset.  reach
-answers their connectivity questions by lookups instead of searches.  The tw
-loop grows low's component in s inline with ``reach[comp] & s``, and only
-for the pairs that survive the ``f(s - v) >= best`` prune.  The pw loop reads
-the boundary of placed, ``reach[full - placed] & placed``, from a list filled
-once per set, not once per pair.  The td components come from
-``graphs.reach_components``.  The bag functions build only the witness bags.
-The tw, pw and td loops over the vertices of s read its one-bit masks from
-``_one_bits``, one module-level table grown by doubling: the table for n is a
-prefix of the one for n + 1, so alternating sizes extend it and never
-rebuild it.  At n = 16 it holds 65,536 tuples, about 7 MB, built in about
-0.1 s.  ``_popcounts`` grows the same way.  The decision forms, which run
-past those sizes, and degeneracy visit a sparse family of subsets and keep
-the breadth-first ``graphs.components`` and the memoised ``SubsetAlpha``
-oracle.
+every subset; ``graphs.component_table``, the component of the lowest
+vertex of every subset; and ``invariants.alpha_table``, alpha of every
+subset.  Only the two dense passes, the tw DP and the cardinality td table,
+read the component table.  The alpha-td recursion grows the components
+below a root inline from reach, and the decision forms never build a 2^n
+table: they visit sparse states on up to 25 vertices.  The pw loop reads
+the boundary of a set, ``reach[full - s] & s``, once per set, not once per
+pair.  The tw, pw and td loops over the vertices of s read its one-bit
+masks from ``_one_bits``, one module-level table grown by doubling: the
+table for n is a prefix of the one for n + 1, so alternating sizes extend
+it and never rebuild it.  At n = 16 it holds 65,536 tuples, about 7 MB,
+built in about 0.1 s.  ``_popcounts`` grows the same way.  The decision
+forms and degeneracy keep the breadth-first ``graphs.components`` and the
+memoised ``SubsetAlpha`` oracle.  The recursive searches keep their state
+in small objects (``_AlphaTreedepth``, ``_TdFeasible``), and the forest is
+built from an explicit stack, so a finished call leaves no reference cycle
+for the collector.
 """
 
 from __future__ import annotations
@@ -79,7 +89,15 @@ from .decomp import (
     RootedForest,
     TreeDecomposition,
 )
-from .graphs import Graph, bits, check_budget, components, reach_components, reach_table
+from .graphs import (
+    Graph,
+    bits,
+    check_budget,
+    component_table,
+    components,
+    reach_components,
+    reach_table,
+)
 from .invariants import SubsetAlpha, alpha_table, largest_choice
 
 
@@ -131,72 +149,116 @@ def _subset_dp(g: Graph, kind: CostKind, treewidth: bool) -> tuple[int, list[int
 
     Returns the optimum, an optimal ordering and its bags.  Every proper
     subset of s is numerically smaller than s, so plain numeric order solves
-    it first; trying vertices in increasing order with a strict improvement
-    test fixes which optimal ordering is returned.
+    it first.  The ordering is read backwards from the full set: each set on
+    the path places last the lowest v with max(f(s - v), cost(bag(s - v,
+    v))) = f(s), the vertex that trying vertices in increasing order with a
+    strict improvement test would keep.
+
+    Treewidth splits by components.  f(s) is the least, over the orderings
+    of s, of the largest elimination bag cost, and the bag of v after the
+    prefix p is v + N(C) - p - v, with C the component of v in G[p + v].
+    Let no edge join A and B.  For v in A, C lies inside (p & A) + v and
+    N(C) misses B, so v gets the bag it gets after p & A alone.  Hence every
+    ordering of A + B costs at least max(f(A), f(B)), and an optimal
+    ordering of A followed by one of B costs exactly that: f(A + B) =
+    max(f(A), f(B)).  With c the component of the lowest vertex of s
+    (``graphs.component_table``), a disconnected s takes max(f(c), f(s -
+    c)).  For connected s, the component of every v in s is s itself, so
+    every bag is v + N(s) - s: under cardinality f(s) = max(min over v of
+    f(s - v), |N(s) - s| + 1), and under alpha the loop over v reads
+    alpha(N(s) - s + v).
+
+    Pathwidth under cardinality places v after t = s - v in a bag of
+    |boundary(t)| + 1 vertices whatever v is, so h(t) = max(f(t),
+    |boundary(t)| + 1) is kept once per set and f(s) = min over v of h(s -
+    v).
     """
     n = g.n
     full = (1 << n) - 1
-    bag_cost = _popcounts(n) if kind is CostKind.CARDINALITY else alpha_table(g.adj)
+    by_size = kind is CostKind.CARDINALITY
+    bag_cost = _popcounts(n) if by_size else alpha_table(g.adj)
     reach = reach_table(g.adj)
     one_bits = _one_bits(n)
     worst = n + 1  # above every bag cost
     f = [worst] * (full + 1)
-    choice = [0] * (full + 1)  # the one-bit mask placed last among s
     f[0] = 0
     if treewidth:
+        comp = component_table(g.adj)
         for s in range(1, full + 1):
-            best = worst
-            out = full ^ s
-            for low in one_bits[s]:
-                sub = f[s ^ low]
-                if sub >= best:
-                    continue
-                # The bag: low plus the neighbours outside s of low's
-                # component in s.
-                comp, grow = low, reach[low] & s | low
-                while grow != comp:
-                    comp = grow
-                    grow = reach[comp] & s | comp
-                value = bag_cost[reach[comp] & out | low]
-                if value < sub:
-                    value = sub
-                if value < best:
-                    best, pick = value, low
-            f[s] = best
-            choice[s] = pick
+            c = comp[s]
+            if c != s:
+                a, b = f[c], f[s ^ c]
+                f[s] = a if a > b else b
+            elif by_size:
+                best = worst
+                for low in one_bits[s]:
+                    sub = f[s ^ low]
+                    if sub < best:
+                        best = sub
+                size = bag_cost[reach[s] & ~s] + 1
+                f[s] = best if best > size else size
+            else:
+                nb = reach[s] & ~s
+                best = worst
+                for low in one_bits[s]:
+                    sub = f[s ^ low]
+                    if sub >= best:
+                        continue
+                    value = bag_cost[nb | low]
+                    if value < sub:
+                        value = sub
+                    if value < best:
+                        best = value
+                f[s] = best
         bag = _elimination_bags(reach)
     else:
-        # The boundary of every set: its vertices with a neighbour outside.
-        boundary = [reach[full ^ s] & s for s in range(full + 1)]
-        for s in range(1, full + 1):
-            best = worst
-            for low in one_bits[s]:
-                prev = s ^ low
-                sub = f[prev]
-                if sub >= best:
-                    continue
-                value = bag_cost[boundary[prev] | low]
-                if value < sub:
-                    value = sub
-                if value < best:
-                    best, pick = value, low
-            f[s] = best
-            choice[s] = pick
+        if by_size:
+            h = [1] * (full + 1)
+            for s in range(1, full + 1):
+                best = worst
+                for low in one_bits[s]:
+                    value = h[s ^ low]
+                    if value < best:
+                        best = value
+                f[s] = best
+                size = bag_cost[reach[full ^ s] & s] + 1
+                h[s] = best if best > size else size
+        else:
+            # The boundary of every set: its vertices with a neighbour outside.
+            boundary = [reach[full ^ s] & s for s in range(full + 1)]
+            for s in range(1, full + 1):
+                best = worst
+                for low in one_bits[s]:
+                    prev = s ^ low
+                    sub = f[prev]
+                    if sub >= best:
+                        continue
+                    value = bag_cost[boundary[prev] | low]
+                    if value < sub:
+                        value = sub
+                    if value < best:
+                        best = value
+                f[s] = best
 
         def bag(placed: int, low: int) -> int:
-            return boundary[placed] | low
+            return reach[full ^ placed] & placed | low
 
     order = []
+    bags = []
     s = full
     while s:
-        order.append(choice[s].bit_length() - 1)
-        s ^= choice[s]
+        target = f[s]
+        for low in one_bits[s]:
+            placed = s ^ low
+            if f[placed] <= target:
+                last = bag(placed, low)
+                if bag_cost[last] <= target:
+                    break
+        order.append(low.bit_length() - 1)
+        bags.append(last)
+        s = placed
     order.reverse()
-    bags = []
-    placed = 0
-    for v in order:
-        bags.append(bag(placed, 1 << v))
-        placed |= 1 << v
+    bags.reverse()
     return f[full], order, bags
 
 
@@ -340,117 +402,142 @@ def lambda_pw_at_most(
 # Treedepth
 
 
-def _treedepth_table(adj) -> tuple[list[int], list[int]]:
-    """td of the subgraph induced on every subset and, for the connected
-    ones, the lowest root that attains it, indexed by bitmask.
+def _treedepth_table(adj) -> list[int]:
+    """td of the subgraph induced on every subset, indexed by bitmask.
 
-    With c the component of s that holds its lowest vertex, td(s) is
-    max(td(c), td(s - c)) when c != s, and 1 + min over v in s of td(s - v)
-    when s is connected.  Both read only proper subsets of s, which are
-    numerically smaller, so one pass in numeric order fills the table.
+    With c the component of s that holds its lowest vertex
+    (``graphs.component_table``), td(s) is max(td(c), td(s - c)) when c != s,
+    and 1 + min over v in s of td(s - v) when s is connected.  Both read only
+    proper subsets of s, which are numerically smaller, so one pass in
+    numeric order fills the table.
     """
-    reach = reach_table(adj)
+    comp = component_table(adj)
     one_bits = _one_bits(len(adj))
-    size = len(reach)
+    size = len(comp)
     height = [0] * size
-    root = [0] * size
     for s in range(1, size):
-        comp, grow = 0, s & -s
-        while grow != comp:
-            comp = grow
-            grow = reach[comp] & s | comp
-        if comp != s:
-            a, b = height[comp], height[s ^ comp]
+        c = comp[s]
+        if c != s:
+            a, b = height[c], height[s ^ c]
             height[s] = a if a > b else b
-            continue
-        best = size
-        for low in one_bits[s]:
-            h = height[s ^ low]
-            if h < best:
-                best, best_root = h, low
-        height[s] = best + 1
-        root[s] = best_root.bit_length() - 1
-    return height, root
+        else:
+            best = size
+            for low in one_bits[s]:
+                h = height[s ^ low]
+                if h < best:
+                    best = h
+            height[s] = best + 1
+    return height
 
 
-def _alpha_treedepth(adj):
-    """solve(comp, above): the least alpha cost of a forest on the connected
-    component comp below the ancestor set above, and its lowest optimal root.
+class _AlphaTreedepth:
+    """``self(comp, above)``: the least alpha cost of a forest on the
+    connected component comp below the ancestor set above, and its lowest
+    optimal root, memoised on (component, ancestor set).
+
+    A root-to-leaf path costs alpha of the ancestors plus the path, and every
+    path lies inside above + comp, so every root reaches at most cost(above +
+    comp).  Each state starts from that bound with the lowest root, and a
+    root replaces it only by a strict improvement; so when no root beats the
+    bound the lowest root is the answer.  Every path pays at least floor =
+    max over v of cost(above + v), so the loop stops at the first root that
+    reaches floor, and it is skipped when the bound is already floor.  The
+    components below a root are grown inline from ``graphs.reach_table``.
     """
-    n = len(adj)
-    cost = alpha_table(adj)
-    reach = reach_table(adj)
-    one_bits = _one_bits(n)
-    memo: dict[int, tuple[int, int]] = {}
 
-    def solve(comp: int, above: int) -> tuple[int, int]:
+    def __init__(self, adj):
+        self.n = len(adj)
+        self.cost = alpha_table(adj)
+        self.reach = reach_table(adj)
+        self.one_bits = _one_bits(self.n)
+        self.memo: dict[int, tuple[int, int]] = {}
+
+    def __call__(self, comp: int, above: int) -> tuple[int, int]:
         if comp & (comp - 1) == 0:
-            return cost[above | comp], comp.bit_length() - 1
-        key = comp | above << n
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        roots = []  # (cost(above + v), v as a one-bit mask)
-        floor = 0  # every root-to-leaf path pays at least this
-        for low in one_bits[comp]:
+            return self.cost[above | comp], comp.bit_length() - 1
+        key = comp | above << self.n
+        cached = self.memo.get(key)
+        return self._solve(comp, above, key) if cached is None else cached
+
+    def _solve(self, comp: int, above: int, key: int) -> tuple[int, int]:
+        # A state not yet in the memo; each component below a root looks its
+        # state up before it recurses, which saves a call on every memo hit.
+        n, cost, reach, memo = self.n, self.cost, self.reach, self.memo
+        roots = self.one_bits[comp]
+        floor = 0
+        for low in roots:
             here = cost[above | low]
-            roots.append((here, low))
             if here > floor:
                 floor = here
-        if cost[above | comp] == floor:  # every root reaches floor
-            best, best_root = floor, (comp & -comp).bit_length() - 1
-        else:
-            best, best_root = n + 1, -1
-            for here, low in roots:
-                if here >= best:
+        best, best_root = cost[above | comp], comp & -comp
+        if best > floor:
+            for low in roots:
+                value = cost[above | low]
+                if value >= best:
                     continue
-                value = here
                 below = above | low
-                for sub in reach_components(reach, comp ^ low):
-                    # A single vertex is one leaf: no call needed.
-                    h = cost[below | sub] if sub & (sub - 1) == 0 else solve(sub, below)[0]
+                rest = comp ^ low
+                while rest:
+                    sub, grow = 0, rest & -rest
+                    while grow != sub:
+                        sub = grow
+                        grow = reach[sub] & rest | sub
+                    rest ^= sub
+                    if sub & (sub - 1) == 0:  # a single vertex is one leaf
+                        h = cost[below | sub]
+                    else:
+                        sub_key = sub | below << n
+                        got = memo.get(sub_key)
+                        h = (self._solve(sub, below, sub_key) if got is None else got)[0]
                     if h > value:
                         value = h
                         if value >= best:
                             break
                 if value < best:
-                    best, best_root = value, low.bit_length() - 1
+                    best, best_root = value, low
                     if best == floor:
                         break
-        memo[key] = (best, best_root)
-        return best, best_root
-
-    return solve
+        result = best, best_root.bit_length() - 1
+        memo[key] = result
+        return result
 
 
 def lambda_treedepth(
     g: Graph, kind: CostKind, budgets: Budgets = DEFAULT_BUDGETS
 ) -> WidthResult:
+    """The forest is built top-down from an explicit stack, one component
+    below its ancestor set at a time.  Under cardinality the root of a
+    component c is read from the table: the lowest v with td(c - v) = td(c)
+    - 1, the vertex a strict improvement test in increasing order keeps."""
     check_budget("lambda_treedepth", g.n, budgets.width_exact)
     if g.n == 0:
         return WidthResult(0, RootedForest(()), kind)
     adj = g.adj
+    reach = reach_table(adj)
     if kind is CostKind.CARDINALITY:
-        height, roots = _treedepth_table(adj)
+        height = _treedepth_table(adj)
+        one_bits = _one_bits(g.n)
 
         def solve(comp: int, above: int) -> tuple[int, int]:
-            return height[comp], roots[comp]
+            target = height[comp] - 1
+            for low in one_bits[comp]:
+                if height[comp ^ low] == target:
+                    return target + 1, low.bit_length() - 1
 
     else:
-        solve = _alpha_treedepth(adj)
-    reach = reach_table(adj)
+        solve = _AlphaTreedepth(adj)
     parent: list[int | None] = [None] * g.n
-
-    def build(comp: int, above: int, parent_vertex: int | None):
-        root = solve(comp, above)[1]
-        parent[root] = parent_vertex
-        for sub in reach_components(reach, comp & ~(1 << root)):
-            build(sub, above | 1 << root, root)
-
     value = 0
+    stack = []
     for comp in reach_components(reach, g.full_mask):
         value = max(value, solve(comp, 0)[0])
-        build(comp, 0, None)
+        stack.append((comp, 0, None))
+    while stack:
+        comp, above, parent_vertex = stack.pop()
+        root = solve(comp, above)[1]
+        parent[root] = parent_vertex
+        below = above | 1 << root
+        stack.extend((sub, below, root) for sub in reach_components(reach, comp & ~(1 << root)))
     return WidthResult(value, RootedForest(tuple(parent)), kind)
 
 
@@ -471,20 +558,33 @@ def lambda_td_at_most(
         return k >= 0
     if k <= 0:
         return False
-    adj = g.adj
-    bag_cost = _bag_cost_fn(g, kind)
-    # Under cardinality the cost of a subtree only depends on the stack
-    # height, so the ancestor set collapses to its size in the memo key.
-    by_height = kind is CostKind.CARDINALITY
-    memo: dict[tuple[int, int], bool] = {}
+    feasible = _TdFeasible(g.adj, _bag_cost_fn(g, kind), k, kind is CostKind.CARDINALITY)
+    return all(feasible(comp, 0) for comp in g.components())
 
-    def feasible(comp: int, above: int) -> bool:
+
+class _TdFeasible:
+    """``self(comp, above)``: whether the connected component comp has a
+    forest below the ancestor set above whose every path costs at most k."""
+
+    def __init__(self, adj, bag_cost, k: int, by_height: bool):
+        self.adj = adj
+        self.bag_cost = bag_cost
+        self.k = k
+        # Under cardinality the cost of a subtree only depends on the stack
+        # height, so the ancestor set collapses to its size in the memo key.
+        self.by_height = by_height
+        self.memo: dict[tuple[int, int], bool] = {}
+
+    def __call__(self, comp: int, above: int) -> bool:
+        bag_cost, k = self.bag_cost, self.k
         if comp & (comp - 1) == 0:  # a single vertex: one leaf bag
             return bag_cost(above | comp) <= k
+        by_height = self.by_height
         key = (comp, above.bit_count() if by_height else above)
-        cached = memo.get(key)
+        cached = self.memo.get(key)
         if cached is not None:
             return cached
+        adj = self.adj
         tight = bag_cost(above) == k
         ranked = []
         m = 0 if tight and by_height else comp  # under cardinality every root costs k + 1
@@ -496,15 +596,20 @@ def lambda_td_at_most(
                 if not nb & above or bag_cost(above & ~nb) >= k:
                     continue
             subs = components(adj, comp ^ low)
-            largest = max((c.bit_count() for c in subs), default=0)
-            ranked.append((largest, low, subs))
+            ranked.append((max(map(int.bit_count, subs), default=0), low, subs))
         # Kept eager: lazy lowest-first roots were 100x slower (BENCH_22.json).
         ranked.sort()  # the distinct masks low break every tie
-        ok = any(all(feasible(sub, above | low) for sub in subs) for _, low, subs in ranked)
-        memo[key] = ok
+        ok = False
+        for _, low, subs in ranked:  # the first root whose every subtree fits
+            below = above | low
+            for sub in subs:
+                if not self(sub, below):
+                    break
+            else:
+                ok = True
+                break
+        self.memo[key] = ok
         return ok
-
-    return all(feasible(comp, 0) for comp in g.components())
 
 
 # ---------------------------------------------------------------------------

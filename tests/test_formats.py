@@ -1,5 +1,7 @@
 """graph6, DIMACS, and edge-list round trips and error handling."""
 
+import hashlib
+
 import pytest
 
 from widthlab.formats import (
@@ -18,6 +20,7 @@ from widthlab.graphs import (
     _triangle_code,
     enumerate_graphs,
     graph_from_triangle_code,
+    path_graph,
     random_graph,
     star,
 )
@@ -85,6 +88,30 @@ def test_graph6_from_code_across_the_size_header(n):
     assert from_graph6(text) == g
 
 
+# sha256 of the graph6 strings of random_graph(n, p, n) for n in 0, 1, 62,
+# 63, 100 and p in 0.1, 0.5, one per line, recorded from the writer that
+# shifted one growing int per vertex pair.
+GRAPH6_ACROSS_SIZES_DIGEST = "2beadf80ec8ce942fc974161c3ab7034ff65c8a3bbb4d42e77d0624b267de851"
+
+
+def test_graph6_strings_pinned_across_the_size_header():
+    graphs = [random_graph(n, p, n) for n in (0, 1, 62, 63, 100) for p in (0.1, 0.5)]
+    texts = [to_graph6(g) for g in graphs]
+    assert hashlib.sha256("\n".join(texts).encode()).hexdigest() == GRAPH6_ACROSS_SIZES_DIGEST
+    assert [from_graph6(text) for text in texts] == graphs
+
+
+def test_graph6_round_trip_is_linear_in_the_pairs():
+    # 1,123,750 vertex pairs.  With one shift of a growing int per pair,
+    # each direction took over 20 s on a 2-core host; read and written as
+    # bit strings, the round trip takes a fraction of a second.
+    g = path_graph(1500)
+    text = to_graph6(g)
+    assert len(text) == 4 + (1500 * 1499 // 2 + 5) // 6
+    assert from_graph6(text) == g
+    assert graph_from_triangle_code(1500, _triangle_code(g, range(1500))) == g
+
+
 def test_graph6_writer_rejects_an_oversized_order_first():
     # The size header holds 18 bits of n; a larger graph fails before its
     # quadratic upper triangle is read.
@@ -108,6 +135,12 @@ def test_graph6_malformed():
         from_graph6("~?@")  # truncated multi-byte size header
     with pytest.raises(FormatError):
         from_graph6("~~??????")  # 8-byte header form (n > 258047)
+    with pytest.raises(FormatError, match="graph6 character '>' out of range"):
+        from_graph6("D?>")  # a body character below '?'
+    with pytest.raises(FormatError, match="out of range"):
+        from_graph6("D?" + chr(127))  # a body character above '~'
+    with pytest.raises(FormatError, match="nonzero padding bits"):
+        from_graph6("D?}")
 
 
 def test_dimacs_round_trip():

@@ -6,6 +6,7 @@ instead, and tiny instances are additionally checked against exhaustive
 enumeration of decompositions.
 """
 
+import gc
 import hashlib
 import random
 import subprocess
@@ -32,13 +33,14 @@ from oracles import (
 from widthlab.config import DEFAULT_BUDGETS, DEFAULT_SUITE, Budgets
 from widthlab import widths
 from widthlab.decomp import CostKind, cost, validate
-from widthlab.formats import to_graph6
+from widthlab.formats import from_graph6, to_graph6
 from widthlab.graphs import (
     BudgetExceededError,
     Graph,
     bits,
     complete_bipartite,
     complete_graph,
+    component_table,
     components,
     copies,
     cycle_graph,
@@ -120,12 +122,15 @@ def test_dense_alpha_table_matches_subset_alpha():
 
 def test_table_kernels_match_bfs_references():
     # On every subset: the treewidth bag read from the reach table, the
-    # pathwidth boundary reach[full - s] & s and the table-driven components
-    # equal the breadth-first searches they replace, in the same order.
+    # pathwidth boundary reach[full - s] & s, the table-driven components and
+    # the component table's entry (the lowest vertex's component) equal the
+    # breadth-first searches they replace, in the same order.
     graphs = [g for n in range(1, 7) for g in enumerate_graphs(n)]
     graphs += [random_graph(12, p, 60 + seed) for p in (0.2, 0.45) for seed in range(2)]
     for g in graphs:
         reach = reach_table(g.adj)
+        comp = component_table(g.adj)
+        assert len(comp) == len(reach) and comp[0] == 0
         bag = _elimination_bags(reach)
         closed = [nb | 1 << v for v, nb in enumerate(g.adj)]
         full = g.full_mask
@@ -135,6 +140,7 @@ def test_table_kernels_match_bfs_references():
             boundary[s] = _grow_boundary(closed, boundary[s ^ low], s, low)
             assert reach[full ^ s] & s == boundary[s], (g.adj, s)
             assert reach_components(reach, s) == components(g.adj, s), (g.adj, s)
+            assert comp[s] == reach_components(reach, s)[0], (g.adj, s)
             m = s
             while m:
                 low = m & -m
@@ -143,14 +149,15 @@ def test_table_kernels_match_bfs_references():
 
 
 def test_per_graph_tables_are_isolated():
-    # The reach and alpha tables keep one graph each: interleaving graphs of
-    # one size gives the results of fresh calls, and no solver writes into
-    # the shared alpha table.
+    # The reach, component and alpha tables keep one graph each:
+    # interleaving graphs of one size gives the results of fresh calls, and
+    # no solver writes into the shared alpha table.
     a, b = random_graph(8, 0.4, 31), random_graph(8, 0.4, 32)
     solvers = (lambda_treewidth, lambda_pathwidth, lambda_treedepth)
 
     def fresh(g):
         reach_table.cache_clear()
+        component_table.cache_clear()
         alpha_table.cache_clear()
         return [repr(f(g, kind)) for f in solvers for kind in BOTH]
 
@@ -301,7 +308,7 @@ def test_treedepth_table_on_every_subset():
     for n in (8, 9, 10):
         for p in (0.3, 0.6):
             g = random_graph(n, p, 900 + n)
-            height, _ = _treedepth_table(g.adj)
+            height = _treedepth_table(g.adj)
             for mask in range(1 << n):
                 sub = g.induced(mask)[0]
                 k = height[mask]
@@ -634,6 +641,43 @@ def test_alpha_widths_are_ordered_past_eleven_vertices():
             for solver in (lambda_treewidth, lambda_pathwidth, lambda_treedepth)
         )
         assert tw <= pw <= td, (n, tw, pw, td)
+
+
+DISJOINT_UNIONS = {  # name: (graph, tw, pw, td), each as (cardinality, alpha)
+    "C5+P4+K3": (from_graph6("Khc?GC@???_B"), (3, 2), (3, 2), (4, 2)),
+    "3C5": (copies(3, cycle_graph(5)), (3, 2), (3, 2), (4, 2)),
+}
+
+
+@pytest.mark.parametrize("g, tw, pw, td", DISJOINT_UNIONS.values(), ids=DISJOINT_UNIONS)
+def test_disjoint_unions_take_the_largest_component(g, tw, pw, td):
+    # The tw DP and the td table split every disconnected set by components.
+    solvers = (lambda_treewidth, lambda_pathwidth, lambda_treedepth)
+    for solver, expected in zip(solvers, (tw, pw, td)):
+        assert tuple(_solve_checked(solver, g, kind) for kind in BOTH) == expected, solver.__name__
+
+
+def test_width_searches_leave_no_reference_cycle():
+    # Every solver and decision form frees its memo and oracle by reference
+    # counting alone: with the collector off, nothing is left unreachable.
+    g = random_graph(12, 0.4, 3)
+    calls = (
+        lambda kind: lambda_treewidth(g, kind),
+        lambda kind: lambda_pathwidth(g, kind),
+        lambda kind: lambda_treedepth(g, kind),
+        lambda kind: lambda_pw_at_most(g, kind, 3),
+        lambda kind: lambda_td_at_most(g, kind, 3),
+        lambda kind: degeneracy(g, kind),
+    )
+    gc.collect()
+    gc.disable()
+    try:
+        for kind in BOTH:
+            for i, call in enumerate(calls):
+                call(kind)
+                assert gc.collect() == 0, (i, kind)
+    finally:
+        gc.enable()
 
 
 # ---------------------------------------------------------------------------
