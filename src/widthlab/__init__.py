@@ -1,7 +1,7 @@
 """widthlab: exact graph width parameters, independence variants, modulators,
 and a per-graph verification harness."""
 
-from .config import Budgets, SuiteParams, DEFAULT_BUDGETS, DEFAULT_SUITE
+from .config import Budgets, DEFAULT_BUDGETS
 from .decomp import (
     CostKind,
     PathDecomposition,

@@ -1,13 +1,17 @@
 """Named verification suites over generated graph families.
 
 Each registered check evaluates one per-graph fact on every member of its
-family and reports structured failures.  Checks are deterministic under a
-fixed seed; a failing instance always carries a graph6 string that
-reproduces the problem through the ``param`` CLI.
+family and reports structured failures.  ``CHECKS`` holds one ``Check`` per
+name, whose ``defaults`` are all the settings the check has: its family
+sizes and seed, overridden by a run's params (``CheckSpec.params``, the CLI
+flags, or the ``checks`` section of ``--config``).  Checks are
+deterministic under a fixed seed; a failing instance always carries a
+graph6 string that reproduces the problem through the ``param`` CLI.
 """
 
 from __future__ import annotations
 
+import copy
 import json
 import random
 import time
@@ -15,7 +19,7 @@ from functools import lru_cache
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
-from .config import Budgets, SuiteParams, DEFAULT_BUDGETS, DEFAULT_SUITE
+from .config import Budgets, DEFAULT_BUDGETS
 from .constructions import SubstitutionKind, check_gamma_budget, gamma_family
 from .constructions import substitute, substitution_order
 from .decomp import CostKind, chordal_clique_tree, cost, tree_decomp_from_fvs
@@ -55,6 +59,8 @@ from .widths import lambda_pw_at_most, lambda_td_at_most
 
 CARD = CostKind.CARDINALITY
 ALPHA = CostKind.INDEPENDENCE
+# The default seed of every seeded check and of the CLI's random: family.
+DEFAULT_SEED = 20250810
 
 
 @dataclass(frozen=True)
@@ -608,15 +614,16 @@ def _eval_iso_invariance(inst, params, budgets) -> str | None:
 class Check:
     """One registered check.
 
-    ``defaults`` gives its params from the suite sizes; ``instances`` builds
-    its instance family from the params, failing before any member is built
-    when the family exceeds a budget; ``evaluate`` decides one instance and
-    states the asserted fact in its docstring; ``meta``, when set, adds
-    report metadata.  A check with ``family`` also reads a ``graphs`` param,
-    a list of graph6 strings that replaces its enumerated family.
+    ``defaults`` is its params dict, the only settings it reads: a run's
+    params override it key by key.  ``instances`` builds its instance family
+    from the params, failing before any member is built when the family
+    exceeds a budget; ``evaluate`` decides one instance and states the
+    asserted fact in its docstring; ``meta``, when set, adds report
+    metadata.  A check with ``family`` also reads a ``graphs`` param, a list
+    of graph6 strings that replaces its enumerated family.
     """
 
-    defaults: Callable[[SuiteParams], dict]
+    defaults: dict
     instances: Callable[[dict, Budgets], list[dict]]
     evaluate: Callable[[dict, dict, Budgets], str | None]
     family: bool = False
@@ -646,32 +653,18 @@ def _gamma_meta(params: dict, budgets: Budgets) -> dict:
 
 
 CHECKS: dict[str, Check] = {
-    "chain-inequality": Check(
-        lambda s: {"max_n": s.chain_max_n}, _per_graph, _eval_chain, family=True
-    ),
-    "ramsey-binding": Check(
-        lambda s: {"max_n": s.ramsey_max_n}, _ramsey_instances, _eval_ramsey_binding, family=True
-    ),
+    "chain-inequality": Check({"max_n": 7}, _per_graph, _eval_chain, family=True),
+    "ramsey-binding": Check({"max_n": 6}, _ramsey_instances, _eval_ramsey_binding, family=True),
     "sclaw-increment": Check(
-        lambda s: {
-            "max_n": s.sclaw_max_n,
-            "random_n": s.sclaw_random_n,
-            "random_count": s.sclaw_random_count,
-            "seed": s.default_seed,
-        },
+        {"max_n": 3, "random_n": 4, "random_count": 20, "seed": DEFAULT_SEED},
         _sclaw_instances,
         _eval_sclaw,
         family=True,
     ),
-    "gamma-witness": Check(
-        lambda s: {"max_n": s.gamma_max_index},
-        _gamma_instances,
-        _eval_gamma,
-        meta=_gamma_meta,
-    ),
+    "gamma-witness": Check({"max_n": 3}, _gamma_instances, _eval_gamma, meta=_gamma_meta),
     "modulator-slack": Check(
-        lambda s: {
-            "max_n": s.modulator_max_n,
+        {
+            "max_n": 6,
             "rhos": ["omega", "chi", "tw", "pw", "td"],
             "cs": [0, 1, 2],
             "kinds": ["card", "alpha"],
@@ -681,53 +674,39 @@ CHECKS: dict[str, Check] = {
         family=True,
     ),
     "modulator-minimality": Check(
-        lambda s: {"max_n": s.modulator_max_n, "specs": ["tw:1", "tw:2", "chi:2"]},
+        {"max_n": 6, "specs": ["tw:1", "tw:2", "chi:2"]},
         _minimality_instances,
         _eval_modulator_minimality,
         family=True,
         meta=_minimality_meta,
     ),
     "modulator-identities": Check(
-        lambda s: {"max_n": s.modulator_max_n}, _per_graph, _eval_modulator_identities, family=True
+        {"max_n": 6}, _per_graph, _eval_modulator_identities, family=True
     ),
     "mwis-equivalence": Check(
-        lambda s: {
-            "max_n": s.mwis_max_n,
-            "weight_seeds": s.mwis_weight_seeds,
-            "random_count": s.mwis_random_count,
-            "random_max_n": s.mwis_random_max_n,
-            "bipartite_count": s.mwis_bipartite_count,
-            "bipartite_max_n": s.mwis_bipartite_max_n,
-            "weight_max": s.mwis_weight_max,
-            "seed": s.default_seed,
+        {
+            "max_n": 7,
+            "weight_seeds": 3,
+            "random_count": 200,
+            "random_max_n": 14,
+            "bipartite_count": 200,
+            "bipartite_max_n": 16,
+            "weight_max": 100,
+            "seed": DEFAULT_SEED,
         },
         _mwis_instances,
         _eval_mwis,
         family=True,
     ),
-    "fvs-alpha-tw-bound": Check(
-        lambda s: {"max_n": s.modulator_max_n}, _per_graph, _eval_fvs_alpha_tw, family=True
-    ),
+    "fvs-alpha-tw-bound": Check({"max_n": 6}, _per_graph, _eval_fvs_alpha_tw, family=True),
     "delta-not-inheritable": Check(
-        lambda s: {"q_min": s.delta_star_min, "q_max": s.delta_star_max},
-        _star_instances,
-        _eval_delta_not_inheritable,
+        {"q_min": 2, "q_max": 8}, _star_instances, _eval_delta_not_inheritable
     ),
-    "td-path-formula": Check(
-        lambda s: {"max_n": s.td_path_max_n}, _td_path_instances, _eval_td_path
-    ),
-    "nk2-knn-witness": Check(
-        lambda s: {"max_n": s.nk2_knn_max_n}, _nk2_knn_instances, _eval_nk2_knn
-    ),
-    "alpha-chi-nkn": Check(
-        lambda s: {"max_s": s.alpha_chi_max_s}, _alpha_chi_instances, _eval_alpha_chi
-    ),
+    "td-path-formula": Check({"max_n": 15}, _td_path_instances, _eval_td_path),
+    "nk2-knn-witness": Check({"max_n": 5}, _nk2_knn_instances, _eval_nk2_knn),
+    "alpha-chi-nkn": Check({"max_s": 5}, _alpha_chi_instances, _eval_alpha_chi),
     "iso-invariance": Check(
-        lambda s: {
-            "max_n": s.iso_max_n,
-            "relabelings": s.iso_relabelings,
-            "seed": s.default_seed,
-        },
+        {"max_n": 6, "relabelings": 5, "seed": DEFAULT_SEED},
         _iso_instances,
         _eval_iso_invariance,
         family=True,
@@ -743,8 +722,9 @@ def _check(name: str) -> Check:
     return CHECKS[name]
 
 
-def default_params(name: str, suite: SuiteParams = DEFAULT_SUITE) -> dict:
-    return _check(name).defaults(suite)
+def default_params(name: str) -> dict:
+    """A fresh copy of the check's default params: no run edits the table."""
+    return copy.deepcopy(_check(name).defaults)
 
 
 def instances_for(name: str, params: dict, budgets: Budgets = DEFAULT_BUDGETS) -> list[dict]:
@@ -770,7 +750,6 @@ def _eval_one(args):
 def run_check(
     spec: CheckSpec,
     budgets: Budgets = DEFAULT_BUDGETS,
-    suite: SuiteParams = DEFAULT_SUITE,
     jobs: int = 1,
     log_path: str | None = None,
 ) -> CheckReport:
@@ -783,7 +762,7 @@ def run_check(
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     check = _check(spec.name)
-    params = check.defaults(suite)
+    params = default_params(spec.name)
     declared = set(params) | ({"graphs"} if check.family else set())
     undeclared = sorted(set(spec.params) - declared)
     if undeclared:

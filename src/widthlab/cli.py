@@ -16,8 +16,8 @@ import os
 import sys
 import time
 
-from .checks import CHECK_NAMES, CheckSpec, default_params, enumerated_graph6, run_check
-from .config import DEFAULT_BUDGETS, DEFAULT_SUITE, load_config
+from .checks import CHECK_NAMES, CHECKS, DEFAULT_SEED, CheckSpec, enumerated_graph6, run_check
+from .config import DEFAULT_BUDGETS, load_config
 from .constructions import SubstitutionKind, gamma_family, subdivided_claw, substitute
 from .decomp import CostKind
 from .formats import FORMATS, FormatError, emit, parse, to_graph6
@@ -87,20 +87,22 @@ def cmd_param(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    budgets, suite = DEFAULT_BUDGETS, DEFAULT_SUITE
+    budgets, configured = DEFAULT_BUDGETS, {}
     if args.config:
-        budgets, suite = load_config(args.config)
+        budgets, configured = load_config(
+            args.config, {name: check.defaults for name, check in CHECKS.items()}
+        )
     if args.jobs < 1:
         raise UsageError(f"--jobs must be at least 1, got {args.jobs}")
     if args.check not in CHECK_NAMES:
         raise UsageError(
             f"unknown check {args.check!r}; see `widthlab list-checks`"
         )
-    params = {}
+    params = dict(configured.get(args.check, {}))  # the flags below override the file
     if args.max_n is not None:
         params["max_n"] = args.max_n
     # --seed also seeds the random: family, so checks without a seed accept it.
-    if args.seed is not None and "seed" in default_params(args.check, suite):
+    if args.seed is not None and "seed" in CHECKS[args.check].defaults:
         params["seed"] = args.seed
     if args.rho is not None:
         params["rhos"] = [args.rho]
@@ -113,7 +115,6 @@ def cmd_verify(args) -> int:
     report = run_check(
         CheckSpec(args.check, params),
         budgets=budgets,
-        suite=suite,
         jobs=args.jobs,
         log_path=args.log,
     )
@@ -134,7 +135,7 @@ def _resolve_family(text: str, seed: int | None) -> list[str]:
             graphs = [to_graph6(named_graph(f"P{s}")) for s in range(int(lo), int(hi) + 1)]
         elif head == "random":
             n, p, count = rest.split(",")
-            base = seed if seed is not None else DEFAULT_SUITE.default_seed
+            base = seed if seed is not None else DEFAULT_SEED
             graphs = [
                 to_graph6(random_graph(int(n), float(p), base + i))
                 for i in range(int(count))
@@ -233,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c", type=int, default=None, help="override threshold (slack)")
     p.add_argument("--kind", default=None, help="restrict cost kind (slack)")
     p.add_argument("--family", default=None, help="all:N, upto:N, stars:A-B, paths:A-B, random:N,P,COUNT, named:..., file:PATH")
-    p.add_argument("--config", default=None, help="JSON budgets/suite override")
+    p.add_argument("--config", default=None, help="JSON budgets/check params override")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("construct", help="emit constructed graphs")

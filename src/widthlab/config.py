@@ -1,8 +1,10 @@
-"""Solver budgets and default verification-suite sizes.
+"""Solver budgets, and the ``--config`` file that overrides them.
 
-One source of truth for CI and laptop runs: the defaults below match the
-acceptance suite, and a JSON file with the same keys can override any of
-them (``widthlab verify --config settings.json``).
+The budgets below are the hard instance-size limits of the exact solvers.
+A JSON file (``widthlab verify --config settings.json``) can override any
+budget in its ``budgets`` section, and any integer param of a registered
+check in its ``checks`` section, keyed by check name; each check's own
+defaults live in its ``checks.CHECKS`` record.
 """
 
 from __future__ import annotations
@@ -28,56 +30,45 @@ class Budgets:
     gamma_max_index: int = 5
 
 
-@dataclass(frozen=True)
-class SuiteParams:
-    """Default family sizes for the registered verification checks."""
-
-    chain_max_n: int = 7
-    ramsey_max_n: int = 6
-    sclaw_max_n: int = 3
-    sclaw_random_n: int = 4
-    sclaw_random_count: int = 20
-    gamma_max_index: int = 3
-    modulator_max_n: int = 6
-    mwis_max_n: int = 7
-    mwis_weight_seeds: int = 3
-    mwis_random_count: int = 200
-    mwis_random_max_n: int = 14
-    mwis_bipartite_count: int = 200
-    mwis_bipartite_max_n: int = 16
-    mwis_weight_max: int = 100
-    delta_star_min: int = 2
-    delta_star_max: int = 8
-    td_path_max_n: int = 15
-    nk2_knn_max_n: int = 5
-    alpha_chi_max_s: int = 5
-    iso_max_n: int = 6
-    iso_relabelings: int = 5
-    default_seed: int = 20250810
-
-
 DEFAULT_BUDGETS = Budgets()
-DEFAULT_SUITE = SuiteParams()
 
 
-def load_config(path: str) -> tuple[Budgets, SuiteParams]:
-    """Read budget/suite overrides from a JSON object with optional
-    ``budgets`` and ``suite`` sections.  Raises ValueError on a file that
-    cannot be read, a key that names nothing, or a value that is not a
-    non-negative integer (``default_seed`` may be any integer)."""
+def _overrides(label: str, values, defaults: dict) -> dict:
+    """``values`` when it sets only integer keys of ``defaults``, each to an
+    integer that is non-negative unless the key is ``seed``; else TypeError."""
+    keys = sorted(key for key, value in defaults.items() if type(value) is int)
+    if not isinstance(values, dict) or set(values) - set(keys):
+        raise TypeError(f"{label} may set only {', '.join(keys)}, got {values!r}")
+    for key, value in values.items():
+        if type(value) is not int:  # bool is an int subclass, never a size
+            raise TypeError(f"{label}.{key} must be an integer, got {value!r}")
+        if value < 0 and key != "seed":
+            raise TypeError(f"{label}.{key} must be non-negative, got {value}")
+    return values
+
+
+def load_config(path: str, defaults: dict[str, dict]) -> tuple[Budgets, dict[str, dict]]:
+    """Read a JSON object with optional ``budgets`` and ``checks`` sections.
+
+    ``checks`` maps a check name, a key of ``defaults`` (each check's
+    default params), to overrides of that check's integer params.  Returns
+    the budgets and the overrides by check name.  Raises ValueError on a
+    file that cannot be read, a section, check or key that names nothing, or
+    a value that is not a non-negative integer (a ``seed`` may be any
+    integer)."""
     try:
         with open(path) as fh:
             data = json.load(fh)
-        if not isinstance(data, dict) or set(data) - {"budgets", "suite"}:
-            raise TypeError("expected a JSON object with optional 'budgets' and 'suite' sections")
-        budgets = dataclasses.replace(DEFAULT_BUDGETS, **data.get("budgets", {}))
-        suite = dataclasses.replace(DEFAULT_SUITE, **data.get("suite", {}))
-        for section, values in (("budgets", budgets), ("suite", suite)):
-            for key, value in dataclasses.asdict(values).items():
-                if type(value) is not int:  # bool is an int subclass, never a size
-                    raise TypeError(f"{section}.{key} must be an integer, got {value!r}")
-                if value < 0 and key != "default_seed":
-                    raise TypeError(f"{section}.{key} must be non-negative, got {value}")
+        if not isinstance(data, dict) or set(data) - {"budgets", "checks"}:
+            raise TypeError("expected a JSON object with optional 'budgets' and 'checks' sections")
+        limits = _overrides("budgets", data.get("budgets", {}), dataclasses.asdict(DEFAULT_BUDGETS))
+        checks = data.get("checks", {})
+        if not isinstance(checks, dict):
+            raise TypeError("checks must map check names to params")
+        for name, params in checks.items():
+            if name not in defaults:
+                raise TypeError(f"unknown check {name!r}")
+            _overrides(f"checks.{name}", params, defaults[name])
     except (OSError, TypeError) as exc:
         raise ValueError(f"bad config {path}: {exc}") from None
-    return budgets, suite
+    return dataclasses.replace(DEFAULT_BUDGETS, **limits), checks

@@ -118,17 +118,14 @@ class RootedForest:
         """
         kids = self.children()
         sets = []
-
-        def walk(v: int, above: int):
+        stack = [(r, 0) for r in reversed(self.roots())]  # popped lowest first
+        while stack:
+            v, above = stack.pop()
             here = above | 1 << v
-            if not kids[v]:
+            if kids[v]:
+                stack += [(c, here) for c in reversed(kids[v])]
+            else:
                 sets.append(here)
-                return
-            for c in kids[v]:
-                walk(c, here)
-
-        for r in self.roots():
-            walk(r, 0)
         return tuple(sets)
 
     def hyperedges(self) -> tuple[int, ...]:

@@ -121,22 +121,21 @@ def largest_choice(groups: list[int], fits) -> int:
     tried before the group is skipped, and a branch stops once its size plus
     the groups left is no better than the best so far.
     """
-    best = 0
+    return _largest_choice(groups, fits, 0, 0, 0, 0)
 
-    def rec(i: int, chosen: int, size: int):
-        nonlocal best
-        if size + len(groups) - i <= best:
-            return
-        if i == len(groups):
-            best = size
-            return
-        for v in bits(groups[i]):
-            if fits(chosen, v):
-                rec(i + 1, chosen | 1 << v, size + 1)
-        rec(i + 1, chosen, size)
 
-    rec(0, 0, 0)
-    return best
+def _largest_choice(groups: list[int], fits, i: int, chosen: int, size: int, best: int) -> int:
+    """``largest_choice`` below a branch that has taken ``chosen`` (``size``
+    vertices) from groups[:i]: the larger of ``best`` and the best
+    completion.  Module level, so a finished search leaves no cycle."""
+    if size + len(groups) - i <= best:
+        return best
+    if i == len(groups):
+        return size
+    for v in bits(groups[i]):
+        if fits(chosen, v):
+            best = _largest_choice(groups, fits, i + 1, chosen | 1 << v, size + 1, best)
+    return _largest_choice(groups, fits, i + 1, chosen, size, best)
 
 
 def max_independent_set(g: Graph) -> tuple[int, ...]:
@@ -150,17 +149,18 @@ def max_independent_set(g: Graph) -> tuple[int, ...]:
 def independent_subsets(g: Graph, mask: int) -> list[int]:
     """All independent subsets of mask (including the empty set), as masks,
     in the lexicographic order of their sorted vertex tuples."""
+    adj = g.adj
     out = []
-
-    def rec(rest: int, chosen: int):
+    stack = [(mask, 0)]  # (vertices that may still join, the set so far)
+    while stack:
+        rest, chosen = stack.pop()
         out.append(chosen)
-        m = rest
+        m, above = rest, 0  # pushed highest vertex first, so the lowest pops next
         while m:
-            v = next(bits(m))
-            m &= ~(1 << v)
-            rec(m & ~g.adj[v], chosen | 1 << v)
-
-    rec(mask, 0)
+            v = m.bit_length() - 1
+            m ^= 1 << v
+            stack.append((above & ~adj[v], chosen | 1 << v))
+            above |= 1 << v
     return out
 
 

@@ -258,19 +258,19 @@ def modulator_number(
     good = predicate(spec.rho, spec.c)
     full = g.full_mask
     best, witness = g.n + 1, 0
-
-    def search(start: int, s_mask: int):
-        nonlocal best, witness
+    stack = [0]  # explicit, so a finished search leaves no reference cycle
+    while stack:
+        s_mask = stack.pop()
         a = alpha[s_mask]
         if a >= best:
-            return
+            continue
         if good(g, full & ~s_mask, budgets):
             best, witness = a, s_mask
-            return
-        for v in range(start, g.n):
-            search(v + 1, s_mask | 1 << v)
-
-    search(0, 0)
+            continue
+        for v in range(g.n - 1, s_mask.bit_length() - 1, -1):  # pushed so the lowest pops first
+            child = s_mask | 1 << v
+            if alpha[child] < best:  # checked again when popped: best may have fallen
+                stack.append(child)
     return best, tuple(bits(witness))
 
 

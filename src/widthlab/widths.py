@@ -657,37 +657,36 @@ def alpha_chromatic(g: Graph, budgets: Budgets = DEFAULT_BUDGETS) -> WidthResult
     if n == 0:
         return WidthResult(0, (), CostKind.INDEPENDENCE)
     adj = g.adj
-    best = n + 1
-    best_blocks: tuple[int, ...] = ()
 
     def fits(chosen: int, v: int) -> bool:  # a rainbow set stays independent
         return not adj[v] & chosen
 
-    blocks: list[int] = []  # the colour classes of the vertices below v, none empty
-
-    def assign(v: int):
-        nonlocal best, best_blocks
-        if best == 1:
-            return
-        value = largest_choice(sorted(blocks, key=int.bit_count), fits)
-        if value >= best:
-            return
-        if v == n:
-            best = value
-            best_blocks = tuple(blocks)
-            return
-        for b in range(len(blocks)):
-            if not adj[v] & blocks[b]:
-                blocks[b] |= 1 << v
-                assign(v + 1)
-                blocks[b] &= ~(1 << v)
-        blocks.append(1 << v)
-        assign(v + 1)
-        blocks.pop()
-
-    assign(0)
+    best, best_blocks = _assign_colours(adj, fits, 0, [], n + 1, ())
     colouring = [0] * n
     for c, block in enumerate(best_blocks):
         for v in bits(block):
             colouring[v] = c
     return WidthResult(best, tuple(colouring), CostKind.INDEPENDENCE)
+
+
+def _assign_colours(adj, fits, v: int, blocks: list[int], best: int, best_blocks: tuple):
+    """``alpha_chromatic``'s search below a partial colouring: ``blocks``
+    holds the colour classes of the vertices below v, none empty.  Returns
+    the better of (``best``, ``best_blocks``) and the best completion.
+    Module level, so a finished search leaves no cycle."""
+    if best == 1:
+        return best, best_blocks
+    value = largest_choice(sorted(blocks, key=int.bit_count), fits)
+    if value >= best:
+        return best, best_blocks
+    if v == len(adj):
+        return value, tuple(blocks)
+    for b in range(len(blocks)):
+        if not adj[v] & blocks[b]:
+            blocks[b] |= 1 << v
+            best, best_blocks = _assign_colours(adj, fits, v + 1, blocks, best, best_blocks)
+            blocks[b] &= ~(1 << v)
+    blocks.append(1 << v)
+    best, best_blocks = _assign_colours(adj, fits, v + 1, blocks, best, best_blocks)
+    blocks.pop()
+    return best, best_blocks

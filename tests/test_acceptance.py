@@ -7,8 +7,7 @@ are asserted against the wall-clock budgets the criteria state.
 
 import time
 
-from widthlab.checks import CheckSpec, run_check
-from widthlab.config import DEFAULT_SUITE
+from widthlab.checks import DEFAULT_SEED, CheckSpec, run_check
 from widthlab.decomp import CostKind, cost, validate
 from widthlab.formats import from_graph6, to_graph6
 from widthlab.graphs import (
@@ -136,7 +135,7 @@ def test_criterion_10_infrastructure():
 
     # isomorphism invariance: 5 seeded relabelings per graph, n <= 6
     report = run_check(
-        CheckSpec("iso-invariance", {"max_n": 6, "relabelings": 5, "seed": DEFAULT_SUITE.default_seed})
+        CheckSpec("iso-invariance", {"max_n": 6, "relabelings": 5, "seed": DEFAULT_SEED})
     )
     ok &= report.passed
 

@@ -50,6 +50,43 @@ def test_registered_checks_complete():
         default_params("unknown-check")
 
 
+def test_default_params_are_pinned():
+    seed = 20250810
+    assert {name: default_params(name) for name in CHECK_NAMES} == {
+        "alpha-chi-nkn": {"max_s": 5},
+        "chain-inequality": {"max_n": 7},
+        "delta-not-inheritable": {"q_min": 2, "q_max": 8},
+        "fvs-alpha-tw-bound": {"max_n": 6},
+        "gamma-witness": {"max_n": 3},
+        "iso-invariance": {"max_n": 6, "relabelings": 5, "seed": seed},
+        "modulator-identities": {"max_n": 6},
+        "modulator-minimality": {"max_n": 6, "specs": ["tw:1", "tw:2", "chi:2"]},
+        "modulator-slack": {
+            "max_n": 6,
+            "rhos": ["omega", "chi", "tw", "pw", "td"],
+            "cs": [0, 1, 2],
+            "kinds": ["card", "alpha"],
+        },
+        "mwis-equivalence": {
+            "max_n": 7,
+            "weight_seeds": 3,
+            "random_count": 200,
+            "random_max_n": 14,
+            "bipartite_count": 200,
+            "bipartite_max_n": 16,
+            "weight_max": 100,
+            "seed": seed,
+        },
+        "nk2-knn-witness": {"max_n": 5},
+        "ramsey-binding": {"max_n": 6},
+        "sclaw-increment": {"max_n": 3, "random_n": 4, "random_count": 20, "seed": seed},
+        "td-path-formula": {"max_n": 15},
+    }
+    # Each call is a fresh copy: editing one leaves the table as it was.
+    default_params("modulator-slack")["rhos"].clear()
+    assert CHECKS["modulator-slack"].defaults["rhos"] == ["omega", "chi", "tw", "pw", "td"]
+
+
 def test_run_check_small_pass():
     report = run_check(CheckSpec("chain-inequality", {"max_n": 4}))
     assert report.passed
@@ -417,14 +454,14 @@ def test_cli_over_budget_gamma_witness_fails_fast(tmp_path, monkeypatch, capsys)
 def test_cli_over_budget_sclaw_increment_fails_fast(tmp_path, monkeypatch, capsys):
     # A random 8-vertex graph has a 28-vertex s-claw substitution, past
     # pw_decision: exit 2 before any substitution is built, whether the
-    # graph comes from the suite sizes or from --family.
+    # graph comes from the check's configured params or from --family.
     import widthlab.checks
     from widthlab.cli import main
 
     calls = []
     monkeypatch.setattr(widthlab.checks, "substitute", lambda *args: calls.append(args))
     path = tmp_path / "sclaw8.json"
-    path.write_text('{"suite": {"sclaw_random_n": 8, "sclaw_random_count": 2}}')
+    path.write_text('{"checks": {"sclaw-increment": {"random_n": 8, "random_count": 2}}}')
     line = "error: lambda_pw_at_most: n=28 exceeds budget 25\n"
     for argv in (["--config", str(path)], ["--family", "random:8,0.5,1"]):
         assert main(["verify", "sclaw-increment", *argv]) == 2, argv
@@ -444,13 +481,13 @@ def test_cli_over_budget_sclaw_increment_fails_fast(tmp_path, monkeypatch, capsy
         (
             "delta-not-inheritable",
             [],
-            {"suite": {"delta_star_max": 16}},
+            {"checks": {"delta-not-inheritable": {"q_max": 16}}},
             "modulator_number: n=17 exceeds budget 16",
         ),
         (
             "alpha-chi-nkn",
             [],
-            {"suite": {"alpha_chi_max_s": 12}},
+            {"checks": {"alpha-chi-nkn": {"max_s": 12}}},
             "alpha_chromatic: n=12 exceeds budget 9",
         ),
         # 3K3, on 9 vertices, is the family's largest member at the default max_s.
@@ -753,12 +790,20 @@ def test_cli_malformed_family_member_exits_2_before_any_evaluation(
 @pytest.mark.parametrize(
     "argv, config, line",
     [
-        ([], {"suite": {"mwis_random_max_n": 21}}, "find_oct_with_bounded_alpha: n=21 exceeds budget 20"),
+        (
+            [],
+            {"checks": {"mwis-equivalence": {"random_max_n": 21}}},
+            "find_oct_with_bounded_alpha: n=21 exceeds budget 20",
+        ),
         ([], {"budgets": {"mwis_exact": 13}}, "mwis_exact: n=14 exceeds budget 13"),
         # No random graphs: their order is not held to a budget.
         (
             [],
-            {"suite": {"mwis_random_count": 0, "mwis_random_max_n": 99, "mwis_bipartite_max_n": 31}},
+            {
+                "checks": {
+                    "mwis-equivalence": {"random_count": 0, "random_max_n": 99, "bipartite_max_n": 31}
+                }
+            },
             "mwis_exact: n=31 exceeds budget 30",
         ),
         (["--family", "random:21,0.3,1"], None, "find_oct_with_bounded_alpha: n=21 exceeds budget 20"),
@@ -838,21 +883,36 @@ def test_cli_construct_zero_iterations_is_k1(capsys):
         None,
         "[1, 2]",
         '{"budgets": {"width_exactt": 3}}',
-        '{"suite": {"chain_maxn": 3}}',
-        '{"suite": {"td_path_max_n": "4"}}',
+        # The retired suite section is rejected, not read.
+        '{"suite": {"sclaw_random_n": 5}}',
+        '{"checks": {"td-path-formula": {"max_n": "4"}}}',
         '{"budgets": {"width_exact": "x"}}',
         '{"budgets": {"width_exact": true}}',
         '{"budgets": {"modulator": 16}}',
+        '{"checks": {"td-path": {"max_n": 4}}}',
+        '{"checks": {"td-path-formula": {"max_s": 4}}}',
+        '{"checks": {"modulator-slack": {"rhos": ["tw"]}}}',
+        '{"checks": {"td-path-formula": {"max_n": -1}}}',
+        '{"checks": {"td-path-formula": {"max_n": true}}}',
+        '{"checks": {"td-path-formula": 4}}',
+        '{"checks": ["td-path-formula"]}',
     ],
     ids=[
         "missing",
         "json-list",
         "unknown-budget",
         "unknown-suite",
-        "string-suite",
+        "string-param",
         "string-budget",
         "bool-budget",
         "replaced-budget",
+        "unknown-check",
+        "undeclared-param",
+        "list-param",
+        "negative-param",
+        "bool-param",
+        "param-not-object",
+        "checks-not-object",
     ],
 )
 def test_cli_bad_config_exits_2(tmp_path, capsys, content):
@@ -866,13 +926,24 @@ def test_cli_bad_config_exits_2(tmp_path, capsys, content):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
-def test_config_overrides_apply(tmp_path):
+def test_config_overrides_apply(tmp_path, capsys):
+    from widthlab.cli import main
     from widthlab.config import load_config
 
+    defaults = {name: check.defaults for name, check in CHECKS.items()}
     path = tmp_path / "settings.json"
-    path.write_text('{"budgets": {"width_exact": 3}, "suite": {"td_path_max_n": 4}}')
-    budgets, suite = load_config(str(path))
-    assert budgets.width_exact == 3 and suite.td_path_max_n == 4
+    path.write_text(
+        '{"budgets": {"width_exact": 3}, "checks": {"td-path-formula": {"max_n": 4}, '
+        '"sclaw-increment": {"seed": -7}}}'
+    )
+    budgets, configured = load_config(str(path), defaults)
+    assert budgets.width_exact == 3
+    assert configured == {"td-path-formula": {"max_n": 4}, "sclaw-increment": {"seed": -7}}
+    # The file sets the run's params, and a flag overrides the file.
+    assert main(["verify", "td-path-formula", "--config", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["instances_tested"] == 4
+    assert main(["verify", "td-path-formula", "--config", str(path), "--max-n", "2"]) == 0
+    assert json.loads(capsys.readouterr().out)["instances_tested"] == 2
 
 
 def test_readme_lists_registered_checks():

@@ -30,9 +30,10 @@ from oracles import (
     tw_by_separator_branching,
 )
 
-from widthlab.config import DEFAULT_BUDGETS, DEFAULT_SUITE, Budgets
+from widthlab.checks import DEFAULT_SEED
+from widthlab.config import DEFAULT_BUDGETS, Budgets
 from widthlab import widths
-from widthlab.decomp import CostKind, cost, validate
+from widthlab.decomp import CostKind, RootedForest, cost, validate
 from widthlab.formats import from_graph6, to_graph6
 from widthlab.graphs import (
     BudgetExceededError,
@@ -52,7 +53,13 @@ from widthlab.graphs import (
     star,
 )
 from widthlab.constructions import SubstitutionKind, substitute
-from widthlab.invariants import SubsetAlpha, alpha_table, is_chordal
+from widthlab.invariants import (
+    SubsetAlpha,
+    alpha_table,
+    independent_subsets,
+    is_chordal,
+    largest_choice,
+)
 from widthlab.widths import (
     _elimination_bags,
     _grow_boundary,
@@ -68,7 +75,7 @@ from widthlab.widths import (
     lambda_treedepth,
     lambda_treewidth,
 )
-from widthlab.modulators import parameter
+from widthlab.modulators import ModulatorSpec, modulator_number, parameter
 
 CARD = CostKind.CARDINALITY
 ALPHA = CostKind.INDEPENDENCE
@@ -481,7 +488,7 @@ def test_decision_pairs_match_exact_on_substitutions():
     # (5 to 16 vertices) by the decision pair at v - 1 and v, past the sizes
     # the tests above reach.
     bases = [g for n in range(1, 4) for g in enumerate_graphs(n)]
-    bases += [random_graph(4, 0.5, DEFAULT_SUITE.default_seed + i) for i in range(3)]
+    bases += [random_graph(4, 0.5, DEFAULT_SEED + i) for i in range(3)]
     for g in bases:
         for sub_kind, exact, at_most in (
             (SubstitutionKind.S_CLAW, lambda_pathwidth, lambda_pw_at_most),
@@ -505,7 +512,7 @@ def _substitution_bases():
     have 13 to 22 vertices."""
     for n in (5, 6):
         for i in range(3):
-            yield random_graph(n, 0.5, DEFAULT_SUITE.default_seed + 100 * n + i)
+            yield random_graph(n, 0.5, DEFAULT_SEED + 100 * n + i)
 
 
 def test_decision_forms_match_reference_at_every_k():
@@ -676,6 +683,31 @@ def test_width_searches_leave_no_reference_cycle():
             for i, call in enumerate(calls):
                 call(kind)
                 assert gc.collect() == 0, (i, kind)
+    finally:
+        gc.enable()
+
+
+def test_colouring_choice_and_modulator_searches_leave_no_reference_cycle():
+    # The alpha-chi partition search, the largest-choice branch and bound
+    # under it, the alpha modulator search, the independent-subset walk and
+    # the root-to-leaf walk keep no recursive closure: with the collector
+    # off, a finished call leaves nothing unreachable.
+    g7, g12 = random_graph(7, 0.4, 3), random_graph(12, 0.4, 3)
+    calls = {
+        "alpha_chromatic": lambda: alpha_chromatic(g7),
+        "largest_choice": lambda: largest_choice(
+            [1 << v for v in range(g12.n)], lambda chosen, v: not g12.adj[v] & chosen
+        ),
+        "modulator_number": lambda: modulator_number(g12, ModulatorSpec.parse("tw:2"), ALPHA),
+        "independent_subsets": lambda: independent_subsets(g12, g12.full_mask),
+        "root_to_leaf_sets": lambda: RootedForest((None, 0, 0, 1, 1, None, 5)).root_to_leaf_sets(),
+    }
+    gc.collect()
+    gc.disable()
+    try:
+        for name, call in calls.items():
+            call()
+            assert gc.collect() == 0, name
     finally:
         gc.enable()
 
