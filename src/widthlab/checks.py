@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import copy
 import json
+import os
 import random
 import time
 from functools import lru_cache
@@ -55,7 +56,6 @@ from .modulators import (
     slack_failure,
 )
 from .mwis import WeightedGraph, mwis_bipartite, mwis_exact, mwis_via_oct
-from .widths import lambda_pw_at_most, lambda_td_at_most
 
 CARD = CostKind.CARDINALITY
 ALPHA = CostKind.INDEPENDENCE
@@ -318,8 +318,8 @@ class _Profile:
         name the ``param`` CLI reads (``tw``, ``alpha-tw``, ...)."""
         return {
             name if kind is CARD else f"alpha-{name}": self.parameter(name, kind)[0]
-            for name, entries in PARAMETERS.items()
-            for kind, entry in zip((CARD, ALPHA), entries)
+            for name, row in PARAMETERS.items()
+            for kind, entry in ((CARD, row.card), (ALPHA, row.alpha))
             if entry is not None
         }
 
@@ -374,10 +374,11 @@ def _eval_ramsey_binding(inst, params, budgets) -> str | None:
     return None
 
 
-def _decide_value(h, at_most, kind, value, shown, label, budgets) -> str | None:
-    """Settle lambda(h) == value under ``kind`` by the decision pair at
-    value - 1 and value; ``shown`` is how the failure text writes the
-    expected value."""
+def _decide_value(h, name, kind, value, shown, label, budgets) -> str | None:
+    """Settle lambda-``name``(h) == value under ``kind`` by the decision
+    pair of that row's ``at_most`` at value - 1 and value; ``shown`` is how
+    the failure text writes the expected value."""
+    at_most = PARAMETERS[name].at_most
     if at_most(h, kind, value - 1, budgets):
         return f"{label} <= {value - 1}, expected {shown}"
     if not at_most(h, kind, value, budgets):
@@ -389,16 +390,14 @@ def _eval_sclaw(inst, params, budgets) -> str | None:
     """the s-claw / P5 / net substitutions raise alpha-pw / alpha-td / alpha-pw by
     exactly 1."""
     profile = _graph_profile(inst["g6"], budgets)
-    g = profile.graph
-    apw = profile.parameter("pw", ALPHA)[0]
-    atd = profile.parameter("td", ALPHA)[0]
-    for kind, k, at_most, label in (
-        (SubstitutionKind.S_CLAW, apw, lambda_pw_at_most, "alpha-pw(s(G))"),
-        (SubstitutionKind.P5, atd, lambda_td_at_most, "alpha-td(p5(G))"),
-        (SubstitutionKind.NET, apw, lambda_pw_at_most, "alpha-pw(net(G))"),
+    for kind, name, label in (
+        (SubstitutionKind.S_CLAW, "pw", "alpha-pw(s(G))"),
+        (SubstitutionKind.P5, "td", "alpha-td(p5(G))"),
+        (SubstitutionKind.NET, "pw", "alpha-pw(net(G))"),
     ):
-        h = substitute(g, kind)
-        detail = _decide_value(h, at_most, ALPHA, k + 1, f"{k}+1", label, budgets)
+        k = profile.parameter(name, ALPHA)[0]
+        h = substitute(profile.graph, kind)
+        detail = _decide_value(h, name, ALPHA, k + 1, f"{k}+1", label, budgets)
         if detail:
             return detail
     return None
@@ -438,11 +437,11 @@ def _eval_gamma(inst, params, budgets) -> str | None:
     if contains_induced(g, _P6):
         return f"S_{index} contains an induced P6"
     if g.n <= budgets.td_decision:
-        if not lambda_td_at_most(g, CARD, 2 * omega, budgets):
+        if not PARAMETERS["td"].at_most(g, CARD, 2 * omega, budgets):
             return f"td(S_{index}) > 2*omega = {2 * omega}"
     if g.n <= budgets.pw_decision:
         label = f"alpha-pw(S_{index})"
-        return _decide_value(g, lambda_pw_at_most, ALPHA, index, index, label, budgets)
+        return _decide_value(g, "pw", ALPHA, index, index, label, budgets)
     return None
 
 
@@ -562,7 +561,7 @@ def _eval_td_path(inst, params, budgets) -> str | None:
     """td(P_n) = ceil(log2(n+1))."""
     n = inst["n"]
     k = n.bit_length()  # ceil(log2(n+1)) for n >= 1
-    return _decide_value(path_graph(n), lambda_td_at_most, CARD, k, k, f"td(P_{n})", budgets)
+    return _decide_value(path_graph(n), "td", CARD, k, k, f"td(P_{n})", budgets)
 
 
 def _eval_nk2_knn(inst, params, budgets) -> str | None:
@@ -755,9 +754,10 @@ def run_check(
 ) -> CheckReport:
     """Build the family of ``spec`` and evaluate the check on every member.
 
-    ``jobs`` > 1 spreads the members over that many worker processes;
-    ``concurrent.futures`` is imported only then, so a ``jobs=1`` run never
-    loads ``multiprocessing``.  The report does not depend on ``jobs``.
+    ``jobs`` > 1 spreads the members over that many worker processes, at
+    most one per member and per CPU; ``concurrent.futures`` is imported
+    only for a pool, so a ``jobs=1`` run never loads ``multiprocessing``.
+    The report does not depend on ``jobs``.
     ``log_path`` gets one JSONL row per member, written after the run."""
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
@@ -782,10 +782,11 @@ def run_check(
             open(log_path, "a").close()  # append: an earlier log stays until the rows are written
         except OSError as exc:
             raise ValueError(f"cannot write log {log_path}: {exc}") from None
-    if jobs > 1 and len(tasks) > 1:
+    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # loaded only for a pool
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             details = list(pool.map(_eval_one, tasks, chunksize=8))
     else:
         details = [_eval_one(t) for t in tasks]

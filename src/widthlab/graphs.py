@@ -200,20 +200,6 @@ def component_table(adj: tuple[int, ...]) -> list[int]:
     return table
 
 
-def reach_components(reach: list[int], mask: int) -> list[int]:
-    """``components(adj, mask)`` read from ``reach = reach_table(adj)``: the
-    same components in the same order, each grown by table lookups."""
-    comps = []
-    while mask:
-        comp, grow = 0, mask & -mask
-        while grow != comp:
-            comp = grow
-            grow = reach[comp] & mask | comp
-        comps.append(comp)
-        mask ^= comp
-    return comps
-
-
 # ---------------------------------------------------------------------------
 # Named constructions
 

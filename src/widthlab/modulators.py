@@ -1,6 +1,9 @@
 """Modulator numbers, cover-type solvers, the parameter table, and the
 Ramsey binding function.
 
+``PARAMETERS`` holds one ``Parameter`` record per name: its entries, its
+decision form and its modulator-target test, each read from that row.
+
 A (rho, c)-modulator of G is a vertex set S with rho(G - S) <= c; its
 cardinality and independence variants minimise |S| and alpha(G[S]).  With
 the bag-cardinality width convention used throughout, (tw,1)- and
@@ -39,7 +42,6 @@ from . import widths
 
 CARD = CostKind.CARDINALITY
 ALPHA = CostKind.INDEPENDENCE
-RHO_NAMES = ("tw", "pw", "td", "chi", "omega", "delta")
 
 
 @dataclass(frozen=True)
@@ -48,8 +50,7 @@ class ModulatorSpec:
     c: int
 
     def __post_init__(self):
-        if self.rho not in RHO_NAMES:
-            raise ValueError(f"unknown target parameter {self.rho!r}")
+        predicate(self.rho, self.c)  # checks rho against the table
         if self.c < 0:
             raise ValueError("modulator threshold must be non-negative")
 
@@ -96,34 +97,25 @@ Good = Callable[[Graph, int, Budgets], bool]
 @cache
 def predicate(rho: str, c: int) -> Good:
     """The test good(g, mask, budgets) of rho(G[mask]) <= c, resolved once
-    per (rho, c).
+    per (rho, c) from the ``target`` of the row ``rho``.
 
     Every width here counts bag cardinality, so every rho but delta is at
     least 1 on a non-empty graph and at least 2 once it has an edge: c = 0
-    leaves the empty mask and c = 1 the edgeless ones.  delta is a degree
-    test at every c.  The c = 2 thresholds that the modulator searches
-    hammer on are decided on ``g.adj`` too: triangle-free (omega), a forest
-    (tw), a forest of caterpillars (pw), a star forest (td), bipartite
-    (chi).  Above c = 2, omega runs the clique search on the mask and the
-    rest build the induced subgraph: pw asks its decision form, td reads
-    the exact table, tw runs the exact subset DP and chi the colouring
-    search.  The modulator searches stay within ``budgets.width_exact``
-    vertices, so only ``rho_at_most`` on a larger graph sends td to its
-    decision form.
+    leaves the empty mask and c = 1 the edgeless ones, the same two tests
+    for every such row (``_threshold``).  delta is a degree test at every
+    c.  The c = 2 thresholds that the modulator searches hammer on are
+    decided on ``g.adj`` too: triangle-free (omega), a forest (tw), a
+    forest of caterpillars (pw), a star forest (td), bipartite (chi).
+    Above c = 2, omega runs the clique search on the mask and the rest
+    build the induced subgraph: pw asks its decision form, td reads the
+    exact table, tw runs the exact subset DP and chi the colouring search.
+    The modulator searches stay within ``budgets.width_exact`` vertices, so
+    only ``rho_at_most`` on a larger graph sends td to its decision form.
     """
-    if rho not in RHO_NAMES:
+    row = PARAMETERS.get(rho)
+    if row is None or row.target is None:
         raise ValueError(f"unknown target parameter {rho!r}")
-    if c < 0:
-        return _never
-    if rho == "delta":
-        return partial(_max_degree_at_most, c)
-    if c == 0:
-        return _is_empty
-    if c == 1:
-        return _is_edgeless
-    if c == 2:
-        return _THRESHOLD_TWO[rho]
-    return partial(_fallback, rho, c)
+    return row.target(c) if c >= 0 else _never
 
 
 def _never(g: Graph, mask: int, budgets: Budgets) -> bool:
@@ -184,28 +176,25 @@ def _is_bipartite(g: Graph, mask: int, budgets: Budgets) -> bool:
     return _two_colour(g.adj, mask)[1] is None
 
 
-_THRESHOLD_TWO: dict[str, Good] = {
-    "omega": _is_triangle_free,
-    "tw": _is_acyclic,
-    "pw": _is_caterpillar_forest,
-    "td": _is_star_forest,
-    "chi": _is_bipartite,
-}
+def _threshold(two: Good, above: Callable[..., bool]) -> Callable[[int], Good]:
+    """The ``target`` of a row that is 0 only on the empty mask and 1 only
+    on edgeless ones: ``two`` at c = 2, ``above(c, g, mask, budgets)`` above."""
+
+    def target(c: int) -> Good:
+        return (_is_empty, _is_edgeless, two)[c] if c <= 2 else partial(above, c)
+
+    return target
 
 
-def _fallback(rho: str, c: int, g: Graph, mask: int, budgets: Budgets) -> bool:
-    if rho == "omega":
-        return clique_number(g, mask) <= c
-    sub = g if mask == g.full_mask else g.induced(mask)[0]
-    if rho == "chi":
-        return is_k_colourable(sub, c)
-    if rho == "pw":
-        return widths.lambda_pw_at_most(sub, CARD, c, budgets)
-    if rho == "td":
-        if sub.n <= budgets.width_exact:
-            return widths.lambda_treedepth(sub, CARD, budgets).value <= c
-        return widths.lambda_td_at_most(sub, CARD, c, budgets)
-    return widths.lambda_treewidth(sub, CARD, budgets).value <= c
+def _induced(g: Graph, mask: int) -> Graph:
+    return g if mask == g.full_mask else g.induced(mask)[0]
+
+
+def _td_above(c: int, g: Graph, mask: int, budgets: Budgets) -> bool:
+    sub = _induced(g, mask)
+    if sub.n <= budgets.width_exact:
+        return widths.lambda_treedepth(sub, CARD, budgets).value <= c
+    return widths.lambda_td_at_most(sub, CARD, c, budgets)
 
 
 # ---------------------------------------------------------------------------
@@ -324,12 +313,24 @@ def oct_number(
 # ---------------------------------------------------------------------------
 # Parameter table
 #
-# Each parameter maps to its cardinality entry and its alpha-variant (None
-# where it has none).  An entry takes (g, budgets) and returns (value,
-# witness or None).  Entries look their solvers up by module global at call
-# time, so a solver replaced on its module is the one that runs.
+# An entry takes (g, budgets) and returns (value, witness or None).  Entries
+# and decision forms look their solvers up by module global at call time,
+# so a solver replaced on its module is the one that runs.
 
 Entry = Callable[[Graph, Budgets], tuple[int, object]]
+
+
+@dataclass(frozen=True)
+class Parameter:
+    """One row of ``PARAMETERS``: the entries ``card`` and ``alpha``, the
+    decision form ``at_most(g, kind, k, budgets)`` of lambda-rho(G) <= k,
+    and ``target(c)``, the test of rho(G[mask]) <= c for c >= 0 that makes
+    the row a modulator target.  A field the row lacks is None."""
+
+    card: Entry
+    alpha: Entry | None = None
+    at_most: Callable[[Graph, CostKind, int, Budgets], bool] | None = None
+    target: Callable[[int], Good] | None = None
 
 
 def _pair(result) -> tuple[int, object]:
@@ -346,50 +347,72 @@ def _local_alpha(g: Graph, budgets: Budgets) -> tuple[int, None]:
 
 
 def _alpha_modulator(rho: str, c: int) -> Entry:
-    spec = ModulatorSpec(rho, c)
-    return lambda g, b: modulator_number(g, spec, ALPHA, b)
+    # The spec is built per call: ``ModulatorSpec`` reads the table.
+    return lambda g, b: modulator_number(g, ModulatorSpec(rho, c), ALPHA, b)
 
 
-PARAMETERS: dict[str, tuple[Entry, Entry | None]] = {
-    "order": (lambda g, b: (g.n, None), None),
-    "alpha": (_independent_set, None),
+PARAMETERS: dict[str, Parameter] = {
+    "order": Parameter(lambda g, b: (g.n, None)),
+    "alpha": Parameter(_independent_set),
     # alpha-omega is max over cliques X of alpha(G[X]): any vertex gives 1.
-    "omega": (lambda g, b: (clique_number(g), None), lambda g, b: (1 if g.n else 0, None)),
-    "chi": (
+    "omega": Parameter(
+        lambda g, b: (clique_number(g), None),
+        lambda g, b: (1 if g.n else 0, None),
+        target=_threshold(_is_triangle_free, lambda c, g, m, b: clique_number(g, m) <= c),
+    ),
+    "chi": Parameter(
         lambda g, b: (chromatic_number(g), None),
         lambda g, b: _pair(widths.alpha_chromatic(g, b)),
+        target=_threshold(_is_bipartite, lambda c, g, m, b: is_k_colourable(_induced(g, m), c)),
     ),
-    "delta": (lambda g, b: (max_degree(g), None), _local_alpha),
-    "local-alpha": (_local_alpha, None),
-    "matching": (lambda g, b: (max_matching_size(g), None), None),
-    "degeneracy": (
+    "delta": Parameter(
+        lambda g, b: (max_degree(g), None),
+        _local_alpha,
+        target=lambda c: partial(_max_degree_at_most, c),
+    ),
+    "local-alpha": Parameter(_local_alpha),
+    "matching": Parameter(lambda g, b: (max_matching_size(g), None)),
+    "degeneracy": Parameter(
         lambda g, b: _pair(widths.degeneracy(g, CARD)),
         lambda g, b: _pair(widths.degeneracy(g, ALPHA)),
     ),
-    "tw": (
+    "tw": Parameter(
         lambda g, b: _pair(widths.lambda_treewidth(g, CARD, b)),
         lambda g, b: _pair(widths.lambda_treewidth(g, ALPHA, b)),
+        target=_threshold(
+            _is_acyclic,
+            lambda c, g, m, b: widths.lambda_treewidth(_induced(g, m), CARD, b).value <= c,
+        ),
     ),
-    "pw": (
+    "pw": Parameter(
         lambda g, b: _pair(widths.lambda_pathwidth(g, CARD, b)),
         lambda g, b: _pair(widths.lambda_pathwidth(g, ALPHA, b)),
+        at_most=lambda g, kind, k, b: widths.lambda_pw_at_most(g, kind, k, b),
+        target=_threshold(
+            _is_caterpillar_forest,
+            lambda c, g, m, b: widths.lambda_pw_at_most(_induced(g, m), CARD, c, b),
+        ),
     ),
-    "td": (
+    "td": Parameter(
         lambda g, b: _pair(widths.lambda_treedepth(g, CARD, b)),
         lambda g, b: _pair(widths.lambda_treedepth(g, ALPHA, b)),
+        at_most=lambda g, kind, k, b: widths.lambda_td_at_most(g, kind, k, b),
+        target=_threshold(_is_star_forest, _td_above),
     ),
-    "vc": (lambda g, b: vertex_cover_number(g, b), _alpha_modulator("tw", 1)),
-    "fvs": (lambda g, b: feedback_vertex_number(g, b), _alpha_modulator("tw", 2)),
-    "oct": (lambda g, b: oct_number(g, b), _alpha_modulator("chi", 2)),
+    "vc": Parameter(lambda g, b: vertex_cover_number(g, b), _alpha_modulator("tw", 1)),
+    "fvs": Parameter(lambda g, b: feedback_vertex_number(g, b), _alpha_modulator("tw", 2)),
+    "oct": Parameter(lambda g, b: oct_number(g, b), _alpha_modulator("chi", 2)),
 }
+# The targets as built; ``predicate`` reads the table itself when called.
+RHO_NAMES = tuple(name for name, row in PARAMETERS.items() if row.target)
 
 
 def parameter(name: str, kind: CostKind = CARD) -> Entry:
     """The table entry of ``name`` under ``kind``."""
     if name not in PARAMETERS:
         raise ValueError(f"unknown parameter {name!r}")
-    card, alpha = PARAMETERS[name]
-    entry = alpha if kind is ALPHA else card
+    row = PARAMETERS[name]
+    entry = row.alpha if kind is ALPHA else row.card
     if entry is None:
         raise ValueError(f"{name!r} has no alpha-variant")
     return entry

@@ -95,7 +95,6 @@ from .graphs import (
     check_budget,
     component_table,
     components,
-    reach_components,
     reach_table,
 )
 from .invariants import SubsetAlpha, alpha_table, largest_choice
@@ -513,7 +512,6 @@ def lambda_treedepth(
     if g.n == 0:
         return WidthResult(0, RootedForest(()), kind)
     adj = g.adj
-    reach = reach_table(adj)
     if kind is CostKind.CARDINALITY:
         height = _treedepth_table(adj)
         one_bits = _one_bits(g.n)
@@ -529,7 +527,7 @@ def lambda_treedepth(
     parent: list[int | None] = [None] * g.n
     value = 0
     stack = []
-    for comp in reach_components(reach, g.full_mask):
+    for comp in components(adj, g.full_mask):
         value = max(value, solve(comp, 0)[0])
         stack.append((comp, 0, None))
     while stack:
@@ -537,7 +535,7 @@ def lambda_treedepth(
         root = solve(comp, above)[1]
         parent[root] = parent_vertex
         below = above | 1 << root
-        stack.extend((sub, below, root) for sub in reach_components(reach, comp & ~(1 << root)))
+        stack.extend((sub, below, root) for sub in components(adj, comp & ~(1 << root)))
     return WidthResult(value, RootedForest(tuple(parent)), kind)
 
 

@@ -524,10 +524,11 @@ def test_cli_over_budget_per_order_checks_fail_fast(
 
 def test_td_path_formula_names_the_failing_side_of_the_pair(monkeypatch):
     # A td decision form that answers "<= k" exactly for k >= 2 puts P_1
-    # above its value and P_4 at or below one less than its value.
-    import widthlab.checks
+    # above its value and P_4 at or below one less than its value.  The td
+    # row's decision form looks the solver up on ``widths`` when called.
+    import widthlab.widths
 
-    monkeypatch.setattr(widthlab.checks, "lambda_td_at_most", lambda g, kind, k, budgets: k >= 2)
+    monkeypatch.setattr(widthlab.widths, "lambda_td_at_most", lambda g, kind, k, budgets: k >= 2)
     report = run_check(CheckSpec("td-path-formula", {"max_n": 4}))
     assert report.failures == [
         ('{"n": 1}', "td(P_1) > 1, expected 1"),
@@ -699,6 +700,39 @@ def test_param_json_pinned(tmp_path):
     assert digest == "200b8f648ea45bd171892cfb8b4f661ed9923106a8080ee2272cc7ad0f2f3165"
 
 
+def test_a_new_parameter_row_needs_no_other_edit(monkeypatch, tmp_path):
+    # One row, the edge count with a cardinality entry and a target test,
+    # reaches the param CLI, the profile table and the modulator searches.
+    import widthlab.checks as checks
+    from widthlab.config import DEFAULT_BUDGETS
+    from widthlab.graphs import bits, complete_graph
+    from widthlab.modulators import PARAMETERS, ModulatorSpec, Parameter, predicate
+
+    def edges(g, mask):
+        return sum((g.adj[v] & mask).bit_count() for v in bits(mask)) // 2
+
+    row = Parameter(
+        lambda g, b: (edges(g, g.full_mask), None),
+        target=lambda c: lambda g, mask, b: edges(g, mask) <= c,
+    )
+    monkeypatch.setitem(PARAMETERS, "edges", row)
+    try:
+        k4 = "C~"
+        assert _param(tmp_path, k4, "edges") == (
+            0, {"kind": "card", "parameter": "edges", "value": 6}
+        )
+        assert _param(tmp_path, k4, "alpha-edges")[0] == 2
+        assert checks._Profile(complete_graph(4), DEFAULT_BUDGETS).table()["edges"] == 6
+        # K4 less its first vertex is K3, with three edges.
+        assert ModulatorSpec.parse("edges:3") == ModulatorSpec("edges", 3)
+        assert predicate("edges", 3)(complete_graph(4), 0b1110, DEFAULT_BUDGETS)
+        assert _param(tmp_path, k4, "edges:3") == (
+            0, {"kind": "card", "parameter": "edges:3", "value": 1, "witness": [0]}
+        )
+    finally:
+        predicate.cache_clear()  # no later test resolves the removed row
+
+
 def test_run_check_rejects_undeclared_params():
     with pytest.raises(KeyError, match="bogus"):
         run_check(CheckSpec("td-path-formula", {"bogus": 1}))
@@ -868,6 +902,36 @@ def test_run_check_rejects_jobs_below_one(monkeypatch, jobs):
     monkeypatch.setattr(widthlab.checks, "instances_for", no_instances)
     with pytest.raises(ValueError, match=f"jobs must be at least 1, got {jobs}"):
         run_check(CheckSpec("td-path-formula", {"max_n": 3}), jobs=jobs)
+
+
+@pytest.mark.parametrize("cpus, started", [(64, [4]), (3, [3]), (None, [])])
+def test_run_check_starts_no_more_workers_than_members_or_cpus(monkeypatch, cpus, started):
+    # A pool starts all its workers at once, so a huge --jobs is clamped to
+    # the members and the CPUs.  The fake pool records what it is asked for
+    # and runs the members in-process.
+    import concurrent.futures
+
+    asked = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    spec = CheckSpec("td-path-formula", {"max_n": 4})
+    report = run_check(spec, jobs=100_000).to_json(include_timing=False)
+    assert asked == started
+    assert report == run_check(spec).to_json(include_timing=False)
 
 
 def test_cli_construct_zero_iterations_is_k1(capsys):

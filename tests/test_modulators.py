@@ -222,12 +222,14 @@ def test_rho_at_most_shortcuts_match_values(small_graphs):
             value = parameter(rho)(g, DEFAULT_BUDGETS)[0]
             for c in range(0, 4):
                 assert rho_at_most(g, rho, c) == (value <= c)
-    # Above c = 2, pw asks its decision form and td its exact table.
+    # Every target row from its closed form at c = 2 into its fallback:
+    # pw asks its decision form, td its exact table, tw the subset DP, chi
+    # the colouring search and omega the clique search on the mask.
     for n in range(7):
         for g in enumerate_graphs(n):
-            for rho in ("pw", "td"):
+            for rho in RHO_NAMES:
                 value = parameter(rho)(g, DEFAULT_BUDGETS)[0]
-                for c in range(2, 5):
+                for c in range(2, 6):
                     assert rho_at_most(g, rho, c) == (value <= c), (g.adj, rho, c)
 
 

@@ -48,7 +48,6 @@ from widthlab.graphs import (
     enumerate_graphs,
     path_graph,
     random_graph,
-    reach_components,
     reach_table,
     star,
 )
@@ -129,9 +128,9 @@ def test_dense_alpha_table_matches_subset_alpha():
 
 def test_table_kernels_match_bfs_references():
     # On every subset: the treewidth bag read from the reach table, the
-    # pathwidth boundary reach[full - s] & s, the table-driven components and
-    # the component table's entry (the lowest vertex's component) equal the
-    # breadth-first searches they replace, in the same order.
+    # pathwidth boundary reach[full - s] & s and the component table's entry
+    # (the lowest vertex's component) equal the breadth-first searches they
+    # replace.
     graphs = [g for n in range(1, 7) for g in enumerate_graphs(n)]
     graphs += [random_graph(12, p, 60 + seed) for p in (0.2, 0.45) for seed in range(2)]
     for g in graphs:
@@ -146,8 +145,7 @@ def test_table_kernels_match_bfs_references():
             low = s & -s
             boundary[s] = _grow_boundary(closed, boundary[s ^ low], s, low)
             assert reach[full ^ s] & s == boundary[s], (g.adj, s)
-            assert reach_components(reach, s) == components(g.adj, s), (g.adj, s)
-            assert comp[s] == reach_components(reach, s)[0], (g.adj, s)
+            assert comp[s] == components(g.adj, s)[0], (g.adj, s)
             m = s
             while m:
                 low = m & -m
