@@ -80,6 +80,70 @@ def alpha_table(adj: tuple[int, ...]) -> list[int]:
     return alpha
 
 
+class _MaxWeight:
+    """Memoised maximum weight of an independent set inside a vertex mask,
+    ``self(mask)``; under unit weights, the independence number.
+
+    The recursion branches on the lowest vertex v of the mask.  When v has
+    no neighbour left in the mask it is taken; otherwise the value is the
+    better of leaving v out and taking v with N(v) removed.  There is no
+    component split and no degree scan: a state costs one lookup.
+
+    The state bound.  Below the lowest vertex u of a state reached from the
+    root R, every vertex of R was either left out or taken, and taking a
+    vertex removes only its neighbours; so the state is R & [u, n) minus
+    N(J) for some independent J inside R & [0, u).  There are at most 2^u
+    such J, and the state is u plus a subset of (u, n), which leaves
+    2^(n - u - 1) choices; so at most min(2^u, 2^(n - u - 1)) states have
+    lowest vertex u.  With the empty mask that is 2^(n/2 + 1) - 1 states
+    for even n (3 * 2^((n - 1)/2) - 1 for odd n): 65,535 at n = 30, the
+    ``mwis_exact`` and ``cover_solvers`` budgets, and 2,047 per call at
+    n = 20, the ``oct_alpha`` budget.  Within those budgets the component
+    split of ``SubsetAlpha`` buys nothing this bound does not already give,
+    and it costs a search on every state.  ``SubsetAlpha`` keeps it for the
+    sparse 25 to 80-vertex decision forms, where components keep the memo
+    small and this bound would not.
+
+    ``mwis.mwis_exact`` and the OCT search's alpha read optimum values only,
+    which do not depend on the choice of v.  ``vertex_cover_number`` walks
+    the memo down along the lowest vertex, so it needs this rule: each mask
+    it reads is a state the recursion already holds.
+    """
+
+    def __init__(self, adj: tuple[int, ...], weights):
+        self.adj = adj
+        self.weights = weights
+        self.memo: dict[int, int] = {0: 0}
+
+    def __call__(self, mask: int) -> int:
+        value = self.memo.get(mask)
+        return self._solve(mask) if value is None else value
+
+    def _solve(self, mask: int) -> int:
+        # A mask not yet in the memo; each branch looks its mask up before
+        # it recurses, which saves a call on every memo hit.
+        memo = self.memo
+        low = mask & -mask
+        v = low.bit_length() - 1
+        near = self.adj[v] & mask
+        rest = mask ^ low
+        value = memo.get(rest)
+        if value is None:
+            value = self._solve(rest)
+        if near:
+            rest &= ~near
+            take = memo.get(rest)
+            if take is None:
+                take = self._solve(rest)
+            take += self.weights[v]
+            if take > value:
+                value = take
+        else:
+            value += self.weights[v]
+        memo[mask] = value
+        return value
+
+
 def independence_number(g: Graph) -> int:
     """alpha(G), the maximum size of an independent set."""
     return SubsetAlpha(g)(g.full_mask)
@@ -304,26 +368,13 @@ def _two_colour(adj, mask: int) -> tuple[list[int], tuple[list[int], int, int] |
 
 
 def _tree_cycle(parent, u: int, v: int) -> tuple[int, ...]:
-    seen = {}
-    x = u
-    while x != -1:
-        seen[x] = True
-        x = parent[x]
-    x = v
-    while x not in seen:
-        x = parent[x]
-    meet = x
-    path_u = []
-    x = u
-    while x != meet:
-        path_u.append(x)
-        x = parent[x]
-    path_v = []
-    x = v
-    while x != meet:
-        path_v.append(x)
-        x = parent[x]
-    return tuple(path_u + [meet] + path_v[::-1])
+    # Adjacent u and v of one colour share a BFS depth: their tree paths
+    # climb in step to the meeting vertex, and the cycle runs u .. meet .. v.
+    path_u, path_v = [u], [v]
+    while path_u[-1] != path_v[-1]:
+        path_u.append(parent[path_u[-1]])
+        path_v.append(parent[path_v[-1]])
+    return tuple(path_u + path_v[-2::-1])
 
 
 def is_chordal(g: Graph) -> tuple[bool, tuple[int, ...] | None]:

@@ -23,8 +23,7 @@ from .config import Budgets, DEFAULT_BUDGETS
 from .decomp import CostKind
 from .graphs import Graph, bits, check_budget, enumerate_graphs, mask_of
 from .invariants import (
-    SubsetAlpha,
-    _two_colour,
+    _MaxWeight,
     alpha_table,
     chromatic_number,
     clique_number,
@@ -133,18 +132,46 @@ def _max_degree_at_most(c: int, g: Graph, mask: int, budgets: Budgets) -> bool:
 
 def _is_edgeless(g: Graph, mask: int, budgets: Budgets) -> bool:
     adj = g.adj
-    return not any(adj[v] & mask for v in bits(mask))
+    m = mask
+    while m:
+        low = m & -m
+        if adj[low.bit_length() - 1] & mask:
+            return False
+        m ^= low
+    return True
 
 
 def _is_triangle_free(g: Graph, mask: int, budgets: Budgets) -> bool:
-    # No edge uv has a common neighbour.
+    # A triangle shows as an edge among the neighbours above its lowest vertex.
     adj = g.adj
-    return not any(adj[u] & adj[v] & mask for v in bits(mask) for u in bits(adj[v] & mask))
+    m = mask
+    while m:
+        low = m & -m
+        m ^= low
+        nb = rest = adj[low.bit_length() - 1] & m
+        while rest:
+            u = rest & -rest
+            if adj[u.bit_length() - 1] & nb:
+                return False
+            rest ^= u
+    return True
 
 
 def _is_acyclic(g: Graph, mask: int, budgets: Budgets) -> bool:
-    edges = sum((g.adj[v] & mask).bit_count() for v in bits(mask)) // 2
-    return edges == mask.bit_count() - len(g.components(mask))
+    # A forest has |mask| - components edges; the degrees count each twice.
+    adj = g.adj
+    degrees = count = 0
+    todo = mask
+    while todo:
+        frontier = todo & -todo
+        count += 1
+        while frontier:
+            low = frontier & -frontier
+            todo ^= low
+            nb = adj[low.bit_length() - 1] & mask
+            degrees += nb.bit_count()
+            frontier = (frontier ^ low) | nb & todo
+    return degrees == 2 * (mask.bit_count() - count)
 
 
 def _is_caterpillar_forest(g: Graph, mask: int, budgets: Budgets) -> bool:
@@ -162,18 +189,42 @@ def _is_caterpillar_forest(g: Graph, mask: int, budgets: Budgets) -> bool:
 
 
 def _is_star_forest(g: Graph, mask: int, budgets: Budgets) -> bool:
-    # Every edge has an end of degree 1, so a vertex of degree >= 2 is the
-    # centre of a star whose leaves see only it.
+    # Every edge has an end of degree 1: no two vertices of degree >= 2
+    # (``inner``, gathered in increasing order) are adjacent.
     adj = g.adj
-    for v in bits(mask):
-        nb = adj[v] & mask
-        if nb & (nb - 1) and any(adj[u] & mask != 1 << v for u in bits(nb)):
-            return False
+    m = mask
+    inner = 0
+    while m:
+        low = m & -m
+        nb = adj[low.bit_length() - 1] & mask
+        if nb & (nb - 1):
+            if nb & inner:
+                return False
+            inner |= low
+        m ^= low
     return True
 
 
 def _is_bipartite(g: Graph, mask: int, budgets: Budgets) -> bool:
-    return _two_colour(g.adj, mask)[1] is None
+    # BFS layers alternate between two sides, ``side`` holding the frontier's.
+    # An odd cycle shows as a frontier neighbour on its own side.
+    adj = g.adj
+    todo = mask
+    while todo:
+        frontier = side = todo & -todo
+        other = 0
+        while frontier:
+            reach = 0
+            while frontier:
+                low = frontier & -frontier
+                reach |= adj[low.bit_length() - 1]
+                frontier ^= low
+            if reach & side:
+                return False
+            frontier = reach & mask & ~other
+            side, other = other | frontier, side
+        todo &= ~(side | other)
+    return True
 
 
 def _threshold(two: Good, above: Callable[..., bool]) -> Callable[[int], Good]:
@@ -267,13 +318,17 @@ def modulator_number(
 # Dedicated cover-type solvers (vertex cover, FVS, OCT)
 
 
-def _cover_number(g: Graph, keep, budgets: Budgets, name: str) -> tuple[int, tuple[int, ...]]:
-    """n - keep(V), where keep(m) is the largest good subset of m, with the
-    lexicographically smallest witness."""
+def _cover_number(g: Graph, good: Good, budgets: Budgets, name: str) -> tuple[int, tuple[int, ...]]:
+    """n - keep(V), where keep(m) is the size of the largest subset F of m
+    with good(g, F), by ``largest_choice`` over the single vertices of m;
+    with the lexicographically smallest witness."""
     check_budget(name, g.n, budgets.cover_solvers)
 
+    def fits(chosen: int, v: int) -> bool:
+        return good(g, chosen | 1 << v, budgets)
+
     def cover(m: int) -> int:
-        return m.bit_count() - keep(m)
+        return m.bit_count() - largest_choice([1 << v for v in bits(m)], fits)
 
     value = cover(g.full_mask)
     return value, lex_min_witness(g.full_mask, value, cover, lambda v, m: (1, m & ~(1 << v)))
@@ -282,32 +337,38 @@ def _cover_number(g: Graph, keep, budgets: Budgets, name: str) -> tuple[int, tup
 def vertex_cover_number(
     g: Graph, budgets: Budgets = DEFAULT_BUDGETS
 ) -> tuple[int, tuple[int, ...]]:
-    """vc(G) = n - alpha(G), with the lexicographically smallest witness."""
-    return _cover_number(g, SubsetAlpha(g), budgets, "vertex_cover_number")
+    """vc(G) = n - alpha(G), with the lexicographically smallest witness.
 
-
-def _largest_good(g: Graph, good: Good, budgets: Budgets):
-    """keep(m): the size of the largest subset F of m with good(g, F), by
-    ``largest_choice`` over the single vertices of m."""
-
-    def fits(chosen: int, v: int) -> bool:
-        return good(g, chosen | 1 << v, budgets)
-
-    return lambda m: largest_choice([1 << v for v in bits(m)], fits)
+    A walk down the memo of one unit-weight ``_MaxWeight`` solve, from the
+    lowest vertex v of the mask m: if alpha(m - v) = alpha(m), some minimum
+    cover of G[m] holds v, and v joins the cover, as the smallest cover
+    must; else every maximum independent set of G[m] holds v, so v is taken
+    and N(v) joins the cover.  Both masks are the recursion's branches at m.
+    """
+    check_budget("vertex_cover_number", g.n, budgets.cover_solvers)
+    adj, m, taken = g.adj, g.full_mask, 0
+    alpha = _MaxWeight(adj, (1,) * g.n)
+    value, memo = g.n - alpha(m), alpha.memo
+    while m:
+        low = m & -m
+        if memo[m ^ low] == memo[m]:
+            m ^= low
+        else:
+            taken |= low
+            m &= ~(adj[low.bit_length() - 1] | low)
+    return value, tuple(bits(g.full_mask ^ taken))
 
 
 def feedback_vertex_number(
     g: Graph, budgets: Budgets = DEFAULT_BUDGETS
 ) -> tuple[int, tuple[int, ...]]:
-    keep = _largest_good(g, _is_acyclic, budgets)
-    return _cover_number(g, keep, budgets, "feedback_vertex_number")
+    return _cover_number(g, _is_acyclic, budgets, "feedback_vertex_number")
 
 
 def oct_number(
     g: Graph, budgets: Budgets = DEFAULT_BUDGETS
 ) -> tuple[int, tuple[int, ...]]:
-    keep = _largest_good(g, _is_bipartite, budgets)
-    return _cover_number(g, keep, budgets, "oct_number")
+    return _cover_number(g, _is_bipartite, budgets, "oct_number")
 
 
 # ---------------------------------------------------------------------------

@@ -4,11 +4,11 @@ Three routes: an exact oracle, the bipartite min-cut reduction, and the
 odd-cycle-transversal algorithm that enumerates independent sets inside an
 OCT of bounded independence number and finishes each on the remaining
 bipartite part with one min cut.  The exact oracle and the transversal
-search's alpha share one memoised recursion on the lowest vertex of a mask,
-``_MaxWeight``, whose state count is bounded by 2^(n/2 + 1).  The min cut is
-computed on vertex masks, by augmenting paths grown as bitmask layers, and
-every call also reads its lexicographically smallest witness from the
-residual graph of that maximum flow.
+search's alpha share ``invariants._MaxWeight``, which vertex cover walks
+too: a memoised recursion on the lowest vertex of a mask, with at most
+2^(n/2 + 1) states.  The min cut runs on vertex masks, by augmenting paths
+grown as bitmask layers, and every call also reads its lexicographically
+smallest witness from the residual graph of that maximum flow.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from functools import lru_cache
 
 from .config import Budgets, DEFAULT_BUDGETS
 from .graphs import Graph, bits, check_budget, mask_of
-from .invariants import independent_subsets, is_bipartite, lex_min_witness, odd_cycle
+from .invariants import _MaxWeight, independent_subsets, is_bipartite, lex_min_witness, odd_cycle
 
 
 @dataclass(frozen=True)
@@ -135,69 +135,6 @@ class FlowNetwork:
 
 # ---------------------------------------------------------------------------
 # Exact oracle
-
-
-class _MaxWeight:
-    """Memoised maximum weight of an independent set inside a vertex mask,
-    ``self(mask)``; under unit weights, the independence number.
-
-    The recursion branches on the lowest vertex v of the mask.  When v has
-    no neighbour left in the mask it is taken; otherwise the value is the
-    better of leaving v out and taking v with N(v) removed.  There is no
-    component split and no degree scan: a state costs one lookup.
-
-    The state bound.  Below the lowest vertex u of a state reached from the
-    root R, every vertex of R was either left out or taken, and taking a
-    vertex removes only its neighbours; so the state is R & [u, n) minus
-    N(J) for some independent J inside R & [0, u).  There are at most 2^u
-    such J, and the state is u plus a subset of (u, n), which leaves
-    2^(n - u - 1) choices; so at most min(2^u, 2^(n - u - 1)) states have
-    lowest vertex u.  With the empty mask that is 2^(n/2 + 1) - 1 states
-    for even n (3 * 2^((n - 1)/2) - 1 for odd n): 65,535 at n = 30, the
-    ``mwis_exact`` budget, and 2,047 per call at n = 20, the ``oct_alpha``
-    budget.  Within those budgets the component split of ``SubsetAlpha``
-    buys nothing this bound does not already give, and it costs a search on
-    every state.  ``SubsetAlpha`` keeps it for the sparse 25 to 80-vertex
-    decision forms, where components keep the memo small and this bound
-    would not.
-
-    The callers read only exact optimum values, which do not depend on the
-    branching rule, so no witness of ``mwis_exact`` and no transversal of
-    ``find_oct_with_bounded_alpha`` depends on the choice of v.
-    """
-
-    def __init__(self, adj: tuple[int, ...], weights):
-        self.adj = adj
-        self.weights = weights
-        self.memo: dict[int, int] = {0: 0}
-
-    def __call__(self, mask: int) -> int:
-        value = self.memo.get(mask)
-        return self._solve(mask) if value is None else value
-
-    def _solve(self, mask: int) -> int:
-        # A mask not yet in the memo; each branch looks its mask up before
-        # it recurses, which saves a call on every memo hit.
-        memo = self.memo
-        low = mask & -mask
-        v = low.bit_length() - 1
-        near = self.adj[v] & mask
-        rest = mask ^ low
-        value = memo.get(rest)
-        if value is None:
-            value = self._solve(rest)
-        if near:
-            rest &= ~near
-            take = memo.get(rest)
-            if take is None:
-                take = self._solve(rest)
-            take += self.weights[v]
-            if take > value:
-                value = take
-        else:
-            value += self.weights[v]
-        memo[mask] = value
-        return value
 
 
 def mwis_exact(wg: WeightedGraph, budgets: Budgets = DEFAULT_BUDGETS) -> MwisResult:

@@ -10,7 +10,10 @@ forms with one bag-cost call per (state, vertex), whose answers the
 package's forms, which read one per state, must reproduce, and
 ``bipartite_mwis_reference``: a Dinic flow network per min cut and one cut
 per vertex for the witness, which the package's mask kernel, reading its
-witness from one residual graph, must reproduce.  So is
+witness from one residual graph, must reproduce, and
+``vertex_cover_reference``: the self-reduction over ``SubsetAlpha`` whose
+value and witness the memo walk of ``vertex_cover_number`` must reproduce.
+So is
 ``oct_route_reference``: the OCT route with no bound and that reference on
 every rest, whose top weight and tie rule ``mwis_via_oct`` must reproduce.
 The last section holds plain helpers over the package's types that only
@@ -588,6 +591,19 @@ def mask_two_colouring(g: Graph, rest: int) -> dict[int, int] | None:
 
 def mask_is_bipartite(g: Graph, rest: int) -> bool:
     return mask_two_colouring(g, rest) is not None
+
+
+def vertex_cover_reference(g: Graph) -> tuple[int, tuple[int, ...]]:
+    """vc(G) and its lexicographically smallest witness: ``lex_min_witness``
+    with the delete step over n - ``SubsetAlpha``, one solve per vertex it
+    tries, each split into components."""
+    alpha = SubsetAlpha(g)
+
+    def cover(m: int) -> int:
+        return m.bit_count() - alpha(m)
+
+    value = cover(g.full_mask)
+    return value, lex_min_witness(g.full_mask, value, cover, lambda v, m: (1, m & ~(1 << v)))
 
 
 def brute_mwis(g: Graph, weights) -> int:

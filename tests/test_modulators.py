@@ -12,6 +12,7 @@ from oracles import (
     mask_is_acyclic,
     mask_is_bipartite,
     mask_is_cover,
+    vertex_cover_reference,
 )
 
 from widthlab.config import DEFAULT_BUDGETS
@@ -35,6 +36,7 @@ from widthlab.invariants import (
     max_degree,
     max_independent_set,
 )
+from widthlab import modulators
 from widthlab.modulators import (
     RHO_NAMES,
     ModulatorSpec,
@@ -113,6 +115,50 @@ def test_alpha_modulators_against_bruteforce(small_graphs):
         )
         got = modulator_number(g, ModulatorSpec("chi", 2), ALPHA)[0]
         assert got == brute_modulator(g, lambda rest: mask_is_bipartite(g, rest), ALPHA)
+
+
+def test_mask_tests_match_oracles():
+    # Every mask of every graph with n <= 6, then 200 seeded masks of each
+    # seeded random graph with n = 11..16, past the 1,024-entry ``bits``
+    # table and up to ``width_exact``.
+    pairs = (
+        (modulators._is_edgeless, mask_is_cover),
+        (modulators._is_acyclic, mask_is_acyclic),
+        (modulators._is_bipartite, mask_is_bipartite),
+    )
+    cases = [(g, m) for n in range(7) for g in enumerate_graphs(n) for m in range(1 << n)]
+    rng = random.Random(32)
+    for n in range(11, 17):
+        for p in (0.15, 0.3, 0.5):
+            g = random_graph(n, p, n)
+            cases += [(g, rng.getrandbits(n)) for _ in range(200)]
+    for g, mask in cases:
+        for test, oracle in pairs:
+            assert test(g, mask, DEFAULT_BUDGETS) == oracle(g, mask), (test.__name__, g.adj, mask)
+
+
+def test_vertex_cover_walk_matches_reference_at_the_budget(monkeypatch):
+    # At the cover_solvers budget of 30 the walk reads only states of its
+    # one _MaxWeight solve, at most 2^16 - 1 of them.
+    made = []
+
+    class Recorded(modulators._MaxWeight):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(modulators, "_MaxWeight", Recorded)
+    n = DEFAULT_BUDGETS.cover_solvers
+    graphs = [
+        complete_bipartite(n // 2, n // 2),
+        copies(n // 2, complete_graph(2)),
+        Graph.from_edges(n, [(i, i + n // 2) for i in range(n // 2)]),
+    ]
+    graphs += [random_graph(n, p, 32) for p in (0.05, 0.1, 0.2, 0.5)]
+    for g in graphs:
+        made.clear()
+        assert vertex_cover_number(g) == vertex_cover_reference(g), g.adj
+        assert len(made) == 1 and len(made[0].memo) <= 65535, g.adj
 
 
 def test_cover_witnesses():

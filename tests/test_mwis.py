@@ -22,13 +22,12 @@ from widthlab.graphs import (
     path_graph,
     random_graph,
 )
-from widthlab.invariants import SubsetAlpha, is_bipartite
+from widthlab.invariants import SubsetAlpha, _MaxWeight, is_bipartite
 from widthlab.modulators import ModulatorSpec, modulator_number, vertex_cover_number
 from widthlab.mwis import (
     FlowNetwork,
     MwisResult,
     WeightedGraph,
-    _MaxWeight,
     _bipartite_mwis,
     _oct_layout,
     find_oct_with_bounded_alpha,

@@ -74,7 +74,14 @@ from widthlab.widths import (
     lambda_treedepth,
     lambda_treewidth,
 )
-from widthlab.modulators import ModulatorSpec, modulator_number, parameter
+from widthlab.modulators import (
+    ModulatorSpec,
+    feedback_vertex_number,
+    modulator_number,
+    oct_number,
+    parameter,
+    vertex_cover_number,
+)
 
 CARD = CostKind.CARDINALITY
 ALPHA = CostKind.INDEPENDENCE
@@ -687,9 +694,10 @@ def test_width_searches_leave_no_reference_cycle():
 
 def test_colouring_choice_and_modulator_searches_leave_no_reference_cycle():
     # The alpha-chi partition search, the largest-choice branch and bound
-    # under it, the alpha modulator search, the independent-subset walk and
-    # the root-to-leaf walk keep no recursive closure: with the collector
-    # off, a finished call leaves nothing unreachable.
+    # under it, the alpha modulator search, the independent-subset walk, the
+    # root-to-leaf walk and the three cover solvers keep no recursive
+    # closure: with the collector off, a finished call leaves nothing
+    # unreachable.
     g7, g12 = random_graph(7, 0.4, 3), random_graph(12, 0.4, 3)
     calls = {
         "alpha_chromatic": lambda: alpha_chromatic(g7),
@@ -699,6 +707,9 @@ def test_colouring_choice_and_modulator_searches_leave_no_reference_cycle():
         "modulator_number": lambda: modulator_number(g12, ModulatorSpec.parse("tw:2"), ALPHA),
         "independent_subsets": lambda: independent_subsets(g12, g12.full_mask),
         "root_to_leaf_sets": lambda: RootedForest((None, 0, 0, 1, 1, None, 5)).root_to_leaf_sets(),
+        "vertex_cover_number": lambda: vertex_cover_number(g12),
+        "feedback_vertex_number": lambda: feedback_vertex_number(g12),
+        "oct_number": lambda: oct_number(g12),
     }
     gc.collect()
     gc.disable()
