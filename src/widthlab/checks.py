@@ -46,7 +46,6 @@ from .modulators import (
     PARAMETERS,
     ModulatorSpec,
     binding_f,
-    check_modulator_budget,
     check_modulator_minimality,
     empirical_h,
     parameter,
@@ -161,7 +160,7 @@ def _nk2_knn_instances(params: dict, budgets: Budgets) -> list[dict]:
 
 def _star_instances(params: dict, budgets: Budgets) -> list[dict]:
     """K_1,q for q = q_min .. q_max; K_1,q_max must fit the modulator search."""
-    check_modulator_budget("modulator_number", params["q_max"] + 1, budgets)
+    check_budget("modulator_number", params["q_max"] + 1, budgets.width_exact)
     return [{"q": q} for q in range(params["q_min"], params["q_max"] + 1)]
 
 
@@ -354,8 +353,9 @@ def _eval_chain(inst, params, budgets) -> str | None:
 
 
 def _eval_ramsey_binding(inst, params, budgets) -> str | None:
-    """rho <= C(omega + alpha-rho, omega) - 1 for rho in vc, fvs, tw, pw, td;
-    plus exact R(3,3) facts."""
+    """rho <= C(omega + alpha-rho, omega) - 1 for every parameter row with an
+    alpha-variant, omega included (it binds trivially: alpha-omega = 1 and
+    f(omega, 1) = omega); plus exact R(3,3) facts."""
     if "fact" in inst:
         n, a, b = inst["fact"]
         got = ramsey_property_check(n, a, b)
@@ -366,7 +366,7 @@ def _eval_ramsey_binding(inst, params, budgets) -> str | None:
     if not profile.graph.n:
         return None  # f needs omega >= 1; the empty graph binds nothing
     omega = profile.parameter("omega")[0]
-    for rho in ("vc", "fvs", "tw", "pw", "td"):
+    for rho in (name for name, row in PARAMETERS.items() if row.alpha):
         plain, alpha_variant = (profile.parameter(rho, kind)[0] for kind in (CARD, ALPHA))
         bound = binding_f(omega, alpha_variant)
         if plain > bound:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .graphs import Graph, bits
+from .graphs import Graph, bits, components
 from .invariants import SubsetAlpha, is_chordal, maximal_cliques_chordal
 
 
@@ -275,50 +275,43 @@ def cost(g: Graph, d: Decomposition, kind: CostKind, *, check: bool = True) -> i
 
 
 def tree_decomp_from_fvs(g: Graph, s: int) -> TreeDecomposition:
-    """Clique bags of the forest g - s, with s added to every bag."""
-    rest_mask = g.full_mask & ~s
-    rest, old = g.induced(rest_mask)
-    if rest.num_edges() != rest.n - len(rest.components()):
+    """Clique bags of the forest g - s, with s added to every bag.  On masks
+    of g: g - s is a forest exactly when its degrees sum to 2(|V - s| -
+    #trees)."""
+    adj = g.adj
+    rest = g.full_mask & ~s
+    trees = components(adj, rest)
+    if sum((adj[v] & rest).bit_count() for v in bits(rest)) != 2 * (rest.bit_count() - len(trees)):
         raise ValueError("g - s is not acyclic")
     bags = []
     edges = []
-    node_of_vertex: dict[int, int] = {}
-    component_entries = []  # each component's first bag; its bags are contiguous
-    for comp in rest.components():
-        component_entries.append(len(bags))
-        comp_root = next(bits(comp))
-        comp_edges = [
-            (u, v) for u in bits(comp) for v in bits(rest.adj[u]) if u < v
-        ]
-        if not comp_edges:
-            bags.append(1 << old[comp_root] | s)
-            node_of_vertex[comp_root] = len(bags) - 1
+    node_of = [0] * g.n  # the bag that put each vertex in; a root's is its tree's first
+    tree_entries = []  # each tree's first bag; its bags are contiguous
+    for tree in trees:
+        tree_entries.append(len(bags))
+        root = tree & -tree
+        if tree == root:
+            bags.append(root | s)
             continue
-        # One bag per forest edge, attached along a DFS of the component.
-        first_node = None
-        stack = [comp_root]
-        seen = {comp_root}
+        # One bag per forest edge, attached along a DFS of the tree.
+        seen = root
+        stack = [root.bit_length() - 1]
+        node_of[stack[0]] = len(bags)
         while stack:
             v = stack.pop()
-            for u in sorted(bits(rest.adj[v] & comp)):
-                if u in seen:
-                    continue
-                seen.add(u)
-                bags.append(1 << old[v] | 1 << old[u] | s)
-                node = len(bags) - 1
-                if v in node_of_vertex:
-                    edges.append((node_of_vertex[v], node))
-                elif first_node is not None:
-                    edges.append((first_node, node))
-                if first_node is None:
-                    first_node = node
-                node_of_vertex.setdefault(v, node)
-                node_of_vertex[u] = node
+            new = adj[v] & rest & ~seen
+            seen |= new
+            for u in bits(new):
+                node = len(bags)
+                bags.append(1 << v | 1 << u | s)
+                if node != node_of[v]:  # all but the root's first edge
+                    edges.append((node_of[v], node))
+                node_of[u] = node
                 stack.append(u)
     if not bags:
         return TreeDecomposition((s,) if s else (), ())
-    # Join the per-component subtrees into one tree.
-    for a, b in zip(component_entries, component_entries[1:]):
+    # Join the per-tree subtrees into one tree.
+    for a, b in zip(tree_entries, tree_entries[1:]):
         edges.append((a, b))
     return TreeDecomposition(tuple(bags), tuple(edges))
 
@@ -332,26 +325,16 @@ def chordal_clique_tree(g: Graph) -> TreeDecomposition:
         return TreeDecomposition((), ())
     cliques = maximal_cliques_chordal(g, peo)
     k = len(cliques)
-    if k == 1:
-        return TreeDecomposition((cliques[0],), ())
     # Maximum-weight spanning tree on intersection sizes (Prim) yields a
     # junction tree; ties resolved toward smaller node ids.
-    in_tree = [False] * k
-    in_tree[0] = True
+    in_tree = 1  # a mask of node ids
     edges = []
     for _ in range(k - 1):
-        best = None
-        for a in range(k):
-            if not in_tree[a]:
-                continue
-            for b in range(k):
-                if in_tree[b]:
-                    continue
-                w = (cliques[a] & cliques[b]).bit_count()
-                cand = (w, -a, -b)
-                if best is None or cand > best[0]:
-                    best = (cand, a, b)
-        _, a, b = best
-        in_tree[b] = True
-        edges.append((a, b))
+        _, a, b = max(
+            ((cliques[a] & cliques[b]).bit_count(), -a, -b)
+            for a in range(k) if in_tree >> a & 1
+            for b in range(k) if not in_tree >> b & 1
+        )
+        in_tree |= 1 << -b
+        edges.append((-a, -b))
     return TreeDecomposition(tuple(cliques), tuple(edges))

@@ -413,18 +413,15 @@ def is_chordal(g: Graph) -> tuple[bool, tuple[int, ...] | None]:
 
 
 def maximal_cliques_chordal(g: Graph, peo) -> list[int]:
-    """Maximal cliques of a chordal graph from a perfect elimination order."""
-    pos = {v: i for i, v in enumerate(peo)}
+    """Maximal cliques of a chordal graph from a perfect elimination order:
+    the maximal ones of the candidates v + later N(v), which are distinct,
+    each having its own first vertex in the order."""
     candidates = []
-    for i, v in enumerate(peo):
-        later = mask_of(u for u in bits(g.adj[v]) if pos[u] > i)
-        candidates.append(later | 1 << v)
-    cliques = []
-    for c in candidates:
-        if not any(c != d and c & d == c for d in candidates):
-            if c not in cliques:
-                cliques.append(c)
-    return cliques
+    placed = 0
+    for v in peo:
+        candidates.append(g.adj[v] & ~placed | 1 << v)
+        placed |= 1 << v
+    return [c for c in candidates if not any(c != d and c & d == c for d in candidates)]
 
 
 def contains_induced(g: Graph, h: Graph) -> bool:

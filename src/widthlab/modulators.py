@@ -180,12 +180,21 @@ def _is_caterpillar_forest(g: Graph, mask: int, budgets: Budgets) -> bool:
     if not _is_acyclic(g, mask, budgets):
         return False
     adj = g.adj
+    m = mask
     inner = 0
-    for v in bits(mask):
-        nb = adj[v] & mask
+    while m:
+        low = m & -m
+        nb = adj[low.bit_length() - 1] & mask
         if nb & (nb - 1):
-            inner |= 1 << v
-    return all((adj[v] & inner).bit_count() <= 2 for v in bits(inner))
+            inner |= low
+        m ^= low
+    m = inner
+    while m:
+        low = m & -m
+        if (adj[low.bit_length() - 1] & inner).bit_count() > 2:
+            return False
+        m ^= low
+    return True
 
 
 def _is_star_forest(g: Graph, mask: int, budgets: Budgets) -> bool:
@@ -267,12 +276,6 @@ def _least_modulators(g: Graph, spec: ModulatorSpec, budgets: Budgets, within: i
             return
 
 
-def check_modulator_budget(op: str, n: int, budgets: Budgets) -> None:
-    """The modulator searches' guard: on at most ``width_exact`` vertices
-    every mask they test fits the exact width kernels."""
-    check_budget(op, n, budgets.width_exact)
-
-
 def modulator_number(
     g: Graph,
     spec: ModulatorSpec,
@@ -284,7 +287,7 @@ def modulator_number(
     Returns (value, witness), the witness lexicographically smallest among
     the optima.  Every graph has at least the trivial modulator S = V.
     """
-    check_modulator_budget("modulator_number", g.n, budgets)
+    check_budget("modulator_number", g.n, budgets.width_exact)
     if kind is CostKind.CARDINALITY:
         witness = next(_least_modulators(g, spec, budgets, g.full_mask))
         return len(witness), witness
@@ -509,7 +512,7 @@ def ramsey_property_check(n: int, a: int, b: int) -> bool:
 
 def minimum_modulators(g: Graph, spec: ModulatorSpec, budgets: Budgets = DEFAULT_BUDGETS):
     """All minimum-cardinality (rho, c)-modulators, lexicographic order."""
-    check_modulator_budget("minimum_modulators", g.n, budgets)
+    check_budget("minimum_modulators", g.n, budgets.width_exact)
     found = list(_least_modulators(g, spec, budgets, g.full_mask))
     return len(found[0]), found
 

@@ -23,10 +23,10 @@ Algorithms (all exact for monotone bag costs):
     path decomposition produces bags inside the original ones.  Under
     cardinality that bag has |boundary(S - v)| + 1 vertices for every v, so
     max(f(T), |boundary(T)| + 1) is kept once per set T.
-  The DP reads bag costs from a dense table over all 2^n subsets (popcounts,
-  or alpha filled in one pass).  It keeps no choice per set: the witness
-  ordering is read backwards along the optimal path, n sets, each placing
-  last its lowest v that attains f(S).
+  The DP counts bits or reads alpha from a dense table over all 2^n subsets.
+  It keeps no choice per set: the witness ordering and its bags are read
+  backwards along the optimal path, n sets, each placing last its lowest v
+  that attains f(S).
 * pathwidth decision form: a pruned depth-first search over feasible
   prefixes.  Each bag is the boundary B of a prefix plus one vertex v
   outside B, so |B + v| = |B| + 1 and alpha(B + v) = max(alpha(B),
@@ -55,7 +55,7 @@ Algorithms (all exact for monotone bag costs):
 
 The exact tw, pw and td solvers keep 2^n-entry tables, within one budget,
 ``width_exact``.  The subset DP reads at most n * 2^(n-1) bag costs, one per
-pair (s, v in s), and builds n bags for the witness.  They share three
+pair (s, v in s), and builds the n witness bags inline.  They share three
 per-graph tables, each cached for the last graph asked and read-only to
 every caller: ``graphs.reach_table``, the union of the neighbourhoods of
 every subset; ``graphs.component_table``, the component of the lowest
@@ -69,12 +69,12 @@ pair.  The tw, pw and td loops over the vertices of s read its one-bit
 masks from ``_one_bits``, one module-level table grown by doubling: the
 table for n is a prefix of the one for n + 1, so alternating sizes extend
 it and never rebuild it.  At n = 16 it holds 65,536 tuples, about 7 MB,
-built in about 0.1 s.  ``_popcounts`` grows the same way.  The decision
-forms and degeneracy keep the breadth-first ``graphs.components`` and the
-memoised ``SubsetAlpha`` oracle.  The recursive searches keep their state
-in small objects (``_AlphaTreedepth``, ``_TdFeasible``), and the forest is
-built from an explicit stack, so a finished call leaves no reference cycle
-for the collector.
+built in about 0.1 s.  The decision forms and degeneracy keep the
+breadth-first ``graphs.components`` and the memoised ``SubsetAlpha``
+oracle.  The recursive searches keep their state in small objects
+(``_AlphaTreedepth``, ``_TdFeasible``), and the forest is built from an
+explicit stack, so a finished call leaves no reference cycle for the
+collector.
 """
 
 from __future__ import annotations
@@ -116,20 +116,11 @@ def _bag_cost_fn(g: Graph, kind: CostKind):
 # ---------------------------------------------------------------------------
 # The subset DP shared by treewidth and pathwidth
 
-# Per-mask tables over all n: the masks with v as their highest bit come
-# right after all masks below it, so each vertex doubles a table, and the
-# table for n is a prefix of the one for n + 1.  Each is grown on demand,
+# A per-mask table over all n: the masks with v as their highest bit come
+# right after all masks below it, so each vertex doubles the table, and the
+# table for n is a prefix of the one for n + 1.  It is grown on demand,
 # never rebuilt, and read-only to callers.
-_POPCOUNTS = [0]
 _ONE_BITS: list[tuple[int, ...]] = [()]
-
-
-def _popcounts(n: int) -> list[int]:
-    """The cardinality bag costs: ``_popcounts(n)[s]`` is |s| for s < 2^n."""
-    table = _POPCOUNTS
-    while len(table) < 1 << n:
-        table += [c + 1 for c in table]
-    return table
 
 
 def _one_bits(n: int) -> list[tuple[int, ...]]:
@@ -151,7 +142,7 @@ def _subset_dp(g: Graph, kind: CostKind, treewidth: bool) -> tuple[int, list[int
     it first.  The ordering is read backwards from the full set: each set on
     the path places last the lowest v with max(f(s - v), cost(bag(s - v,
     v))) = f(s), the vertex that trying vertices in increasing order with a
-    strict improvement test would keep.
+    strict improvement test would keep.  The walk builds each bag inline.
 
     Treewidth splits by components.  f(s) is the least, over the orderings
     of s, of the largest elimination bag cost, and the bag of v after the
@@ -175,7 +166,7 @@ def _subset_dp(g: Graph, kind: CostKind, treewidth: bool) -> tuple[int, list[int
     n = g.n
     full = (1 << n) - 1
     by_size = kind is CostKind.CARDINALITY
-    bag_cost = _popcounts(n) if by_size else alpha_table(g.adj)
+    alpha = None if by_size else alpha_table(g.adj)
     reach = reach_table(g.adj)
     one_bits = _one_bits(n)
     worst = n + 1  # above every bag cost
@@ -194,7 +185,7 @@ def _subset_dp(g: Graph, kind: CostKind, treewidth: bool) -> tuple[int, list[int
                     sub = f[s ^ low]
                     if sub < best:
                         best = sub
-                size = bag_cost[reach[s] & ~s] + 1
+                size = (reach[s] & ~s).bit_count() + 1
                 f[s] = best if best > size else size
             else:
                 nb = reach[s] & ~s
@@ -203,44 +194,39 @@ def _subset_dp(g: Graph, kind: CostKind, treewidth: bool) -> tuple[int, list[int
                     sub = f[s ^ low]
                     if sub >= best:
                         continue
-                    value = bag_cost[nb | low]
+                    value = alpha[nb | low]
                     if value < sub:
                         value = sub
                     if value < best:
                         best = value
                 f[s] = best
-        bag = _elimination_bags(reach)
+    elif by_size:
+        h = [1] * (full + 1)
+        for s in range(1, full + 1):
+            best = worst
+            for low in one_bits[s]:
+                value = h[s ^ low]
+                if value < best:
+                    best = value
+            f[s] = best
+            size = (reach[full ^ s] & s).bit_count() + 1
+            h[s] = best if best > size else size
     else:
-        if by_size:
-            h = [1] * (full + 1)
-            for s in range(1, full + 1):
-                best = worst
-                for low in one_bits[s]:
-                    value = h[s ^ low]
-                    if value < best:
-                        best = value
-                f[s] = best
-                size = bag_cost[reach[full ^ s] & s] + 1
-                h[s] = best if best > size else size
-        else:
-            # The boundary of every set: its vertices with a neighbour outside.
-            boundary = [reach[full ^ s] & s for s in range(full + 1)]
-            for s in range(1, full + 1):
-                best = worst
-                for low in one_bits[s]:
-                    prev = s ^ low
-                    sub = f[prev]
-                    if sub >= best:
-                        continue
-                    value = bag_cost[boundary[prev] | low]
-                    if value < sub:
-                        value = sub
-                    if value < best:
-                        best = value
-                f[s] = best
-
-        def bag(placed: int, low: int) -> int:
-            return reach[full ^ placed] & placed | low
+        # The boundary of every set: its vertices with a neighbour outside.
+        boundary = [reach[full ^ s] & s for s in range(full + 1)]
+        for s in range(1, full + 1):
+            best = worst
+            for low in one_bits[s]:
+                prev = s ^ low
+                sub = f[prev]
+                if sub >= best:
+                    continue
+                value = alpha[boundary[prev] | low]
+                if value < sub:
+                    value = sub
+                if value < best:
+                    best = value
+            f[s] = best
 
     order = []
     bags = []
@@ -249,10 +235,20 @@ def _subset_dp(g: Graph, kind: CostKind, treewidth: bool) -> tuple[int, list[int
         target = f[s]
         for low in one_bits[s]:
             placed = s ^ low
-            if f[placed] <= target:
-                last = bag(placed, low)
-                if bag_cost[last] <= target:
-                    break
+            if f[placed] > target:
+                continue
+            if treewidth:
+                # low plus the unplaced vertices it reaches through placed
+                # ones: the neighbours outside s of low's component in s.
+                reached, grow = 0, low
+                while grow != reached:
+                    reached = grow
+                    grow = reach[reached] & s | reached
+                last = reach[reached] & ~s | low
+            else:
+                last = reach[full ^ placed] & placed | low
+            if (last.bit_count() if by_size else alpha[last]) <= target:
+                break
         order.append(low.bit_length() - 1)
         bags.append(last)
         s = placed
@@ -280,22 +276,6 @@ def _grow_boundary(closed, b: int, s: int, low: int) -> int:
 
 # ---------------------------------------------------------------------------
 # Treewidth
-
-
-def _elimination_bags(reach: list[int]):
-    """The treewidth bag function over ``reach = reach_table(adj)``."""
-
-    def elimination_bag(placed: int, low: int) -> int:
-        # low plus the unplaced vertices reachable from it through placed:
-        # the neighbours outside s of low's component in s.
-        s = placed | low
-        comp, grow = 0, low
-        while grow != comp:
-            comp = grow
-            grow = reach[comp] & s | comp
-        return reach[comp] & ~s | low
-
-    return elimination_bag
 
 
 def lambda_treewidth(

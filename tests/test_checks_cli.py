@@ -729,6 +729,19 @@ def test_a_new_parameter_row_needs_no_other_edit(monkeypatch, tmp_path):
         assert _param(tmp_path, k4, "edges:3") == (
             0, {"kind": "card", "parameter": "edges:3", "value": 1, "witness": [0]}
         )
+        # A row whose alpha entry is deliberately false: alpha-liar = 0 puts
+        # the binding bound at 0, so ramsey-binding fails on every graph with
+        # an edge, naming the row, while the row without an alpha entry is
+        # not read.
+        liar = Parameter(row.card, lambda g, b: (0, None))
+        monkeypatch.setitem(PARAMETERS, "liar", liar)
+        report = run_check(CheckSpec("ramsey-binding", {"max_n": 3}))
+        assert report.failures == [
+            ("A_", "liar=1 > f(omega=2) = 0 with alpha-liar=0"),
+            ("BG", "liar=1 > f(omega=2) = 0 with alpha-liar=0"),
+            ("BW", "liar=2 > f(omega=2) = 0 with alpha-liar=0"),
+            ("Bw", "liar=3 > f(omega=3) = 0 with alpha-liar=0"),
+        ]
     finally:
         predicate.cache_clear()  # no later test resolves the removed row
 

@@ -2,6 +2,8 @@
 tree decomposition, chordal clique tree, and the test helpers treedepth ->
 path and vertex cover -> treedepth."""
 
+import hashlib
+
 import pytest
 
 from oracles import forest_depth, path_decomp_from_treedepth, td_decomp_from_vertex_cover
@@ -205,6 +207,24 @@ def test_tree_decomp_from_fvs_bound_all_small():
             td = tree_decomp_from_fvs(g, s)
             assert validate_tree_decomposition(g, td) == []
             assert cost(g, td, ALPHA, check=False) <= SubsetAlpha(g)(s) + 1
+
+
+# sha256 over the repr of tree_decomp_from_fvs(g, S + v), S the minimum fvs
+# witness, for every v of every graph with n <= 6: larger than minimum sets,
+# which WITNESS_DIGEST does not cover.
+FVS_PLUS_ONE_DIGEST = "92f2ea99e0d6ec15242fd55bdb9ad2a52e96708ca81dd83190cfba22c6d880f7"
+
+
+def test_tree_decomp_from_fvs_plus_one_vertex_pinned():
+    from widthlab.graphs import enumerate_graphs
+
+    lines = []
+    for n in range(7):
+        for g in enumerate_graphs(n):
+            s = mask_of(feedback_vertex_number(g)[1])
+            lines.extend(repr(tree_decomp_from_fvs(g, s | 1 << v)) for v in range(g.n))
+    assert len(lines) == 1167
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == FVS_PLUS_ONE_DIGEST
 
 
 def test_chordal_clique_tree():

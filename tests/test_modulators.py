@@ -137,6 +137,24 @@ def test_mask_tests_match_oracles():
             assert test(g, mask, DEFAULT_BUDGETS) == oracle(g, mask), (test.__name__, g.adj, mask)
 
 
+def test_caterpillar_forest_test_matches_pathwidth():
+    # The pw c = 2 target against the exact cardinality pathwidth of G[mask]:
+    # every mask of every graph with n <= 6, then 200 seeded masks of each
+    # seeded sparse graph with n = 12..16.
+    cases = [(g, m) for n in range(7) for g in enumerate_graphs(n) for m in range(1 << n)]
+    rng = random.Random(33)
+    for n in range(12, 17):
+        for p in (0.1, 0.2, 0.3):
+            g = random_graph(n, p, 100 + n)
+            cases += [(g, rng.getrandbits(n)) for _ in range(200)]
+    seen = set()
+    for g, mask in cases:
+        expected = lambda_pathwidth(g.induced(mask)[0], CARD).value <= 2
+        assert modulators._is_caterpillar_forest(g, mask, DEFAULT_BUDGETS) == expected, (g.adj, mask)
+        seen.add((g.n > 6, expected))
+    assert seen == {(False, False), (False, True), (True, False), (True, True)}
+
+
 def test_vertex_cover_walk_matches_reference_at_the_budget(monkeypatch):
     # At the cover_solvers budget of 30 the walk reads only states of its
     # one _MaxWeight solve, at most 2^16 - 1 of them.

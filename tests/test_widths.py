@@ -60,10 +60,8 @@ from widthlab.invariants import (
     largest_choice,
 )
 from widthlab.widths import (
-    _elimination_bags,
     _grow_boundary,
     _one_bits,
-    _popcounts,
     _subset_dp,
     _treedepth_table,
     alpha_chromatic,
@@ -134,17 +132,16 @@ def test_dense_alpha_table_matches_subset_alpha():
 
 
 def test_table_kernels_match_bfs_references():
-    # On every subset: the treewidth bag read from the reach table, the
-    # pathwidth boundary reach[full - s] & s and the component table's entry
-    # (the lowest vertex's component) equal the breadth-first searches they
-    # replace.
+    # On every subset: the pathwidth boundary reach[full - s] & s and the
+    # component table's entry (the lowest vertex's component) equal the
+    # breadth-first searches they replace.  The treewidth bags are compared
+    # by the subset DP tests against the generic reference.
     graphs = [g for n in range(1, 7) for g in enumerate_graphs(n)]
     graphs += [random_graph(12, p, 60 + seed) for p in (0.2, 0.45) for seed in range(2)]
     for g in graphs:
         reach = reach_table(g.adj)
         comp = component_table(g.adj)
         assert len(comp) == len(reach) and comp[0] == 0
-        bag = _elimination_bags(reach)
         closed = [nb | 1 << v for v, nb in enumerate(g.adj)]
         full = g.full_mask
         boundary = [0] * (full + 1)
@@ -153,11 +150,6 @@ def test_table_kernels_match_bfs_references():
             boundary[s] = _grow_boundary(closed, boundary[s ^ low], s, low)
             assert reach[full ^ s] & s == boundary[s], (g.adj, s)
             assert comp[s] == components(g.adj, s)[0], (g.adj, s)
-            m = s
-            while m:
-                low = m & -m
-                m ^= low
-                assert bag(s ^ low, low) == elimination_bag(g.adj, s ^ low, low), (g.adj, s)
 
 
 def test_per_graph_tables_are_isolated():
@@ -201,14 +193,15 @@ def test_subset_dp_matches_generic_reference():
 
 
 def test_subset_dp_matches_generic_reference_at_width_exact():
-    # The reach-table bag rules equal the breadth-first ones on every subset
-    # (test_table_kernels_match_bfs_references) and take half the time here.
+    # The reach-table boundary equals the breadth-first one on every subset
+    # (test_table_kernels_match_bfs_references) and takes half the time here.
     n = DEFAULT_BUDGETS.width_exact
     for g in (random_graph(n, 0.3, 161), random_graph(n, 0.6, 162)):
-        reach = reach_table(g.adj)
+        adj = g.adj
+        reach = reach_table(adj)
         full = g.full_mask
         bag_rules = (
-            (True, _elimination_bags(reach)),
+            (True, lambda placed, low: elimination_bag(adj, placed, low)),
             (False, lambda placed, low: reach[full ^ placed] & placed | low),
         )
         _dp_against_reference(g, bag_rules)
@@ -218,17 +211,14 @@ def test_mask_tables_grow_in_place(monkeypatch):
     # The table for n is a prefix of the one for n + 1: growing keeps the
     # list and every entry already built, and asking for less shrinks nothing.
     monkeypatch.setattr(widths, "_ONE_BITS", [()])
-    monkeypatch.setattr(widths, "_POPCOUNTS", [0])
-    for table_of in (_one_bits, _popcounts):
-        small = table_of(3)
-        entries = list(small)
-        table = table_of(10)
-        assert table is small and len(table) == 1 << 10
-        assert all(a is b for a, b in zip(entries, table))
-        assert table_of(5) is table and len(table) == 1 << 10
+    small = _one_bits(3)
+    entries = list(small)
+    table = _one_bits(10)
+    assert table is small and len(table) == 1 << 10
+    assert all(a is b for a, b in zip(entries, table))
+    assert _one_bits(5) is table and len(table) == 1 << 10
     for s in range(1 << 10):
         assert _one_bits(10)[s] == tuple(1 << v for v in bits(s))
-        assert _popcounts(10)[s] == s.bit_count()
 
 
 def test_alternating_sizes_match_fresh_processes():
