@@ -14,9 +14,9 @@ class FormatError(ValueError):
 # ---------------------------------------------------------------------------
 # graph6: a size header, then 6-bit chunks of the upper triangle in
 # column-major order (the bit layout of the canonical codes in graphs.py),
-# zero-padded, each chunk offset by 63.  The header is
-# one byte for n <= 62 and "~" plus three bytes (18 bits of n) up to
-# GRAPH6_MAX_N.
+# zero-padded, each chunk offset by 63.  The header is one byte for n <= 62
+# and "~" plus three bytes (18 bits of n) up to GRAPH6_MAX_N, which caps
+# the other readers too: a few characters must not allocate a huge graph.
 
 GRAPH6_MAX_N = 258047
 
@@ -122,6 +122,8 @@ def from_dimacs(text: str) -> Graph:
                 raise FormatError(f"line {lineno}: malformed problem line {line!r}")
             if n < 0 or declared_m < 0:
                 raise FormatError(f"line {lineno}: negative sizes")
+            if n > GRAPH6_MAX_N:
+                raise FormatError(f"line {lineno}: vertex count {n} exceeds {GRAPH6_MAX_N}")
         elif parts[0] == "e":
             if n is None:
                 raise FormatError(f"line {lineno}: edge before problem line")
@@ -167,7 +169,9 @@ def from_edge_list(text: str) -> Graph:
         if n < 0:
             raise FormatError("negative vertex count")
     else:
-        n = max(values) + 1 if values else 0
+        n = max(values) + 1
+    if n > GRAPH6_MAX_N:
+        raise FormatError(f"vertex count {n} exceeds {GRAPH6_MAX_N}")
     edges = []
     for u, v in zip(values[::2], values[1::2]):
         if u == v:

@@ -157,9 +157,10 @@ def lex_min_witness(mask: int, value: int, opt, step) -> tuple[int, ...]:
     ``step(v, m)`` returns ``(gain, rest)``, and v joins the witness exactly
     when ``gain`` is non-zero and ``gain + opt(rest) == value``, after which
     the search goes on in ``rest`` for ``value - gain``.  A rejected vertex
-    stays in the mask.  Two steps serve every solver: *take* ``(w[v], m -
-    N[v])`` builds a maximum (weight) independent set, and *delete* ``(1, m -
-    v)`` a minimum cover, with ``opt(m) = |m| - keep(m)``.
+    stays in the mask.  The solvers use the *take* step ``(w[v], m - N[v])``
+    to build a maximum (weight) independent set; the *delete* step ``(1, m -
+    v)``, which builds a minimum cover with ``opt(m) = |m| - keep(m)``,
+    serves only the test references of the cover solvers.
     """
     chosen = []
     for v in bits(mask):
@@ -173,33 +174,6 @@ def lex_min_witness(mask: int, value: int, opt, step) -> tuple[int, ...]:
             value -= gain
             mask = rest
     return tuple(chosen)
-
-
-def largest_choice(groups: list[int], fits) -> int:
-    """The most vertices that can be chosen, one or none from each group (a
-    vertex mask), with ``fits(chosen, v)`` true each time v joins the mask
-    ``chosen``.
-
-    The rule must be hereditary, so every good set is reached by taking its
-    vertices group by group.  Branch and bound: each vertex of a group is
-    tried before the group is skipped, and a branch stops once its size plus
-    the groups left is no better than the best so far.
-    """
-    return _largest_choice(groups, fits, 0, 0, 0, 0)
-
-
-def _largest_choice(groups: list[int], fits, i: int, chosen: int, size: int, best: int) -> int:
-    """``largest_choice`` below a branch that has taken ``chosen`` (``size``
-    vertices) from groups[:i]: the larger of ``best`` and the best
-    completion.  Module level, so a finished search leaves no cycle."""
-    if size + len(groups) - i <= best:
-        return best
-    if i == len(groups):
-        return size
-    for v in bits(groups[i]):
-        if fits(chosen, v):
-            best = _largest_choice(groups, fits, i + 1, chosen | 1 << v, size + 1, best)
-    return _largest_choice(groups, fits, i + 1, chosen, size, best)
 
 
 def max_independent_set(g: Graph) -> tuple[int, ...]:

@@ -30,8 +30,6 @@ from .invariants import (
     independence_number,
     independent_subsets,
     is_k_colourable,
-    largest_choice,
-    lex_min_witness,
     local_independence_number,
     max_degree,
     max_independent_set,
@@ -322,19 +320,36 @@ def modulator_number(
 
 
 def _cover_number(g: Graph, good: Good, budgets: Budgets, name: str) -> tuple[int, tuple[int, ...]]:
-    """n - keep(V), where keep(m) is the size of the largest subset F of m
-    with good(g, F), by ``largest_choice`` over the single vertices of m;
-    with the lexicographically smallest witness."""
+    """n - |F| and the cover V - F, for the first largest F with good(g, F)
+    that ``_largest_kept`` meets; ``good`` must be hereditary.
+
+    The search decides the vertices in increasing order, each put in the
+    cover before it is kept, and prunes a branch once |kept| plus the
+    vertices left is no larger than the best F so far.  So the cover is the
+    lexicographically smallest minimum one.  The search meets the covers of
+    one size in lexicographic order: if C < C', the two agree below some v
+    in C - C', and the branch that puts v in the cover comes first.  And it
+    reaches the first largest F: good holds on every prefix of F, and every
+    branch on the way down has |kept| + vertices left >= |F| > best.
+    """
     check_budget(name, g.n, budgets.cover_solvers)
+    size, kept = _largest_kept(g, good, budgets, 0, 0, 0, 0, 0)
+    return g.n - size, tuple(bits(g.full_mask ^ kept))
 
-    def fits(chosen: int, v: int) -> bool:
-        return good(g, chosen | 1 << v, budgets)
 
-    def cover(m: int) -> int:
-        return m.bit_count() - largest_choice([1 << v for v in bits(m)], fits)
-
-    value = cover(g.full_mask)
-    return value, lex_min_witness(g.full_mask, value, cover, lambda v, m: (1, m & ~(1 << v)))
+def _largest_kept(g: Graph, good, budgets, v: int, kept: int, size: int, best: int, best_kept: int):
+    """``_cover_number``'s search below a branch that keeps ``kept``
+    (``size`` vertices) of the vertices below v: the better of (``best``,
+    ``best_kept``) and the best completion.  Module level, so a finished
+    search leaves no cycle."""
+    if v == g.n:
+        return size, kept  # reached only above best
+    if size + g.n - v - 1 > best:  # v joins the cover
+        best, best_kept = _largest_kept(g, good, budgets, v + 1, kept, size, best, best_kept)
+    kept |= 1 << v
+    if size + g.n - v > best and good(g, kept, budgets):
+        best, best_kept = _largest_kept(g, good, budgets, v + 1, kept, size + 1, best, best_kept)
+    return best, best_kept
 
 
 def vertex_cover_number(
@@ -467,8 +482,6 @@ PARAMETERS: dict[str, Parameter] = {
     "fvs": Parameter(lambda g, b: feedback_vertex_number(g, b), _alpha_modulator("tw", 2)),
     "oct": Parameter(lambda g, b: oct_number(g, b), _alpha_modulator("chi", 2)),
 }
-# The targets as built; ``predicate`` reads the table itself when called.
-RHO_NAMES = tuple(name for name, row in PARAMETERS.items() if row.target)
 
 
 def parameter(name: str, kind: CostKind = CARD) -> Entry:

@@ -97,7 +97,7 @@ from .graphs import (
     components,
     reach_table,
 )
-from .invariants import SubsetAlpha, alpha_table, largest_choice
+from .invariants import SubsetAlpha, alpha_table
 
 
 @dataclass(frozen=True)
@@ -624,22 +624,16 @@ def alpha_chromatic(g: Graph, budgets: Budgets = DEFAULT_BUDGETS) -> WidthResult
     first-occurrence order.  For any colouring, the maximum of alpha over
     rainbow sets equals the maximum size of an independent set with pairwise
     distinct colours, since independent subsets of rainbow sets are rainbow.
-    That size is ``invariants.largest_choice`` over the colour classes,
-    smallest first, with independence as the rule: one vertex or none per
-    class.  A partial colouring is dropped once its value, which only grows
-    as vertices are added, reaches the best complete one; the witness is the
-    first colouring found at the minimum.
+    ``_rainbow`` finds that size by branch and bound over the colour classes,
+    smallest first.  A partial colouring is dropped once its value, which
+    only grows as vertices are added, reaches the best complete one; the
+    witness is the first colouring found at the minimum.
     """
     check_budget("alpha_chromatic", g.n, budgets.alpha_chromatic)
     n = g.n
     if n == 0:
         return WidthResult(0, (), CostKind.INDEPENDENCE)
-    adj = g.adj
-
-    def fits(chosen: int, v: int) -> bool:  # a rainbow set stays independent
-        return not adj[v] & chosen
-
-    best, best_blocks = _assign_colours(adj, fits, 0, [], n + 1, ())
+    best, best_blocks = _assign_colours(g.adj, 0, [], n + 1, ())
     colouring = [0] * n
     for c, block in enumerate(best_blocks):
         for v in bits(block):
@@ -647,14 +641,12 @@ def alpha_chromatic(g: Graph, budgets: Budgets = DEFAULT_BUDGETS) -> WidthResult
     return WidthResult(best, tuple(colouring), CostKind.INDEPENDENCE)
 
 
-def _assign_colours(adj, fits, v: int, blocks: list[int], best: int, best_blocks: tuple):
+def _assign_colours(adj, v: int, blocks: list[int], best: int, best_blocks: tuple):
     """``alpha_chromatic``'s search below a partial colouring: ``blocks``
     holds the colour classes of the vertices below v, none empty.  Returns
     the better of (``best``, ``best_blocks``) and the best completion.
     Module level, so a finished search leaves no cycle."""
-    if best == 1:
-        return best, best_blocks
-    value = largest_choice(sorted(blocks, key=int.bit_count), fits)
+    value = _rainbow(adj, sorted(blocks, key=int.bit_count), 0, 0, 0, 0)
     if value >= best:
         return best, best_blocks
     if v == len(adj):
@@ -662,9 +654,24 @@ def _assign_colours(adj, fits, v: int, blocks: list[int], best: int, best_blocks
     for b in range(len(blocks)):
         if not adj[v] & blocks[b]:
             blocks[b] |= 1 << v
-            best, best_blocks = _assign_colours(adj, fits, v + 1, blocks, best, best_blocks)
+            best, best_blocks = _assign_colours(adj, v + 1, blocks, best, best_blocks)
             blocks[b] &= ~(1 << v)
     blocks.append(1 << v)
-    best, best_blocks = _assign_colours(adj, fits, v + 1, blocks, best, best_blocks)
+    best, best_blocks = _assign_colours(adj, v + 1, blocks, best, best_blocks)
     blocks.pop()
     return best, best_blocks
+
+
+def _rainbow(adj, classes: list[int], i: int, chosen: int, size: int, best: int) -> int:
+    """The larger of ``best`` and the size of the largest independent set
+    that extends ``chosen`` (``size`` vertices) by one vertex or none of
+    each of classes[i:]; a branch stops once its size plus the classes left
+    is no better than ``best``."""
+    if size + len(classes) - i <= best:
+        return best
+    if i == len(classes):
+        return size
+    for v in bits(classes[i]):
+        if not adj[v] & chosen:
+            best = _rainbow(adj, classes, i + 1, chosen | 1 << v, size + 1, best)
+    return _rainbow(adj, classes, i + 1, chosen, size, best)

@@ -12,8 +12,11 @@ package's forms, which read one per state, must reproduce, and
 per vertex for the witness, which the package's mask kernel, reading its
 witness from one residual graph, must reproduce, and
 ``vertex_cover_reference``: the self-reduction over ``SubsetAlpha`` whose
-value and witness the memo walk of ``vertex_cover_number`` must reproduce.
-So is
+value and witness the memo walk of ``vertex_cover_number`` must reproduce,
+and ``cover_reference``: the largest-choice branch and bound and the same
+self-reduction, one search per vertex tried, whose values and witnesses
+the single searches of ``feedback_vertex_number`` and ``oct_number`` must
+reproduce.  So is
 ``oct_route_reference``: the OCT route with no bound and that reference on
 every rest, whose top weight and tie rule ``mwis_via_oct`` must reproduce.
 The last section holds plain helpers over the package's types that only
@@ -604,6 +607,39 @@ def vertex_cover_reference(g: Graph) -> tuple[int, tuple[int, ...]]:
 
     value = cover(g.full_mask)
     return value, lex_min_witness(g.full_mask, value, cover, lambda v, m: (1, m & ~(1 << v)))
+
+
+def cover_reference(g: Graph, good) -> tuple[int, tuple[int, ...]]:
+    """n - keep(V) and the lexicographically smallest minimum cover, where
+    keep(m) is the size of the largest subset F of m with good(g, F) for a
+    hereditary ``good``: a branch and bound over the single vertices of m,
+    and ``lex_min_witness`` with the delete step, one search per vertex it
+    tries."""
+
+    def fits(chosen: int, v: int) -> bool:
+        return good(g, chosen | 1 << v)
+
+    def cover(m: int) -> int:
+        return m.bit_count() - _choose_most([1 << v for v in bits(m)], fits, 0, 0, 0, 0)
+
+    value = cover(g.full_mask)
+    return value, lex_min_witness(g.full_mask, value, cover, lambda v, m: (1, m & ~(1 << v)))
+
+
+def _choose_most(groups: list[int], fits, i: int, chosen: int, size: int, best: int) -> int:
+    """The most vertices that can be chosen, one or none from each of
+    groups[i:], on top of ``chosen`` (``size`` vertices), with ``fits(chosen,
+    v)`` true each time v joins; the larger of that and ``best``.  Each
+    vertex of a group is tried before the group is skipped, and a branch
+    stops once its size plus the groups left is no better than ``best``."""
+    if size + len(groups) - i <= best:
+        return best
+    if i == len(groups):
+        return size
+    for v in bits(groups[i]):
+        if fits(chosen, v):
+            best = _choose_most(groups, fits, i + 1, chosen | 1 << v, size + 1, best)
+    return _choose_most(groups, fits, i + 1, chosen, size, best)
 
 
 def brute_mwis(g: Graph, weights) -> int:

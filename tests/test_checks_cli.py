@@ -1162,11 +1162,11 @@ def test_profile_modulator_matches_a_fresh_search():
     from widthlab.config import DEFAULT_BUDGETS
     from widthlab.decomp import CostKind
     from widthlab.graphs import enumerate_graphs
-    from widthlab.modulators import RHO_NAMES, ModulatorSpec, modulator_number
+    from widthlab.modulators import PARAMETERS, ModulatorSpec, modulator_number
 
     for g in (g for n in range(1, 6) for g in enumerate_graphs(n)):
         profile = checks._Profile(g, DEFAULT_BUDGETS)
-        for rho in RHO_NAMES:
+        for rho in (name for name, row in PARAMETERS.items() if row.target):
             for c in range(4):
                 spec = ModulatorSpec(rho, c)
                 for kind in CostKind:

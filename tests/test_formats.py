@@ -3,13 +3,18 @@
 import hashlib
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from widthlab.formats import (
+    FORMATS,
+    GRAPH6_MAX_N,
     FormatError,
+    emit,
     from_dimacs,
     from_edge_list,
     from_graph6,
     graph6_from_code,
+    parse,
     to_dimacs,
     to_edge_list,
     to_graph6,
@@ -176,3 +181,66 @@ def test_edge_list_errors():
         from_edge_list("2 0 5\n")  # exceeds declared count
     with pytest.raises(FormatError):
         from_edge_list("0 x\n")
+
+
+def test_readers_reject_vertex_counts_graph6_cannot_hold():
+    # A few characters must not make a reader allocate a huge graph.
+    assert from_edge_list(f"{GRAPH6_MAX_N}\n").n == GRAPH6_MAX_N
+    with pytest.raises(FormatError, match="vertex count 99999999999 exceeds 258047"):
+        from_edge_list("99999999999\n")
+    with pytest.raises(FormatError, match="vertex count 258048 exceeds"):
+        from_edge_list("0 258047\n")
+    with pytest.raises(FormatError, match="line 1: vertex count 99999999999 exceeds"):
+        from_dimacs("p edge 99999999999 0\n")
+
+
+# ---------------------------------------------------------------------------
+# Generated inputs: derandomised, with a fixed number of examples, so every
+# run reads the same texts.
+
+GENERATED = settings(derandomize=True, max_examples=300, deadline=None, database=None)
+
+
+def _lines(token):
+    """Text of up to six lines of up to five tokens each."""
+    line = st.lists(token, max_size=5).map(" ".join)
+    return st.lists(line, max_size=6).map("\n".join)
+
+
+# Small numbers, and vertex counts past GRAPH6_MAX_N, which the readers
+# reject before they allocate.
+_NUMBER = (st.integers(-3, 40) | st.integers(GRAPH6_MAX_N + 1, 10**15)).map(str)
+# Text shaped like each format, so the readers get past their first test.
+SHAPED = {
+    "graph6": st.text(st.characters(min_codepoint=32, max_codepoint=130), max_size=12)
+    | st.text(st.characters(min_codepoint=63, max_codepoint=126), max_size=12).map(
+        lambda body: ">>graph6<<" + body
+    ),
+    "dimacs": _lines(_NUMBER | st.sampled_from(["p", "edge", "col", "e", "c", "x", "1.5"])),
+    "edges": _lines(_NUMBER | st.sampled_from(["x", "1.5", "+2", "-0"])),
+}
+
+
+@GENERATED
+@given(st.sampled_from(sorted(FORMATS)), st.data())
+def test_parse_returns_a_graph_or_raises_format_error(fmt, data):
+    text = data.draw(st.text() | SHAPED[fmt], label="text")
+    try:
+        g = parse(text, fmt)
+    except FormatError:
+        return
+    assert isinstance(g, Graph)
+
+
+@st.composite
+def graphs(draw):
+    n = draw(st.integers(0, 70))  # past the one-byte graph6 size header at 62
+    pairs = [(u, v) for v in range(n) for u in range(v)]
+    edges = draw(st.lists(st.sampled_from(pairs), max_size=40)) if pairs else []
+    return Graph.from_edges(n, edges)
+
+
+@GENERATED
+@given(graphs(), st.sampled_from(sorted(FORMATS)))
+def test_emit_then_parse_gives_the_graph_back(g, fmt):
+    assert parse(emit(g, fmt), fmt) == g

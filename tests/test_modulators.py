@@ -8,6 +8,7 @@ import pytest
 from oracles import (
     brute_modulator,
     brute_ramsey,
+    cover_reference,
     delete,
     mask_is_acyclic,
     mask_is_bipartite,
@@ -38,7 +39,7 @@ from widthlab.invariants import (
 )
 from widthlab import modulators
 from widthlab.modulators import (
-    RHO_NAMES,
+    PARAMETERS,
     ModulatorSpec,
     binding_f,
     check_modulator_minimality,
@@ -64,6 +65,12 @@ from widthlab.widths import (
 
 CARD = CostKind.CARDINALITY
 ALPHA = CostKind.INDEPENDENCE
+
+
+def target_names() -> list[str]:
+    """The modulator-target rows of the table as it stands, so a row added
+    by monkeypatch is among them."""
+    return [name for name, row in PARAMETERS.items() if row.target]
 
 
 def test_modulator_spec_parsing():
@@ -179,6 +186,22 @@ def test_vertex_cover_walk_matches_reference_at_the_budget(monkeypatch):
         assert len(made) == 1 and len(made[0].memo) <= 65535, g.adj
 
 
+def test_fvs_and_oct_match_the_self_reduction():
+    # One search each against the largest-choice value and one re-solve per
+    # vertex tried: every graph with n <= 7, every 12th class at n = 8 and
+    # one seeded G(n, p) for each n = 12..24.
+    graphs = [g for n in range(8) for g in enumerate_graphs(n)]
+    graphs += list(enumerate_graphs(8))[::12]
+    graphs += [random_graph(n, (0.15, 0.3, 0.5)[n % 3], n) for n in range(12, 25)]
+    for solver, good in (
+        (feedback_vertex_number, modulators._is_acyclic),
+        (oct_number, modulators._is_bipartite),
+    ):
+        for g in graphs:
+            expected = cover_reference(g, lambda g, mask: good(g, mask, DEFAULT_BUDGETS))
+            assert solver(g) == expected, (solver.__name__, g.adj)
+
+
 def test_cover_witnesses():
     value, witness = vertex_cover_number(copies(3, complete_graph(2)))
     assert value == 3 and witness == (0, 2, 4)
@@ -291,7 +314,7 @@ def test_rho_at_most_shortcuts_match_values(small_graphs):
     # the colouring search and omega the clique search on the mask.
     for n in range(7):
         for g in enumerate_graphs(n):
-            for rho in RHO_NAMES:
+            for rho in target_names():
                 value = parameter(rho)(g, DEFAULT_BUDGETS)[0]
                 for c in range(2, 6):
                     assert rho_at_most(g, rho, c) == (value <= c), (g.adj, rho, c)
@@ -300,8 +323,8 @@ def test_rho_at_most_shortcuts_match_values(small_graphs):
 # The closed forms of ``predicate``: every rho at c <= 1, every rho but
 # delta at c = 2, and delta at every c up to the largest degree at n = 7.
 CLOSED_FORMS = (
-    [(rho, c) for rho in RHO_NAMES for c in (0, 1)]
-    + [(rho, 2) for rho in RHO_NAMES]
+    [(rho, c) for rho in target_names() for c in (0, 1)]
+    + [(rho, 2) for rho in target_names()]
     + [("delta", c) for c in range(3, 7)]
 )
 
@@ -340,7 +363,7 @@ def test_predicate_is_resolved_once_per_spec():
     with pytest.raises(ValueError):
         predicate("nope", 2)
     # rho of the empty graph is 0, so no threshold below 0 holds anywhere.
-    for rho in RHO_NAMES:
+    for rho in target_names():
         assert not rho_at_most(Graph(0, ()), rho, -1)
         assert not rho_at_most(cycle_graph(5), rho, -1, within=0)
         assert rho_at_most(cycle_graph(5), rho, 0, within=0)
@@ -397,7 +420,7 @@ def test_rho_at_most_within_matches_induced():
         for g in enumerate_graphs(n):
             for mask in range(1 << n):
                 sub, _ = g.induced(mask)
-                for rho in RHO_NAMES:
+                for rho in target_names():
                     for c in range(4):
                         assert rho_at_most(g, rho, c, within=mask) == rho_at_most(
                             sub, rho, c

@@ -57,7 +57,6 @@ from widthlab.invariants import (
     alpha_table,
     independent_subsets,
     is_chordal,
-    largest_choice,
 )
 from widthlab.widths import (
     _grow_boundary,
@@ -683,17 +682,14 @@ def test_width_searches_leave_no_reference_cycle():
 
 
 def test_colouring_choice_and_modulator_searches_leave_no_reference_cycle():
-    # The alpha-chi partition search, the largest-choice branch and bound
-    # under it, the alpha modulator search, the independent-subset walk, the
-    # root-to-leaf walk and the three cover solvers keep no recursive
-    # closure: with the collector off, a finished call leaves nothing
-    # unreachable.
+    # The alpha-chi partition search and the rainbow branch and bound under
+    # it, the alpha modulator search, the independent-subset walk, the
+    # root-to-leaf walk and the three cover solvers, fvs and oct each one
+    # branch and bound, keep no recursive closure: with the collector off, a
+    # finished call leaves nothing unreachable.
     g7, g12 = random_graph(7, 0.4, 3), random_graph(12, 0.4, 3)
     calls = {
         "alpha_chromatic": lambda: alpha_chromatic(g7),
-        "largest_choice": lambda: largest_choice(
-            [1 << v for v in range(g12.n)], lambda chosen, v: not g12.adj[v] & chosen
-        ),
         "modulator_number": lambda: modulator_number(g12, ModulatorSpec.parse("tw:2"), ALPHA),
         "independent_subsets": lambda: independent_subsets(g12, g12.full_mask),
         "root_to_leaf_sets": lambda: RootedForest((None, 0, 0, 1, 1, None, 5)).root_to_leaf_sets(),
