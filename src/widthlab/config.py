@@ -53,11 +53,11 @@ def load_config(path: str, defaults: dict[str, dict]) -> tuple[Budgets, dict[str
     ``checks`` maps a check name, a key of ``defaults`` (each check's
     default params), to overrides of that check's integer params.  Returns
     the budgets and the overrides by check name.  Raises ValueError on a
-    file that cannot be read, a section, check or key that names nothing, or
-    a value that is not a non-negative integer (a ``seed`` may be any
-    integer)."""
+    file that cannot be read or is not UTF-8 JSON, a section, check or key
+    that names nothing, or a value that is not a non-negative integer (a
+    ``seed`` may be any integer)."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
         if not isinstance(data, dict) or set(data) - {"budgets", "checks"}:
             raise TypeError("expected a JSON object with optional 'budgets' and 'checks' sections")
@@ -69,6 +69,6 @@ def load_config(path: str, defaults: dict[str, dict]) -> tuple[Budgets, dict[str
             if name not in defaults:
                 raise TypeError(f"unknown check {name!r}")
             _overrides(f"checks.{name}", params, defaults[name])
-    except (OSError, TypeError) as exc:
+    except (OSError, TypeError, ValueError) as exc:  # ValueError: not UTF-8, or not JSON
         raise ValueError(f"bad config {path}: {exc}") from None
     return dataclasses.replace(DEFAULT_BUDGETS, **limits), checks

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import binascii
+import re
 
 from .graphs import Graph, _triangle_code, graph_from_triangle_bits
 
@@ -93,6 +94,20 @@ def from_graph6(text: str) -> Graph:
 
 
 # ---------------------------------------------------------------------------
+# The numbers of the DIMACS and edge-list formats: ASCII decimal with an
+# optional sign.  ``int()`` alone also takes underscores and non-ASCII
+# digits, so "1_0" or an Arabic-Indic one would name a vertex.
+
+_DECIMAL = re.compile(r"[+-]?[0-9]+")
+
+
+def _integer(token: str) -> int:
+    if not _DECIMAL.fullmatch(token):
+        raise ValueError(f"invalid literal for int() with base 10: {token!r}")
+    return int(token)
+
+
+# ---------------------------------------------------------------------------
 # DIMACS edge format
 
 
@@ -117,7 +132,7 @@ def from_dimacs(text: str) -> Graph:
             if len(parts) != 4 or parts[1] not in ("edge", "col"):
                 raise FormatError(f"line {lineno}: malformed problem line {line!r}")
             try:
-                n, declared_m = int(parts[2]), int(parts[3])
+                n, declared_m = _integer(parts[2]), _integer(parts[3])
             except ValueError:
                 raise FormatError(f"line {lineno}: malformed problem line {line!r}")
             if n < 0 or declared_m < 0:
@@ -130,7 +145,7 @@ def from_dimacs(text: str) -> Graph:
             if len(parts) != 3:
                 raise FormatError(f"line {lineno}: malformed edge line {line!r}")
             try:
-                u, v = int(parts[1]) - 1, int(parts[2]) - 1
+                u, v = _integer(parts[1]) - 1, _integer(parts[2]) - 1
             except ValueError:
                 raise FormatError(f"line {lineno}: malformed edge line {line!r}")
             if u == v:
@@ -142,6 +157,8 @@ def from_dimacs(text: str) -> Graph:
             raise FormatError(f"line {lineno}: unknown record {parts[0]!r}")
     if n is None:
         raise FormatError("missing problem line")
+    if len(edges) != declared_m:
+        raise FormatError(f"{len(edges)} edge lines, but the problem line declares {declared_m}")
     return Graph.from_edges(n, edges)
 
 
@@ -160,7 +177,7 @@ def from_edge_list(text: str) -> Graph:
     if not tokens:
         return Graph(0, ())
     try:
-        values = [int(t) for t in tokens]
+        values = [_integer(t) for t in tokens]
     except ValueError as exc:
         raise FormatError(f"non-integer token in edge list: {exc}") from None
     # An odd token count means a leading vertex-count header.

@@ -3,7 +3,9 @@
 Everything here is exact and deterministic.  The independence-number engine
 doubles as the bag-cost oracle of the width solvers, so it memoises per
 vertex-subset and splits into connected components before branching: that is
-what keeps sparse 80-vertex instances (iterated s-claw graphs) fast.
+what keeps sparse 80-vertex instances (iterated s-claw graphs) fast.  Each
+witness is read from the solve that gives its value: ``max_independent_set``
+probes one ``SubsetAlpha``, and the callers of ``_MaxWeight`` walk its memo.
 """
 
 from __future__ import annotations
@@ -104,10 +106,11 @@ class _MaxWeight:
     sparse 25 to 80-vertex decision forms, where components keep the memo
     small and this bound would not.
 
-    ``mwis.mwis_exact`` and the OCT search's alpha read optimum values only,
-    which do not depend on the choice of v.  ``vertex_cover_number`` walks
-    the memo down along the lowest vertex, so it needs this rule: each mask
-    it reads is a state the recursion already holds.
+    The OCT search's alpha reads optimum values only, which do not depend on
+    the choice of v.  ``mwis.mwis_exact`` and ``vertex_cover_number`` read
+    their witnesses by walking the memo down along the lowest vertex, so
+    they need this rule: each mask they read is a state the recursion
+    already holds, and ``self.memo[mask]`` never grows the memo.
     """
 
     def __init__(self, adj: tuple[int, ...], weights):
@@ -149,39 +152,21 @@ def independence_number(g: Graph) -> int:
     return SubsetAlpha(g)(g.full_mask)
 
 
-def lex_min_witness(mask: int, value: int, opt, step) -> tuple[int, ...]:
-    """The lexicographically smallest optimal witness, by self-reduction.
-
-    ``opt(m)`` is the optimum on the vertex set m and ``value`` is
-    ``opt(mask)``.  The vertices of ``mask`` are tried in increasing order;
-    ``step(v, m)`` returns ``(gain, rest)``, and v joins the witness exactly
-    when ``gain`` is non-zero and ``gain + opt(rest) == value``, after which
-    the search goes on in ``rest`` for ``value - gain``.  A rejected vertex
-    stays in the mask.  The solvers use the *take* step ``(w[v], m - N[v])``
-    to build a maximum (weight) independent set; the *delete* step ``(1, m -
-    v)``, which builds a minimum cover with ``opt(m) = |m| - keep(m)``,
-    serves only the test references of the cover solvers.
-    """
-    chosen = []
-    for v in bits(mask):
-        if not value:
-            break
-        if not mask >> v & 1:
-            continue
-        gain, rest = step(v, mask)
-        if gain and gain + opt(rest) == value:
-            chosen.append(v)
-            value -= gain
-            mask = rest
-    return tuple(chosen)
-
-
 def max_independent_set(g: Graph) -> tuple[int, ...]:
-    """A maximum independent set; lexicographically smallest among optima."""
-    alpha = SubsetAlpha(g)
-    return lex_min_witness(
-        g.full_mask, alpha(g.full_mask), alpha, lambda v, m: (1, m & ~(g.adj[v] | 1 << v))
-    )
+    """A maximum independent set; lexicographically smallest among optima.
+
+    The vertices are probed in increasing order: v joins when 1 plus alpha
+    of the mask less N[v] is the alpha still missing, and the search goes on
+    in that mask.  A rejected vertex stays in the mask, in no optimum of it.
+    """
+    alpha, mask, chosen = SubsetAlpha(g), g.full_mask, []
+    value = alpha(mask)
+    for v in bits(g.full_mask):
+        rest = mask & ~(g.adj[v] | 1 << v)
+        if value and mask >> v & 1 and 1 + alpha(rest) == value:
+            chosen.append(v)
+            value, mask = value - 1, rest
+    return tuple(chosen)
 
 
 def independent_subsets(g: Graph, mask: int) -> list[int]:

@@ -4,11 +4,12 @@ Three routes: an exact oracle, the bipartite min-cut reduction, and the
 odd-cycle-transversal algorithm that enumerates independent sets inside an
 OCT of bounded independence number and finishes each on the remaining
 bipartite part with one min cut.  The exact oracle and the transversal
-search's alpha share ``invariants._MaxWeight``, which vertex cover walks
-too: a memoised recursion on the lowest vertex of a mask, with at most
-2^(n/2 + 1) states.  The min cut runs on vertex masks, by augmenting paths
-grown as bitmask layers, and every call also reads its lexicographically
-smallest witness from the residual graph of that maximum flow.
+search's alpha share ``invariants._MaxWeight``: a memoised recursion on the
+lowest vertex of a mask, with at most 2^(n/2 + 1) states, whose memo the
+exact oracle walks for its witness, as vertex cover does.  The min cut runs
+on vertex masks, by augmenting paths grown as bitmask layers, and every
+call also reads its lexicographically smallest witness from the residual
+graph of that maximum flow.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from functools import lru_cache
 
 from .config import Budgets, DEFAULT_BUDGETS
 from .graphs import Graph, bits, check_budget, mask_of
-from .invariants import _MaxWeight, independent_subsets, is_bipartite, lex_min_witness, odd_cycle
+from .invariants import _MaxWeight, independent_subsets, is_bipartite, odd_cycle
 
 
 @dataclass(frozen=True)
@@ -142,23 +143,28 @@ def mwis_exact(wg: WeightedGraph, budgets: Budgets = DEFAULT_BUDGETS) -> MwisRes
     smallest optimum with no zero-weight member.
 
     Zero-weight vertices never help; dropping them up front makes the
-    witness canonical.  The self-reduction's probe for v also drops the
-    vertices below v that are still in its mask, the rejected ones: each
-    lies in no optimum of that mask, so the probe's test comes out the
-    same.  The probe is then the positive vertices above v minus the
-    neighbours of the taken vertices and v, a state of the first solve, so
-    the witness reads only memoised values and the state bound holds for
-    the whole call.
+    witness canonical.  The witness is a walk down the memo of the one
+    solve, from the lowest vertex v of the mask m: v is kept when w(v) plus
+    the optimum of m - N[v] is the optimum of m, so some optimum of G[m]
+    holds v, as the smallest must; else no optimum does, and v is dropped.
+    Both masks are the recursion's branches at m, so the walk reads only
+    memoised values and the state bound holds for the whole call.
     """
     check_budget("mwis_exact", wg.n, budgets.mwis_exact)
     g, weights = wg.graph, wg.weights
     solve = _MaxWeight(g.adj, weights)
-    positive = mask_of(v for v in range(g.n) if weights[v] > 0)
-    total = solve(positive)
-    witness = lex_min_witness(
-        positive, total, solve, lambda v, m: (weights[v], m & ~(g.adj[v] | (2 << v) - 1))
-    )
-    return MwisResult(total, witness)
+    m = mask_of(v for v in range(g.n) if weights[v] > 0)
+    total, memo, witness = solve(m), solve.memo, []
+    while m:
+        low = m & -m
+        v = low.bit_length() - 1
+        take = m & ~(g.adj[v] | low)
+        if weights[v] + memo[take] == memo[m]:
+            witness.append(v)
+            m = take
+        else:
+            m ^= low
+    return MwisResult(total, tuple(witness))
 
 
 # ---------------------------------------------------------------------------
@@ -168,8 +174,8 @@ def mwis_exact(wg: WeightedGraph, budgets: Budgets = DEFAULT_BUDGETS) -> MwisRes
 def _bipartite_mwis(g: Graph, weights, colour, mask: int) -> tuple[int, tuple[int, ...]]:
     """MWIS of G[mask], which ``colour`` 2-colours, as ``(weight, vertices)``:
     the total weight minus a minimum s-t cut, and the lexicographically
-    smallest optimum with no zero-weight member, the set
-    ``lex_min_witness``'s take step would build.
+    smallest optimum with no zero-weight member, the set ``mwis_exact``'s
+    memo walk would build.
 
     The network has an arc s -> v of capacity w(v) for each left (colour 0)
     vertex v, an arc v -> t of capacity w(v) for each right vertex v, and an
@@ -197,12 +203,11 @@ def _bipartite_mwis(g: Graph, weights, colour, mask: int) -> tuple[int, tuple[in
     every residual arc but those into t, and finds no path, so it stops
     only once no residual arc leaves it.  The vertices of positive weight
     are visited lowest first, and v joins F when that test still passes.
-    That is the test of the self-reduction: it takes v when w(v) > 0 and
-    w(v) plus the optimum of the mask left after the taken vertices, v and
-    their neighbours is the weight still missing, which says that some
-    optimum holds v and the vertices taken so far (a vertex it rejected
-    stays in its mask, but lies in no such optimum).  F only grows, so both
-    searches take the same vertices.
+    That is the test of ``mwis_exact``'s walk: it keeps v when w(v) > 0 and
+    w(v) plus the optimum of the positive vertices above v, less N(v) and the
+    neighbours of the kept vertices, is the weight still missing, which says
+    that some optimum holds v and the vertices kept so far.  F only grows,
+    so both take the same vertices.
     """
     adj = g.adj
     total = left = free = touched = 0

@@ -10,15 +10,24 @@ forms with one bag-cost call per (state, vertex), whose answers the
 package's forms, which read one per state, must reproduce, and
 ``bipartite_mwis_reference``: a Dinic flow network per min cut and one cut
 per vertex for the witness, which the package's mask kernel, reading its
-witness from one residual graph, must reproduce, and
-``vertex_cover_reference``: the self-reduction over ``SubsetAlpha`` whose
-value and witness the memo walk of ``vertex_cover_number`` must reproduce,
-and ``cover_reference``: the largest-choice branch and bound and the same
-self-reduction, one search per vertex tried, whose values and witnesses
-the single searches of ``feedback_vertex_number`` and ``oct_number`` must
-reproduce.  So is
-``oct_route_reference``: the OCT route with no bound and that reference on
-every rest, whose top weight and tie rule ``mwis_via_oct`` must reproduce.
+witness from one residual graph, must reproduce.  So is
+``oct_route_reference``: the OCT route with no bound and
+``bipartite_mwis_reference`` on every rest, whose top weight and tie rule
+``mwis_via_oct`` must reproduce.
+
+``lex_min_witness`` is the generic self-reduction, with one callback for
+the optimum and one for the step, that the package's witnesses once came
+from.  Four references keep those routes, and each witness the package now
+reads inline must reproduce its reference:
+``max_independent_set_reference``, the take step over ``SubsetAlpha``,
+against the inline probe loop of ``max_independent_set``;
+``mwis_exact_reference``, the take step over ``_MaxWeight``, against the
+memo walk of ``mwis_exact``; ``vertex_cover_reference``, the delete step
+over ``SubsetAlpha``, against the memo walk of ``vertex_cover_number``; and
+``cover_reference``, the largest-choice branch and bound with the delete
+step, against the single searches of ``feedback_vertex_number`` and
+``oct_number``.
+
 The last section holds plain helpers over the package's types that only
 tests use.
 """
@@ -36,8 +45,8 @@ from widthlab.decomp import (
     validate_treedepth_decomposition,
 )
 from widthlab.graphs import Graph, _triangle_code, bits, components, mask_of
-from widthlab.invariants import SubsetAlpha, alpha_table, lex_min_witness
-from widthlab.mwis import FlowNetwork, WeightedGraph, find_oct_with_bounded_alpha
+from widthlab.invariants import SubsetAlpha, _MaxWeight, alpha_table
+from widthlab.mwis import FlowNetwork, MwisResult, WeightedGraph, find_oct_with_bounded_alpha
 
 
 def subsets(iterable):
@@ -594,6 +603,55 @@ def mask_two_colouring(g: Graph, rest: int) -> dict[int, int] | None:
 
 def mask_is_bipartite(g: Graph, rest: int) -> bool:
     return mask_two_colouring(g, rest) is not None
+
+
+def lex_min_witness(mask: int, value: int, opt, step) -> tuple[int, ...]:
+    """The lexicographically smallest optimal witness, by self-reduction.
+
+    ``opt(m)`` is the optimum on the vertex set m and ``value`` is
+    ``opt(mask)``.  The vertices of ``mask`` are tried in increasing order;
+    ``step(v, m)`` returns ``(gain, rest)``, and v joins the witness exactly
+    when ``gain`` is non-zero and ``gain + opt(rest) == value``, after which
+    the search goes on in ``rest`` for ``value - gain``.  A rejected vertex
+    stays in the mask.  The *take* step ``(w[v], m - N[v])`` builds a
+    maximum (weight) independent set; the *delete* step ``(1, m - v)``
+    builds a minimum cover with ``opt(m) = |m| - keep(m)``.
+    """
+    chosen = []
+    for v in bits(mask):
+        if not value:
+            break
+        if not mask >> v & 1:
+            continue
+        gain, rest = step(v, mask)
+        if gain and gain + opt(rest) == value:
+            chosen.append(v)
+            value -= gain
+            mask = rest
+    return tuple(chosen)
+
+
+def max_independent_set_reference(g: Graph) -> tuple[int, ...]:
+    """The lexicographically smallest maximum independent set:
+    ``lex_min_witness`` with the take step over one ``SubsetAlpha``."""
+    alpha = SubsetAlpha(g)
+    return lex_min_witness(
+        g.full_mask, alpha(g.full_mask), alpha, lambda v, m: (1, m & ~(g.adj[v] | 1 << v))
+    )
+
+
+def mwis_exact_reference(wg: WeightedGraph) -> MwisResult:
+    """The MWIS weight and the lexicographically smallest optimum with no
+    zero-weight member: ``lex_min_witness`` with the take step over one
+    ``_MaxWeight``, each probe also dropping the vertices below v."""
+    g, weights = wg.graph, wg.weights
+    solve = _MaxWeight(g.adj, weights)
+    positive = mask_of(v for v in range(g.n) if weights[v] > 0)
+    total = solve(positive)
+    witness = lex_min_witness(
+        positive, total, solve, lambda v, m: (weights[v], m & ~(g.adj[v] | (2 << v) - 1))
+    )
+    return MwisResult(total, witness)
 
 
 def vertex_cover_reference(g: Graph) -> tuple[int, tuple[int, ...]]:

@@ -1,6 +1,7 @@
 """The check registry and the command-line interface."""
 
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -10,8 +11,10 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from widthlab.checks import CHECK_NAMES, CHECKS, CheckSpec, default_params, run_check
+from widthlab.config import DEFAULT_BUDGETS
 from widthlab.formats import to_graph6
 from widthlab.graphs import cycle_graph, star
 
@@ -973,6 +976,11 @@ def test_cli_construct_zero_iterations_is_k1(capsys):
         '{"checks": {"td-path-formula": {"max_n": true}}}',
         '{"checks": {"td-path-formula": 4}}',
         '{"checks": ["td-path-formula"]}',
+        b"",
+        b"not json",
+        b'{"budgets": {"width_exact": 3}',
+        b'{"budgets": {}}\xff',
+        b"\xff\xfe{}",
     ],
     ids=[
         "missing",
@@ -990,6 +998,11 @@ def test_cli_construct_zero_iterations_is_k1(capsys):
         "bool-param",
         "param-not-object",
         "checks-not-object",
+        "empty",
+        "not-json",
+        "truncated",
+        "trailing-byte",
+        "not-utf8",
     ],
 )
 def test_cli_bad_config_exits_2(tmp_path, capsys, content):
@@ -997,10 +1010,57 @@ def test_cli_bad_config_exits_2(tmp_path, capsys, content):
 
     path = tmp_path / "settings.json"
     if content is not None:
-        path.write_text(content)
+        path.write_bytes(content if isinstance(content, bytes) else content.encode())
     assert main(["verify", "td-path-formula", "--max-n", "3", "--config", str(path)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "Traceback" not in err
+    assert err.startswith(f"error: bad config {path}: ") and "Traceback" not in err
+
+
+# Any JSON value, with keys that reach every branch of load_config (its
+# sections, the budgets, the checks and their params, next to keys that
+# name nothing), and config-shaped objects, which load more often.
+_BUDGET_KEYS = sorted(dataclasses.asdict(DEFAULT_BUDGETS))
+_PARAM_KEYS = sorted({key for check in CHECKS.values() for key in check.defaults})
+_CONFIG_KEYS = st.sampled_from(
+    sorted({"budgets", "checks", "suite", "modulator", *_BUDGET_KEYS, *CHECKS, *_PARAM_KEYS})
+) | st.text(max_size=3)
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_CONFIG_KEYS, inner, max_size=3),
+    max_leaves=12,
+)
+_SIZES = st.integers(-2, 40) | _JSON_VALUES
+_SHAPED_CONFIGS = st.fixed_dictionaries(
+    {},
+    optional={
+        "budgets": st.dictionaries(st.sampled_from(_BUDGET_KEYS), _SIZES, max_size=3),
+        "checks": st.dictionaries(
+            st.sampled_from(sorted(CHECKS)),
+            st.dictionaries(st.sampled_from(_PARAM_KEYS), _SIZES, max_size=2),
+            max_size=3,
+        ),
+    },
+)
+
+
+@pytest.fixture(scope="module")
+def config_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("config") / "settings.json"
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(_JSON_VALUES | _SHAPED_CONFIGS)
+def test_load_config_loads_or_raises_value_error(config_path, value):
+    from widthlab.config import Budgets, load_config
+
+    config_path.write_text(json.dumps(value))
+    defaults = {name: check.defaults for name, check in CHECKS.items()}
+    try:
+        budgets, configured = load_config(str(config_path), defaults)
+    except ValueError as exc:
+        assert str(exc).startswith(f"bad config {config_path}: ")
+        return
+    assert isinstance(budgets, Budgets) and set(configured) <= set(defaults)
 
 
 def test_config_overrides_apply(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """graph6, DIMACS, and edge-list round trips and error handling."""
 
 import hashlib
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -164,6 +165,16 @@ def test_dimacs_errors():
         from_dimacs("p edge 2 1\ne 1 3\n")  # out of range
     with pytest.raises(FormatError):
         from_dimacs("p edge x y\n")
+    # Every e line counts against the problem line, repeats included.
+    for text in ("p edge 3 7\ne 1 2\n", "p edge 3 1\ne 1 2\ne 1 2\ne 1 2\n", "p edge 2 1\n"):
+        with pytest.raises(FormatError, match="edge lines, but the problem line declares"):
+            from_dimacs(text)
+    # int() alone reads an underscore, an Arabic-Indic and a fullwidth digit.
+    for token in ("1_0", "\u0661", "\uff11"):
+        with pytest.raises(FormatError, match="malformed edge line"):
+            from_dimacs(f"p edge 12 1\ne 1 {token}\n")
+        with pytest.raises(FormatError, match="malformed problem line"):
+            from_dimacs(f"p edge {token} 0\n")
 
 
 def test_edge_list_round_trip():
@@ -172,6 +183,7 @@ def test_edge_list_round_trip():
     assert from_edge_list("0 1\n1 2\n").edges() == [(0, 1), (1, 2)]
     # Odd token count means a leading vertex count; isolated vertices survive.
     assert from_edge_list("4 0 1\n").n == 4
+    assert from_edge_list("+2 -0\n").edges() == [(0, 2)]  # signs stay
 
 
 def test_edge_list_errors():
@@ -181,6 +193,9 @@ def test_edge_list_errors():
         from_edge_list("2 0 5\n")  # exceeds declared count
     with pytest.raises(FormatError):
         from_edge_list("0 x\n")
+    for token in ("1_0", "\u0661", "\uff11"):
+        with pytest.raises(FormatError, match="non-integer token"):
+            from_edge_list(f"0 {token}\n")
 
 
 def test_readers_reject_vertex_counts_graph6_cannot_hold():
@@ -207,9 +222,12 @@ def _lines(token):
     return st.lists(line, max_size=6).map("\n".join)
 
 
-# Small numbers, and vertex counts past GRAPH6_MAX_N, which the readers
-# reject before they allocate.
-_NUMBER = (st.integers(-3, 40) | st.integers(GRAPH6_MAX_N + 1, 10**15)).map(str)
+# Small numbers, vertex counts past GRAPH6_MAX_N, which the readers reject
+# before they allocate, and tokens int() reads but the readers must not: an
+# underscore, an Arabic-Indic and a fullwidth digit.
+_NUMBER = (st.integers(-3, 40) | st.integers(GRAPH6_MAX_N + 1, 10**15)).map(str) | st.sampled_from(
+    ["1_0", "\u0661", "\uff11"]
+)
 # Text shaped like each format, so the readers get past their first test.
 SHAPED = {
     "graph6": st.text(st.characters(min_codepoint=32, max_codepoint=130), max_size=12)
@@ -230,6 +248,8 @@ def test_parse_returns_a_graph_or_raises_format_error(fmt, data):
     except FormatError:
         return
     assert isinstance(g, Graph)
+    if fmt == "edges":
+        assert all(re.fullmatch("[+-]?[0-9]+", token) for token in text.split()), text
 
 
 @st.composite

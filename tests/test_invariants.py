@@ -1,5 +1,7 @@
 """Base parameters against brute-force oracles, plus structural predicates."""
 
+from itertools import combinations
+
 from hypothesis import given, settings, strategies as st
 
 from oracles import (
@@ -10,6 +12,7 @@ from oracles import (
     delete,
     has_edge,
     mask_is_bipartite,
+    max_independent_set_reference,
 )
 
 from widthlab.graphs import (
@@ -75,14 +78,31 @@ def test_null_graph_conventions(zoo):
     assert is_chordal(g)[0]
 
 
-def test_max_independent_set_is_lexmin_witness(small_graphs):
-    for g in small_graphs:
-        witness = max_independent_set(g)
-        assert len(witness) == independence_number(g)
-        for i, u in enumerate(witness):
-            for v in witness[i + 1 :]:
-                assert not has_edge(g, u, v)
+def test_max_independent_set_is_lexmin_witness():
+    # The first maximum independent set in itertools.combinations order,
+    # which is lexicographic, on every graph with n <= 7.
+    for g in (g for n in range(8) for g in enumerate_graphs(n)):
+        first = next(
+            c
+            for r in range(g.n, -1, -1)
+            for c in combinations(range(g.n), r)
+            if not any(has_edge(g, u, v) for u, v in combinations(c, 2))
+        )
+        assert max_independent_set(g) == first, g.adj
     assert max_independent_set(cycle_graph(5)) == (0, 2)
+
+
+def test_max_independent_set_matches_the_self_reduction():
+    # The inline probe loop against the self-reduction of oracles.py over
+    # SubsetAlpha: every graph with n <= 7, one seeded G(n, p) for each
+    # n = 8..24, S_1 to S_4 (up to 79 vertices) and sparse G(n, p) on 40 to
+    # 80 vertices.
+    graphs = [g for n in range(8) for g in enumerate_graphs(n)]
+    graphs += [random_graph(n, (0.15, 0.3, 0.5)[n % 3], n) for n in range(8, 25)]
+    graphs += [gamma_family(i) for i in range(1, 5)]
+    graphs += [random_graph(n, 2 / n, n) for n in range(40, 81, 10)]
+    for g in graphs:
+        assert max_independent_set(g) == max_independent_set_reference(g), g.adj
 
 
 def test_local_independence():

@@ -6,7 +6,13 @@ import random
 
 import pytest
 
-from oracles import bipartite_mwis_reference, brute_alpha, brute_mwis, oct_route_reference
+from oracles import (
+    bipartite_mwis_reference,
+    brute_alpha,
+    brute_mwis,
+    mwis_exact_reference,
+    oct_route_reference,
+)
 
 from widthlab.checks import _random_bipartite, _seeded_weights, default_params, instances_for
 from widthlab.config import DEFAULT_BUDGETS
@@ -87,6 +93,44 @@ def test_mwis_exact_against_bruteforce(small_graphs):
         _assert_independent(g, result.vertices)
         assert sum(weights[v] for v in result.vertices) == result.weight
         assert all(weights[v] > 0 for v in result.vertices)
+
+
+def test_mwis_exact_matches_the_self_reduction():
+    # The memo walk against the self-reduction of oracles.py over the same
+    # kernel, value and witness: every graph with n <= 7 under three seeded
+    # weightings (zeros and ties included), and one seeded G(n, p) with
+    # weights 0..9 for each n = 8..24.
+    rng = random.Random(35)
+    cases = [
+        WeightedGraph(g, tuple(rng.randint(0, top) for _ in range(g.n)))
+        for g in _graphs_upto_7()
+        for top in (1, 3, 9)
+    ]
+    for n in range(8, 25):
+        g = random_graph(n, (0.15, 0.3, 0.5)[n % 3], n)
+        cases.append(WeightedGraph(g, tuple(rng.randint(0, 9) for _ in range(n))))
+    for wg in cases:
+        assert mwis_exact(wg) == mwis_exact_reference(wg), (wg.graph.adj, wg.weights)
+
+
+def test_mwis_exact_walk_reads_one_solve_at_the_budget(monkeypatch):
+    # At the mwis_exact budget of 30 the witness comes from the memo of one
+    # _MaxWeight solve, which the walk does not grow: the matching
+    # {i, i + 15} fills it to its bound of 2^16 - 1 states.
+    import widthlab.mwis as mwis
+
+    made = []
+
+    class Recorded(mwis._MaxWeight):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(mwis, "_MaxWeight", Recorded)
+    n = DEFAULT_BUDGETS.mwis_exact
+    g = Graph.from_edges(n, [(i, i + n // 2) for i in range(n // 2)])
+    assert mwis_exact(WeightedGraph(g, (1,) * n)) == MwisResult(15, tuple(range(15)))
+    assert len(made) == 1 and len(made[0].memo) == 65535
 
 
 def test_max_weight_kernel_against_brute_force():
