@@ -120,7 +120,7 @@ def to_dimacs(g: Graph) -> str:
 def from_dimacs(text: str) -> Graph:
     n = None
     declared_m = None
-    edges = []
+    first = {}  # each edge, smaller end first, and the line that gave it
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("c"):
@@ -152,14 +152,17 @@ def from_dimacs(text: str) -> Graph:
                 raise FormatError(f"line {lineno}: self-loop at vertex {u + 1}")
             if not (0 <= u < n and 0 <= v < n):
                 raise FormatError(f"line {lineno}: vertex out of range")
-            edges.append((u, v))
+            edge = (u, v) if u < v else (v, u)
+            if edge in first:
+                raise FormatError(f"line {lineno}: edge {u + 1} {v + 1} repeats line {first[edge]}")
+            first[edge] = lineno
         else:
             raise FormatError(f"line {lineno}: unknown record {parts[0]!r}")
     if n is None:
         raise FormatError("missing problem line")
-    if len(edges) != declared_m:
-        raise FormatError(f"{len(edges)} edge lines, but the problem line declares {declared_m}")
-    return Graph.from_edges(n, edges)
+    if len(first) != declared_m:
+        raise FormatError(f"{len(first)} edge lines, but the problem line declares {declared_m}")
+    return Graph.from_edges(n, first)
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,10 @@ Algorithms (all exact for monotone bag costs):
   cost(B) <= k, and the search reads cost(B) once per state: below k every
   vertex fits, at k only (under alpha) a v with alpha(B - N(v)) < k.  One
   lowest-first pass per state; the first fitting vertex with no unplaced
-  neighbour is the only branch.  The treedepth form takes B = the ancestors.
+  neighbour is the only branch.  The treedepth form takes B = the ancestors,
+  and at k it first tests every vertex of the component: one that does not
+  fit lies on a path with all of B, so the state fails before any root is
+  tried.
 * treedepth under cardinality: one pass over all 2^n subsets in numeric
   order (the O*(2^n) baseline of Fomin, Giannopoulou & Pilipczuk,
   "Computing tree-depth faster than 2^n", Algorithmica 2015).  A
@@ -49,7 +52,11 @@ Algorithms (all exact for monotone bag costs):
   so each state starts there with its lowest root and keeps a later root
   only if it does strictly better.  Every path pays at least floor = max
   over v of alpha(ancestors + v), so the root loop stops at the first root
-  that reaches floor, and is skipped when the starting bound is floor.
+  that reaches floor, and is skipped when the starting bound is floor.  A
+  root must beat min(best so far, the caller's cut), so each component
+  below it is solved only up to that cut: the exact value below the cut, a
+  lower bound at or above it.  The memo keeps exact entries apart from
+  lower bounds, and the forest walk reads only exact ones.
 * degeneracy: greedy peeling of a vertex with the cheapest closed
   neighbourhood cost; exact because the cost is monotone under subsets.
 
@@ -412,7 +419,7 @@ def _treedepth_table(adj) -> list[int]:
 class _AlphaTreedepth:
     """``self(comp, above)``: the least alpha cost of a forest on the
     connected component comp below the ancestor set above, and its lowest
-    optimal root, memoised on (component, ancestor set).
+    optimal root.
 
     A root-to-leaf path costs alpha of the ancestors plus the path, and every
     path lies inside above + comp, so every root reaches at most cost(above +
@@ -422,6 +429,20 @@ class _AlphaTreedepth:
     max over v of cost(above + v), so the loop stops at the first root that
     reaches floor, and it is skipped when the bound is already floor.  The
     components below a root are grown inline from ``graphs.reach_table``.
+
+    ``_solve`` takes a cut: it returns the exact value when that is below the
+    cut, and otherwise a lower bound that is at least the cut.  A root is
+    kept only if it beats target = min(best so far, cut), so each component
+    below it is solved with the cut target: one that reaches target rules
+    the root out whatever its exact value.  If opt < cut, every root before
+    the lowest optimal one is ruled out or improves best exactly, and that
+    root's components all lie below target, so they come back exact and it
+    is kept.  If opt >= cut, no root beats the cut and best stays at
+    cost(above + comp) >= cut.  A state with floor >= cut stops at once,
+    with the lower bound floor.  ``memo`` holds the exact (value, root) of
+    the states solved below their cut and ``lower`` the bounds of the
+    others, keyed on (component, ancestor set).  The forest walk calls with
+    no cut, so it reads only exact entries.
     """
 
     def __init__(self, adj):
@@ -430,29 +451,37 @@ class _AlphaTreedepth:
         self.reach = reach_table(adj)
         self.one_bits = _one_bits(self.n)
         self.memo: dict[int, tuple[int, int]] = {}
+        self.lower: dict[int, int] = {}
 
     def __call__(self, comp: int, above: int) -> tuple[int, int]:
         if comp & (comp - 1) == 0:
             return self.cost[above | comp], comp.bit_length() - 1
         key = comp | above << self.n
         cached = self.memo.get(key)
-        return self._solve(comp, above, key) if cached is None else cached
+        if cached is None:
+            self._solve(comp, above, key, self.n + 1)  # above every alpha: exact
+            cached = self.memo[key]
+        return cached
 
-    def _solve(self, comp: int, above: int, key: int) -> tuple[int, int]:
+    def _solve(self, comp: int, above: int, key: int, cut: int) -> int:
         # A state not yet in the memo; each component below a root looks its
         # state up before it recurses, which saves a call on every memo hit.
-        n, cost, reach, memo = self.n, self.cost, self.reach, self.memo
+        n, cost, reach, memo, lower = self.n, self.cost, self.reach, self.memo, self.lower
         roots = self.one_bits[comp]
         floor = 0
         for low in roots:
             here = cost[above | low]
             if here > floor:
                 floor = here
+        if floor >= cut:
+            lower[key] = floor
+            return floor
         best, best_root = cost[above | comp], comp & -comp
+        target = best if best < cut else cut
         if best > floor:
             for low in roots:
                 value = cost[above | low]
-                if value >= best:
+                if value >= target:
                     continue
                 below = above | low
                 rest = comp ^ low
@@ -467,18 +496,26 @@ class _AlphaTreedepth:
                     else:
                         sub_key = sub | below << n
                         got = memo.get(sub_key)
-                        h = (self._solve(sub, below, sub_key) if got is None else got)[0]
+                        if got is not None:
+                            h = got[0]
+                        else:
+                            h = lower.get(sub_key, 0)
+                            if h < target:
+                                h = self._solve(sub, below, sub_key, target)
                     if h > value:
                         value = h
-                        if value >= best:
+                        if value >= target:
                             break
-                if value < best:
-                    best, best_root = value, low
+                if value < target:
+                    best = target = value
+                    best_root = low
                     if best == floor:
                         break
-        result = best, best_root.bit_length() - 1
-        memo[key] = result
-        return result
+        if best < cut:
+            memo[key] = best, best_root.bit_length() - 1
+            return best
+        lower[key] = cut
+        return cut
 
 
 def lambda_treedepth(
@@ -529,7 +566,9 @@ def lambda_td_at_most(
     1 + alpha(A - N(v))).  A itself is a path that was admitted, so cost(A)
     <= k.  The recursion reads cost(A) once per state: below k every root
     fits; at k no root fits under cardinality, and under alpha v fits
-    exactly when N(v) meets A and alpha(A - N(v)) < k.
+    exactly when N(v) meets A and alpha(A - N(v)) < k.  Every vertex of the
+    component lies on some path with all of A, so at k one vertex that does
+    not fit makes the state fail (``_TdFeasible``).
     """
     check_budget("lambda_td_at_most", g.n, budgets.td_decision)
     if g.n == 0:
@@ -542,7 +581,15 @@ def lambda_td_at_most(
 
 class _TdFeasible:
     """``self(comp, above)``: whether the connected component comp has a
-    forest below the ancestor set above whose every path costs at most k."""
+    forest below the ancestor set above whose every path costs at most k.
+
+    At a tight state, cost(above) = k, every vertex v of comp is tested
+    before any root's components are built.  v lies on some root-to-leaf
+    path together with all of above, and that path costs at least cost(above
+    + v), which is k + 1 when v does not fit (always under cardinality;
+    under alpha when N(v) misses above or alpha(above - N(v)) >= k).  So one
+    such v makes the state False, and otherwise every vertex fits as a root.
+    """
 
     def __init__(self, adj, bag_cost, k: int, by_height: bool):
         self.adj = adj
@@ -563,16 +610,22 @@ class _TdFeasible:
         if cached is not None:
             return cached
         adj = self.adj
-        tight = bag_cost(above) == k
+        if bag_cost(above) == k:
+            # Tight: one vertex that cannot join above (none can under
+            # cardinality) fails every forest; otherwise every root fits.
+            m = comp
+            while m:
+                low = m & -m
+                m ^= low
+                nb = adj[low.bit_length() - 1]
+                if by_height or not nb & above or bag_cost(above & ~nb) >= k:
+                    self.memo[key] = False
+                    return False
         ranked = []
-        m = 0 if tight and by_height else comp  # under cardinality every root costs k + 1
+        m = comp
         while m:
             low = m & -m
             m ^= low
-            if tight:
-                nb = adj[low.bit_length() - 1]
-                if not nb & above or bag_cost(above & ~nb) >= k:
-                    continue
             subs = components(adj, comp ^ low)
             ranked.append((max(map(int.bit_count, subs), default=0), low, subs))
         # Kept eager: lazy lowest-first roots were 100x slower (BENCH_22.json).

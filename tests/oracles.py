@@ -7,7 +7,12 @@ Burnside's lemma, and the base parameters from raw subset enumeration.
 subset DP, which the package's specialised kernels must reproduce exactly.
 So are ``pw_at_most_reference`` and ``td_at_most_reference``: the decision
 forms with one bag-cost call per (state, vertex), whose answers the
-package's forms, which read one per state, must reproduce, and
+package's forms, which read one per state, must reproduce (the td form
+also stops at once at a tight state that some vertex cannot join);
+``alpha_treedepth_reference``: the exact alpha-td recursion that solves
+every sub-component exactly, whose values and roots the package's
+recursion with cutoffs must reproduce on every state it solves exactly;
+and
 ``bipartite_mwis_reference``: a Dinic flow network per min cut and one cut
 per vertex for the witness, which the package's mask kernel, reading its
 witness from one residual graph, must reproduce.  So is
@@ -290,6 +295,52 @@ def td_at_most_reference(g: Graph, kind: CostKind, k: int) -> bool:
         return ok
 
     return all(feasible(comp, 0) for comp in g.components())
+
+
+def alpha_treedepth_reference(adj):
+    """The exact alpha-td recursion with no cut, which the package's cut
+    recursion must reproduce on every state it solves exactly: returns
+    ``solve(comp, above)``, the least alpha cost of a forest on the
+    connected component comp below the ancestor set above and its lowest
+    optimal root, memoised on (component, ancestor set).
+
+    Every sub-component below a root is solved exactly.  Each state starts
+    from the bound alpha(above + comp) with its lowest root, a later root
+    replaces it only by a strict improvement, and the root loop stops at
+    the first root that reaches floor = max over v of alpha(above + v).
+    """
+    n = len(adj)
+    cost = alpha_table(adj)
+    memo: dict[int, tuple[int, int]] = {}
+
+    def solve(comp: int, above: int) -> tuple[int, int]:
+        if comp & (comp - 1) == 0:
+            return cost[above | comp], comp.bit_length() - 1
+        key = comp | above << n
+        cached = memo.get(key)
+        if cached is not None:
+            return cached
+        roots = [1 << v for v in bits(comp)]
+        floor = max(cost[above | low] for low in roots)
+        best, best_root = cost[above | comp], comp & -comp
+        if best > floor:
+            for low in roots:
+                value = cost[above | low]
+                if value >= best:
+                    continue
+                below = above | low
+                for sub in components(adj, comp ^ low):
+                    value = max(value, solve(sub, below)[0])
+                    if value >= best:
+                        break
+                if value < best:
+                    best, best_root = value, low
+                    if best == floor:
+                        break
+        memo[key] = best, best_root.bit_length() - 1
+        return memo[key]
+
+    return solve
 
 
 def _valid_tree_decomposition(g: Graph, bags, tree_edges) -> bool:

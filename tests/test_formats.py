@@ -165,9 +165,17 @@ def test_dimacs_errors():
         from_dimacs("p edge 2 1\ne 1 3\n")  # out of range
     with pytest.raises(FormatError):
         from_dimacs("p edge x y\n")
-    # Every e line counts against the problem line, repeats included.
-    for text in ("p edge 3 7\ne 1 2\n", "p edge 3 1\ne 1 2\ne 1 2\ne 1 2\n", "p edge 2 1\n"):
+    # Every e line counts against the problem line.
+    for text in ("p edge 3 7\ne 1 2\n", "p edge 3 1\ne 1 2\ne 2 3\ne 1 3\n", "p edge 2 1\n"):
         with pytest.raises(FormatError, match="edge lines, but the problem line declares"):
+            from_dimacs(text)
+    # A repeated or reversed edge is an error, even when the lines make up the count.
+    for text, message in (
+        ("p edge 2 2\ne 1 2\ne 2 1\n", "line 3: edge 2 1 repeats line 2"),
+        ("p edge 3 3\ne 1 2\nc x\ne 2 3\ne 1 2\n", "line 5: edge 1 2 repeats line 2"),
+        ("p edge 3 1\ne 1 2\ne 1 2\ne 1 2\n", "line 3: edge 1 2 repeats line 2"),
+    ):
+        with pytest.raises(FormatError, match=message):
             from_dimacs(text)
     # int() alone reads an underscore, an Arabic-Indic and a fullwidth digit.
     for token in ("1_0", "\u0661", "\uff11"):

@@ -16,6 +16,7 @@ import pytest
 
 from oracles import (
     alpha_chromatic_by_functions,
+    alpha_treedepth_reference,
     boundary_bag,
     degeneracy_maxmin_induced,
     degeneracy_maxmin_subgraphs,
@@ -59,6 +60,8 @@ from widthlab.invariants import (
     is_chordal,
 )
 from widthlab.widths import (
+    _AlphaTreedepth,
+    _TdFeasible,
     _grow_boundary,
     _one_bits,
     _subset_dp,
@@ -302,6 +305,29 @@ def test_tw_pw_witnesses_pinned():
     assert hashlib.sha256(_tw_pw_outputs().encode()).hexdigest() == TW_PW_DIGEST
 
 
+def test_alpha_treedepth_cuts_keep_the_reference_states():
+    # Each component of every graph with n <= 7 and of seeded G(9..13, p) is
+    # solved at every cut from 1 to n + 1 by a fresh recursion.  Its exact
+    # entries are the uncut recursion's (value, lowest optimal root) for
+    # that state, and its lower bounds are at most the uncut value.
+    graphs = [g for n in range(1, 8) for g in enumerate_graphs(n)]
+    graphs += [random_graph(n, p, 960 + n) for n in range(9, 14) for p in (0.25, 0.5)]
+    for g in graphs:
+        n = g.n
+        full = g.full_mask
+        reference = alpha_treedepth_reference(g.adj)
+        for cut in range(1, n + 2):
+            solve = _AlphaTreedepth(g.adj)
+            for comp in g.components():
+                value = solve._solve(comp, 0, comp, cut)
+                exact = reference(comp, 0)[0]
+                assert value == exact if exact < cut else value >= cut, (g.adj, cut)
+            for key, entry in solve.memo.items():
+                assert entry == reference(key & full, key >> n), (g.adj, cut, key)
+            for key, bound in solve.lower.items():
+                assert bound <= reference(key & full, key >> n)[0], (g.adj, cut, key)
+
+
 def test_treedepth_table_on_every_subset():
     # Every entry, not only the full vertex set: the height of each mask is
     # the treedepth of the subgraph it induces, and the independent decision
@@ -517,6 +543,43 @@ def test_decision_forms_match_reference_at_every_k():
             for k in range(-1, g.n + 2):
                 assert lambda_pw_at_most(g, kind, k) == pw_at_most_reference(g, kind, k)
                 assert lambda_td_at_most(g, kind, k) == td_at_most_reference(g, kind, k)
+
+
+def test_td_decision_form_stops_at_a_tight_state_that_a_vertex_cannot_join(monkeypatch):
+    # A tight state has cost(above) = k.  When some vertex v of comp has no
+    # neighbour in above, or alpha(above - N(v)) >= k, the path through v
+    # costs k + 1: the state is False before any root's components are
+    # built.  Every such state of every graph with n <= 6, with |comp| >= 2;
+    # each graph's answers at every k match the reference.
+    built = []
+    grow = widths.components
+
+    def recording(adj, mask):
+        built.append(mask)
+        return grow(adj, mask)
+
+    monkeypatch.setattr(widths, "components", recording)
+    stops = 0
+    for n in range(3, 7):
+        for g in enumerate_graphs(n):
+            alpha = SubsetAlpha(g)
+            for above in range(1, g.full_mask):
+                k = alpha(above)
+                for comp in grow(g.adj, g.full_mask & ~above):
+                    blocked = [
+                        v
+                        for v in bits(comp)
+                        if not g.adj[v] & above or alpha(above & ~g.adj[v]) >= k
+                    ]
+                    if comp.bit_count() < 2 or not blocked:
+                        continue
+                    built.clear()
+                    assert not _TdFeasible(g.adj, alpha, k, False)(comp, above), (g.adj, above)
+                    assert built == [], (g.adj, above, comp)
+                    stops += 1
+            for k in range(-1, n + 2):
+                assert lambda_td_at_most(g, ALPHA, k) == td_at_most_reference(g, ALPHA, k)
+    assert stops > 0
 
 
 def test_pw_decision_form_pushes_the_reference_states_in_order(monkeypatch):
