@@ -18,9 +18,15 @@ import time
 
 from .checks import CHECK_NAMES, CHECKS, DEFAULT_SEED, CheckSpec, enumerated_graph6, run_check
 from .config import DEFAULT_BUDGETS, load_config
-from .constructions import SubstitutionKind, gamma_family, subdivided_claw, substitute
+from .constructions import (
+    SubstitutionKind,
+    gamma_family,
+    subdivided_claw,
+    substitute,
+    substitution_order,
+)
 from .decomp import CostKind
-from .formats import FORMATS, FormatError, emit, parse, to_graph6
+from .formats import FORMATS, GRAPH6_MAX_N, FormatError, emit, parse, to_graph6
 from .graphs import BudgetExceededError, Graph, named_graph, random_graph
 from .modulators import ALPHA, ModulatorSpec, modulator_number, parameter
 from .mwis import WeightedGraph, mwis_bipartite, mwis_exact, mwis_via_oct
@@ -167,6 +173,14 @@ def cmd_construct(args) -> int:
         g = subdivided_claw()
     else:
         kind = SubstitutionKind.parse(args.kind)
+        n = 1
+        for _ in range(args.iterate):  # stops within a few steps of a huge count
+            n = substitution_order(n, kind)
+            if n > GRAPH6_MAX_N:
+                raise UsageError(
+                    f"--iterate {args.iterate} passes {GRAPH6_MAX_N} vertices, "
+                    "more than any reader takes"
+                )
         g = Graph(1, (0,))
         for _ in range(args.iterate):
             g = substitute(g, kind)

@@ -34,7 +34,11 @@ Algorithms (all exact for monotone bag costs):
   cost(B) <= k, and the search reads cost(B) once per state: below k every
   vertex fits, at k only (under alpha) a v with alpha(B - N(v)) < k.  One
   lowest-first pass per state; the first fitting vertex with no unplaced
-  neighbour is the only branch.  The treedepth form takes B = the ancestors,
+  neighbour is the only branch.  At k that fit set names only B, v and k,
+  so it depends on B alone: a tight B met again scans the unplaced
+  vertices of its fit mask, built once at the second meeting, and skips
+  exactly the vertices the test would skip, so the same states are pushed
+  in the same order.  The treedepth form takes B = the ancestors,
   and at k it first tests every vertex of the component: one that does not
   fit lies on a path with all of B, so the state fails before any root is
   tried.
@@ -338,6 +342,15 @@ def lambda_pw_at_most(
     <= k.  The search reads cost(B) once per state: below k every bag fits;
     at k no bag fits under cardinality, and under alpha v fits exactly when
     N(v) meets B and alpha(B - N(v)) < k.
+
+    That condition reads only B, v and k, so the fit set of a tight B is the
+    same at every state with boundary B.  The first visit tests each vertex
+    as the scan reaches it, reading the oracle's memo before calling it.
+    The second visit builds the fit mask of B once (``_fit_mask``), and
+    every visit from then on scans rest & mask, lowest first.  That scan
+    meets the fitting vertices of rest in the order the test would, so it
+    breaks at the same finished vertex and pushes the same states in the
+    same order.  A B met only once builds no mask.
     """
     check_budget("lambda_pw_at_most", g.n, budgets.pw_decision)
     n = g.n
@@ -347,9 +360,13 @@ def lambda_pw_at_most(
         return False
     bag_cost = _bag_cost_fn(g, kind)
     by_size = kind is CostKind.CARDINALITY
+    memo = None if by_size else bag_cost.memo
     adj = g.adj
     closed = [nb | 1 << v for v, nb in enumerate(adj)]
     full = (1 << n) - 1
+    # A tight boundary maps to None after its first visit and to its fit
+    # mask from its second on.
+    fit_of: dict[int, int | None] = {}
 
     # Stack entries are (placed set, its boundary).
     seen = {0}
@@ -358,19 +375,35 @@ def lambda_pw_at_most(
         s, boundary = stack.pop()
         if s == full:
             return True
-        tight = bag_cost(boundary) == k
-        if tight and by_size:
-            continue  # every bag costs k + 1
-        rest = full & ~s
+        rest = m = full & ~s
+        test = False  # whether the scan reads each vertex's fit
+        if by_size:
+            if boundary.bit_count() == k:
+                continue  # every bag costs k + 1
+        # alpha is 0 only at the empty set, which the memo holds.
+        elif (memo.get(boundary) or bag_cost(boundary)) == k:
+            if boundary not in fit_of:
+                fit_of[boundary] = None
+                test = True
+            else:
+                fit = fit_of[boundary]
+                if fit is None:
+                    fit = fit_of[boundary] = _fit_mask(adj, bag_cost, boundary, k)
+                m &= fit
         # The vertices that fit, lowest first; the first finished one is the only branch.
         fits = []
-        m = rest
         while m:
             low = m & -m
             m ^= low
             nb = adj[low.bit_length() - 1]
-            if tight and not (nb & boundary and bag_cost(boundary & ~nb) < k):
-                continue
+            if test:
+                if not nb & boundary:
+                    continue
+                left = memo.get(boundary & ~nb)
+                if left is None:
+                    left = bag_cost(boundary & ~nb)
+                if left >= k:
+                    continue
             if not nb & rest:
                 fits = [low]
                 break
@@ -382,6 +415,26 @@ def lambda_pw_at_most(
                 seen.add(t)
                 stack.append((t, _grow_boundary(closed, boundary, t, low)))
     return False
+
+
+def _fit_mask(adj, alpha: SubsetAlpha, boundary: int, k: int) -> int:
+    """The vertices outside a boundary B with alpha(B) = k whose bag B + v
+    still costs k: those v with N(v) meeting B and alpha(B - N(v)) < k.
+    Reads the oracle's memo before calling it."""
+    memo = alpha.memo
+    fit = 0
+    m = ((1 << len(adj)) - 1) & ~boundary
+    while m:
+        low = m & -m
+        m ^= low
+        nb = adj[low.bit_length() - 1]
+        if nb & boundary:
+            left = memo.get(boundary & ~nb)
+            if left is None:
+                left = alpha(boundary & ~nb)
+            if left < k:
+                fit |= low
+    return fit
 
 
 # ---------------------------------------------------------------------------

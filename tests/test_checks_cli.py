@@ -15,8 +15,9 @@ from hypothesis import given, settings, strategies as st
 
 from widthlab.checks import CHECK_NAMES, CHECKS, CheckSpec, default_params, run_check
 from widthlab.config import DEFAULT_BUDGETS
-from widthlab.formats import to_graph6
-from widthlab.graphs import cycle_graph, star
+from widthlab.formats import FORMATS, emit, to_graph6
+from widthlab.graphs import Graph, cycle_graph, path_graph, star
+from widthlab.modulators import PARAMETERS
 
 
 def run_cli(*args, stdin: str | None = None):
@@ -957,6 +958,27 @@ def test_cli_construct_zero_iterations_is_k1(capsys):
     assert capsys.readouterr().out == "@\n"
 
 
+@pytest.mark.parametrize("kind, last", [("s-claw", 10), ("p5", 15), ("net", 10)])
+def test_cli_construct_past_the_readers_cap_exits_2(monkeypatch, capsys, kind, last):
+    # ``last`` substitutions from K1 stay within GRAPH6_MAX_N vertices, the
+    # most any reader takes; one more, or a huge count, exits 2 unbuilt.
+    from widthlab import cli
+    from widthlab.constructions import SubstitutionKind, substitution_order
+    from widthlab.formats import GRAPH6_MAX_N
+
+    sub = SubstitutionKind.parse(kind)
+    n = 1
+    for _ in range(last):
+        n = substitution_order(n, sub)
+    assert n <= GRAPH6_MAX_N < substitution_order(n, sub)
+    monkeypatch.setattr(cli, "substitute", None)  # any build would raise TypeError
+    for count in (last + 1, 10**30):
+        assert cli.main(["construct", kind, "--iterate", str(count)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: --iterate {count} passes {GRAPH6_MAX_N} vertices, more than any reader takes\n"
+        )
+
+
 @pytest.mark.parametrize(
     "content",
     [
@@ -1061,6 +1083,122 @@ def test_load_config_loads_or_raises_value_error(config_path, value):
         assert str(exc).startswith(f"bad config {config_path}: ")
         return
     assert isinstance(budgets, Budgets) and set(configured) <= set(defaults)
+
+
+# argv for ``cli.main`` from a small grammar: every subcommand, its known
+# flags, unknown flags and stray tokens, and values that are negative, huge
+# or not numbers.  Graphs are tiny and come on stdin.  --jobs is 1 or 2.
+# The sizes of the stars:, paths:, random: and named: families stay small:
+# those families build every graph they name before any budget is read.
+_HUGE = "9" * 30
+_VALUE = st.sampled_from(["-1", "0", "1", "2", "3", "-" + _HUGE, _HUGE, "x", "1.5", ""])
+_SMALL = st.sampled_from(["-1", "0", "1", "2", "3", "x"])
+_FORMAT = st.sampled_from([*FORMATS, "bogus"])
+_KIND = st.sampled_from(["card", "alpha", "bogus"])
+_TINY_GRAPHS = [Graph(0, ()), Graph(1, (0,)), path_graph(3), cycle_graph(5), star(3)]
+_INPUT = st.sampled_from(["-", "{missing}"])
+_STRAY = st.lists(st.sampled_from(["--bogus", "-z", "extra", "--max-n", "--witness"]), max_size=1)
+
+
+def _flags(**options):
+    """Each option flag with its value, or left out."""
+    pairs = [st.just([]) | value.map(lambda v, f=flag: [f, v]) for flag, value in options.items()]
+    return st.tuples(*pairs).map(lambda chosen: [token for pair in chosen for token in pair])
+
+
+_PARAM_NAMES = sorted(PARAMETERS)
+_PARAM = st.tuples(
+    st.just(["param"]),
+    st.sampled_from([*_PARAM_NAMES, *("alpha-" + name for name in _PARAM_NAMES), "n", "bogus"]).map(
+        lambda name: [name]
+    )
+    | st.tuples(st.sampled_from(["tw", "chi", "delta", "mu:pw", "bogus"]), _VALUE).map(
+        lambda spec: [":".join(spec)]
+    ),
+    _flags(**{"--input": _INPUT, "--format": _FORMAT, "--kind": _KIND}),
+    st.lists(st.just("--witness"), max_size=1),
+)
+_FAMILY = st.one_of(
+    st.tuples(st.sampled_from(["all:", "upto:"]), _VALUE),
+    st.tuples(st.sampled_from(["stars:", "paths:"]), _SMALL, st.just("-"), _SMALL),
+    st.tuples(st.just("random:"), _SMALL, st.sampled_from([",0.5,", ",2,", ",x,"]), _SMALL),
+    st.tuples(
+        st.just("named:"), st.sampled_from(["K3", "P4,C5", "star3", "S2", "2K2", "Q", "K-1"])
+    ),
+    st.sampled_from([("file:{graphs}",), ("file:{missing}",), ("bogus",)]),
+).map("".join)
+_VERIFY = st.tuples(
+    st.just(["verify"]),
+    st.sampled_from([*CHECK_NAMES, "bogus"]).map(lambda name: [name]),
+    # Always an --max-n: several checks take seconds at their defaults.
+    _VALUE.map(lambda v: ["--max-n", v]),
+    _flags(
+        **{
+            "--seed": _VALUE,
+            "--jobs": st.sampled_from(["1", "2"]),
+            "--rho": st.sampled_from(["omega", "tw", "bogus"]),
+            "--c": _VALUE,
+            "--kind": _KIND,
+            "--family": _FAMILY,
+            "--config": st.sampled_from(["{config}", "{missing}"]),
+            "--log": st.sampled_from(["{log}", "{missing}/log.jsonl"]),
+        }
+    ),
+)
+_CONSTRUCT = st.tuples(
+    st.just(["construct"]),
+    st.sampled_from(["s-claw", "p5", "net", "gamma", "subdivided-claw", "bogus"]).map(
+        lambda kind: [kind]
+    ),
+    _flags(**{"--iterate": _VALUE, "--n": _VALUE, "--format": _FORMAT}),
+)
+_MWIS = st.tuples(
+    st.just(["mwis"]),
+    _flags(
+        **{
+            "--input": _INPUT,
+            "--format": _FORMAT,
+            "--weights": st.sampled_from(["{weights}", "{bad-weights}", "{missing}"]),
+            "--algorithm": st.sampled_from(["exact", "bipartite", "oct", "bogus"]),
+            "--k": _VALUE,
+        }
+    ),
+)
+_OTHER = st.sampled_from([(["list-checks"],), (["bogus"],), ([],), (["--help"],)])
+_ARGV = st.tuples(st.one_of(_PARAM, _VERIFY, _CONSTRUCT, _MWIS, _OTHER), _STRAY).map(
+    lambda drawn: [token for part in drawn[0] for token in part] + drawn[1]
+)
+
+
+@pytest.fixture(scope="module")
+def cli_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("cli")
+    files = {"missing": root / "missing", "log": root / "run.jsonl", "config": root / "config.json"}
+    files["config"].write_text('{"checks": {"td-path-formula": {"max_n": 4}}}')
+    files["graphs"] = root / "graphs.g6"
+    files["graphs"].write_text("@\nBw\n")
+    files["weights"] = root / "weights.txt"
+    files["weights"].write_text("2 1 1 2 1\n")
+    files["bad-weights"] = root / "bad-weights.txt"
+    files["bad-weights"].write_text("-1 x\n")
+    return {name: str(path) for name, path in files.items()}
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(_ARGV, st.sampled_from(_TINY_GRAPHS), st.sampled_from(sorted(FORMATS)))
+def test_cli_main_exits_0_1_or_2_without_a_traceback(cli_files, argv, g, stdin_format):
+    from widthlab.cli import main
+
+    argv = [token.format_map(cli_files) for token in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        stdin, sys.stdin = sys.stdin, io.StringIO(emit(g, stdin_format))
+        try:
+            code = main(argv)
+        finally:
+            sys.stdin = stdin
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err.getvalue(), argv
 
 
 def test_config_overrides_apply(tmp_path, capsys):

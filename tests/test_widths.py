@@ -52,7 +52,7 @@ from widthlab.graphs import (
     reach_table,
     star,
 )
-from widthlab.constructions import SubstitutionKind, substitute
+from widthlab.constructions import SubstitutionKind, gamma_family, substitute
 from widthlab.invariants import (
     SubsetAlpha,
     alpha_table,
@@ -600,13 +600,44 @@ def test_pw_decision_form_pushes_the_reference_states_in_order(monkeypatch):
         for g in _substitution_bases()
         for sub_kind in (SubstitutionKind.S_CLAW, SubstitutionKind.NET)
     ]
-    for g in graphs:
-        for kind in BOTH:
-            for k in range(-1, g.n + 2):
-                pushed.clear()
-                expected = []
-                assert lambda_pw_at_most(g, kind, k) == pw_at_most_reference(g, kind, k, expected)
-                assert pushed == expected, (g.adj, kind, k)
+    cases = [(g, kind, k) for g in graphs for kind in BOTH for k in range(-1, g.n + 2)]
+    # S_3, the `substitution` benchmark's hottest instance: its tight
+    # boundaries recur, so most of its tight states read a stored fit mask
+    # (7,969 pushes at alpha k = 2).
+    s3 = gamma_family(3)
+    cases += [(s3, ALPHA, k) for k in range(1, 5)] + [(s3, CARD, k) for k in range(1, 4)]
+    for g, kind, k in cases:
+        pushed.clear()
+        expected = []
+        assert lambda_pw_at_most(g, kind, k) == pw_at_most_reference(g, kind, k, expected)
+        assert pushed == expected, (g.adj, kind, k)
+
+
+def test_fit_mask_matches_its_definition():
+    # At a tight boundary B, alpha(B) = k, the fit mask holds exactly the v
+    # outside B with N(v) meeting B and alpha(B - N(v)) < k.  Every B of
+    # every graph with n <= 7, then random B of seeded G(n, p), n = 8..14.
+    def definition(g, alpha, b):
+        k = alpha(b)
+        return sum(
+            1 << v
+            for v in range(g.n)
+            if not b >> v & 1 and g.adj[v] & b and alpha(b & ~g.adj[v]) < k
+        )
+
+    pairs = [(g, b) for n in range(1, 8) for g in enumerate_graphs(n) for b in range(1, 1 << n)]
+    rng = random.Random(DEFAULT_SEED)
+    for n in range(8, 15):
+        for i in range(4):
+            g = random_graph(n, rng.uniform(0.2, 0.8), DEFAULT_SEED + 100 * n + i)
+            pairs += [(g, rng.randrange(1, 1 << n)) for _ in range(50)]
+    oracles = {}
+    for g, b in pairs:
+        alpha = oracles.get(g.adj)
+        if alpha is None:
+            alpha = oracles[g.adj] = SubsetAlpha(g)
+        expected = definition(g, alpha, b)
+        assert widths._fit_mask(g.adj, SubsetAlpha(g), b, alpha(b)) == expected, (g.adj, b)
 
 
 def test_decision_pairs_match_reference_past_exact_budget():
