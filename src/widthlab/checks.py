@@ -21,7 +21,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from .config import Budgets, DEFAULT_BUDGETS
-from .constructions import SubstitutionKind, check_gamma_budget, gamma_family
+from .constructions import SubstitutionKind, check_gamma_budget, gamma_family, gamma_order
 from .constructions import substitute, substitution_order
 from .decomp import CostKind, chordal_clique_tree, cost, tree_decomp_from_fvs
 from .formats import FormatError, from_graph6, graph6_from_code, to_graph6
@@ -177,15 +177,13 @@ def _sclaw_instances(params: dict, budgets: Budgets) -> list[dict]:
     exceeds ``td_decision``, fails before any member is evaluated; the net
     substitution is never larger than the s-claw one."""
     if "graphs" in params:
-        n = max((from_graph6(g6).n for g6 in _graph_family(params)), default=0)
+        orders = [from_graph6(g6).n for g6 in _graph_family(params)]
     else:
-        n = params["max_n"]
-        check_enumeration(n)  # an enumeration range error is reported first
+        orders = [params["max_n"]]
+        check_enumeration(orders[0])  # an enumeration range error is reported first
         if params["random_count"]:
-            n = max(n, params["random_n"])
-    sclaw, p5 = SubstitutionKind.S_CLAW, SubstitutionKind.P5
-    check_budget("lambda_pw_at_most", substitution_order(n, sclaw), budgets.pw_decision)
-    check_budget("lambda_td_at_most", substitution_order(n, p5), budgets.td_decision)
+            orders.append(params["random_n"])
+    _sclaw_orders(orders, budgets)
     out = _per_graph(params, budgets)
     if "graphs" not in params:
         seed = params["seed"]
@@ -193,6 +191,15 @@ def _sclaw_instances(params: dict, budgets: Budgets) -> list[dict]:
             g = random_graph(params["random_n"], 0.5, seed + i)
             out.append({"g6": to_graph6(g)})
     return out
+
+
+def _sclaw_orders(orders: list[int], budgets: Budgets) -> None:
+    """Raise unless the largest of the orders fits the s-claw substitution to
+    ``pw_decision`` and the P5 one to ``td_decision``."""
+    n = max(orders, default=0)
+    sclaw, p5 = SubstitutionKind.S_CLAW, SubstitutionKind.P5
+    check_budget("lambda_pw_at_most", substitution_order(n, sclaw), budgets.pw_decision)
+    check_budget("lambda_td_at_most", substitution_order(n, p5), budgets.td_decision)
 
 
 def _slack_instances(params: dict, budgets: Budgets) -> list[dict]:
@@ -222,24 +229,17 @@ def _mwis_instances(params: dict, budgets: Budgets) -> list[dict]:
     the order of each ``graphs`` member must fit ``mwis_exact`` and then
     ``oct_alpha``, ``bipartite_max_n`` must fit ``mwis_exact``: the budgets
     the evaluator would hit first, checked before any member is built."""
-
-    def check_order(n: int, oct_route: bool = True) -> None:
-        check_budget("mwis_exact", n, budgets.mwis_exact)
-        if oct_route:
-            check_budget("find_oct_with_bounded_alpha", n, budgets.oct_alpha)
-
     if "graphs" in params:
         family = _graph_family(params)
-        for g6 in family:
-            check_order(from_graph6(g6).n)
+        _mwis_orders([from_graph6(g6).n for g6 in family], budgets)
         return [
             {"g6": g6, "wseed": params["seed"] + i, "mode": "oct"}
             for i, g6 in enumerate(family)
         ]
     if params["random_count"]:
-        check_order(params["random_max_n"])
+        _mwis_orders([params["random_max_n"]], budgets)
     if params["bipartite_count"]:
-        check_order(params["bipartite_max_n"], oct_route=False)
+        check_budget("mwis_exact", params["bipartite_max_n"], budgets.mwis_exact)
     out = []
     seed = params["seed"]
     for idx, g6 in enumerate(enumerated_graph6(params["max_n"])):
@@ -254,6 +254,14 @@ def _mwis_instances(params: dict, budgets: Budgets) -> list[dict]:
         g = _random_bipartite(params["bipartite_max_n"], seed + 800_000 + i)
         out.append({"g6": to_graph6(g), "wseed": seed + 900_000 + i, "mode": "bipartite"})
     return out
+
+
+def _mwis_orders(orders: list[int], budgets: Budgets) -> None:
+    """Raise unless each order, in turn, fits ``mwis_exact`` and then
+    ``oct_alpha``."""
+    for n in orders:
+        check_budget("mwis_exact", n, budgets.mwis_exact)
+        check_budget("find_oct_with_bounded_alpha", n, budgets.oct_alpha)
 
 
 def _alpha_chi_instances(params: dict, budgets: Budgets) -> list[dict]:
@@ -403,14 +411,6 @@ def _eval_sclaw(inst, params, budgets) -> str | None:
     return None
 
 
-def _gamma_order(index: int) -> int:
-    """|V(S_index)|: S_1 = K_1, then index - 1 s-claw substitutions."""
-    order = 1
-    for _ in range(index - 1):
-        order = substitution_order(order, SubstitutionKind.S_CLAW)
-    return order
-
-
 _P6 = path_graph(6)
 
 
@@ -421,7 +421,7 @@ def _eval_gamma(inst, params, budgets) -> str | None:
     by decision forms."""
     index = inst["index"]
     g = gamma_family(index, budgets)
-    expected_order = _gamma_order(index)
+    expected_order = gamma_order(index, budgets)
     if g.n != expected_order:
         return f"|V(S_{index})| = {g.n}, expected {expected_order}"
     omega = parameter("omega")(g, budgets)[0]
@@ -619,7 +619,11 @@ class Check:
     exceeds a budget; ``evaluate`` decides one instance and states the
     asserted fact in its docstring; ``meta``, when set, adds report
     metadata.  A check with ``family`` also reads a ``graphs`` param, a list
-    of graph6 strings that replaces its enumerated family.
+    of graph6 strings that replaces its enumerated family.  ``orders``, when
+    set, raises unless the orders of such a family's members, in family
+    order, fit the budgets the check holds them to before any work;
+    ``instances`` calls it, and so does ``verify --family`` before it
+    builds any member.
     """
 
     defaults: dict
@@ -627,6 +631,7 @@ class Check:
     evaluate: Callable[[dict, dict, Budgets], str | None]
     family: bool = False
     meta: Callable[[dict, Budgets], dict] | None = None
+    orders: Callable[[list[int], Budgets], None] | None = None
 
 
 def _minimality_meta(params: dict, budgets: Budgets) -> dict:
@@ -645,7 +650,7 @@ def _gamma_meta(params: dict, budgets: Budgets) -> dict:
         ("td <= 2 omega", budgets.td_decision),
         ("alpha-pw(S_n) = n", budgets.pw_decision),
     ):
-        over = [i for i in range(1, params["max_n"] + 1) if _gamma_order(i) > limit]
+        over = [i for i in range(1, params["max_n"] + 1) if gamma_order(i, budgets) > limit]
         if over:
             skipped[fact] = over
     return {"skipped": skipped} if skipped else {}
@@ -659,6 +664,7 @@ CHECKS: dict[str, Check] = {
         _sclaw_instances,
         _eval_sclaw,
         family=True,
+        orders=_sclaw_orders,
     ),
     "gamma-witness": Check({"max_n": 3}, _gamma_instances, _eval_gamma, meta=_gamma_meta),
     "modulator-slack": Check(
@@ -696,6 +702,7 @@ CHECKS: dict[str, Check] = {
         _mwis_instances,
         _eval_mwis,
         family=True,
+        orders=_mwis_orders,
     ),
     "fvs-alpha-tw-bound": Check({"max_n": 6}, _per_graph, _eval_fvs_alpha_tw, family=True),
     "delta-not-inheritable": Check(

@@ -11,13 +11,15 @@ error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
 import time
+from functools import partial
 
 from .checks import CHECK_NAMES, CHECKS, DEFAULT_SEED, CheckSpec, enumerated_graph6, run_check
-from .config import DEFAULT_BUDGETS, load_config
+from .config import DEFAULT_BUDGETS, Budgets, load_config
 from .constructions import (
     SubstitutionKind,
     gamma_family,
@@ -27,7 +29,7 @@ from .constructions import (
 )
 from .decomp import CostKind
 from .formats import FORMATS, GRAPH6_MAX_N, FormatError, emit, parse, to_graph6
-from .graphs import BudgetExceededError, Graph, named_graph, random_graph
+from .graphs import BudgetExceededError, Graph, named_graph, named_order, random_graph
 from .modulators import ALPHA, ModulatorSpec, modulator_number, parameter
 from .mwis import WeightedGraph, mwis_bipartite, mwis_exact, mwis_via_oct
 
@@ -117,7 +119,8 @@ def cmd_verify(args) -> int:
     if args.kind is not None:
         params["kinds"] = [args.kind]
     if args.family is not None:
-        params["graphs"] = _resolve_family(args.family, args.seed)
+        check_orders = CHECKS[args.check].orders
+        params["graphs"] = _resolve_family(args.family, args.seed, budgets, check_orders)
     report = run_check(
         CheckSpec(args.check, params),
         budgets=budgets,
@@ -128,31 +131,59 @@ def cmd_verify(args) -> int:
     return 0 if report.passed else 1
 
 
-def _resolve_family(text: str, seed: int | None) -> list[str]:
+def _resolve_family(
+    text: str, seed: int | None, budgets: Budgets = DEFAULT_BUDGETS, check_orders=None
+) -> list[str]:
+    """The graph6 members of a ``--family`` value.
+
+    A ``stars:``, ``paths:``, ``random:`` or ``named:`` member's order is
+    read from the family's parameters before any member is built.  The
+    orders, in family order up to the first one above every budget of the
+    run, go first to ``check_orders``, the check's own test of its members
+    (``Check.orders``) when it has one.  A member above every budget then
+    exits 2: every family check fails it as over budget, and building it
+    could take any time and memory."""
     head, _, rest = text.partition(":")
+    members = None  # (order, graph maker) per member, made lazily in family order
     try:
         if head in ("all", "upto"):
             n = int(rest)
-        elif head == "stars":
-            lo, hi = rest.split("-")
-            graphs = [to_graph6(named_graph(f"star{q}")) for q in range(int(lo), int(hi) + 1)]
-        elif head == "paths":
-            lo, hi = rest.split("-")
-            graphs = [to_graph6(named_graph(f"P{s}")) for s in range(int(lo), int(hi) + 1)]
-        elif head == "random":
-            n, p, count = rest.split(",")
-            base = seed if seed is not None else DEFAULT_SEED
-            graphs = [
-                to_graph6(random_graph(int(n), float(p), base + i))
-                for i in range(int(count))
-            ]
-        elif head == "named":
-            graphs = [to_graph6(named_graph(token)) for token in rest.split(",")]
         elif head == "file":
             with open(rest) as fh:
                 graphs = [line.strip() for line in fh if line.strip()]
+        elif head in ("stars", "paths", "named"):
+            if head == "named":
+                names = rest.split(",")
+            else:
+                lo, hi = rest.split("-")
+                prefix = "star" if head == "stars" else "P"
+                names = (f"{prefix}{q}" for q in range(int(lo), int(hi) + 1))
+            members = ((named_order(name), partial(named_graph, name)) for name in names)
+        elif head == "random":
+            size, p, count = rest.split(",")
+            base = seed if seed is not None else DEFAULT_SEED
+            members = (
+                (int(size), partial(random_graph, int(size), float(p), base + i))
+                for i in range(int(count))
+            )
         else:
             raise UsageError(f"bad family {text!r}")
+        if members is not None:
+            cap = max(dataclasses.astuple(budgets))
+            sizes, makers = [], []
+            for order, make in members:
+                sizes.append(order)
+                makers.append(make)
+                if order > cap:
+                    break
+            if check_orders is not None:
+                check_orders(sizes, budgets)
+            if sizes and sizes[-1] > cap:
+                raise UsageError(
+                    f"bad family {text!r}: a member has {sizes[-1]} vertices, "
+                    f"above every budget of the run (at most {cap})"
+                )
+            graphs = [to_graph6(make()) for make in makers]
     except (ValueError, OSError) as exc:
         raise UsageError(f"bad family {text!r}: {exc}") from None
     if head in ("all", "upto"):

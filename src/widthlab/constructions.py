@@ -65,11 +65,21 @@ def check_gamma_budget(index: int, budgets: Budgets) -> None:
         )
 
 
-def gamma_family(index: int, budgets: Budgets = DEFAULT_BUDGETS) -> Graph:
-    """S_1 = K_1 and S_n = s(S_{n-1}): chordal, omega = n, alpha-pw = n."""
+def gamma_order(index: int, budgets: Budgets = DEFAULT_BUDGETS) -> int:
+    """The vertex count of S_index, read without building it; raises as
+    ``gamma_family`` does on an index below 1 or past the budget."""
     if index < 1:
         raise ValueError("gamma family index starts at 1")
     check_gamma_budget(index, budgets)
+    n = 1
+    for _ in range(index - 1):
+        n = substitution_order(n, SubstitutionKind.S_CLAW)
+    return n
+
+
+def gamma_family(index: int, budgets: Budgets = DEFAULT_BUDGETS) -> Graph:
+    """S_1 = K_1 and S_n = s(S_{n-1}): chordal, omega = n, alpha-pw = n."""
+    gamma_order(index, budgets)  # raises on an index below 1 or past the budget
     g = Graph(1, (0,))
     for _ in range(index - 1):
         g = substitute(g, SubstitutionKind.S_CLAW)

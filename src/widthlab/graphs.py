@@ -243,41 +243,70 @@ def copies(r: int, h: Graph) -> Graph:
     return disjoint_union([h] * r)
 
 
-def named_graph(name: str) -> Graph:
-    """Parse compact family names: P5, C6, K4, K2,3, star4, S3, 3K2, 2C4.
-
-    A leading integer denotes that many disjoint copies of the base graph.
-    S_n is the iterated s-claw family.
-    """
+def _parse_name(name: str) -> tuple[int, str, tuple[int, ...]]:
+    """Split a family name into its copy count, its base ("star", "P", "C",
+    "K,", "K" or "S") and the base's integer arguments: "2K2,3" gives (2,
+    "K,", (2, 3))."""
     name = name.strip()
     i = 0
     while i < len(name) and name[i].isdigit():
         i += 1
     reps = int(name[:i]) if i > 0 else 1
     base = name[i:]
-    if not base:
-        raise ValueError(f"bad graph name {name!r}")
     try:
         if base.startswith("star"):
-            g = star(int(base[4:]))
-        elif base[0] == "P":
-            g = path_graph(int(base[1:]))
-        elif base[0] == "C":
-            g = cycle_graph(int(base[1:]))
-        elif base[0] == "K" and "," in base:
+            return reps, "star", (int(base[4:]),)
+        if base[:1] in ("P", "C", "S"):
+            return reps, base[0], (int(base[1:]),)
+        if base[:1] == "K" and "," in base:
             p, q = base[1:].split(",")
-            g = complete_bipartite(int(p), int(q))
-        elif base[0] == "K":
-            g = complete_graph(int(base[1:]))
-        elif base[0] == "S":
-            from .constructions import gamma_family
-
-            g = gamma_family(int(base[1:]))
-        else:
-            raise ValueError
+            return reps, "K,", (int(p), int(q))
+        if base[:1] == "K":
+            return reps, "K", (int(base[1:]),)
     except ValueError:
-        raise ValueError(f"bad graph name {name!r}") from None
+        pass
+    raise ValueError(f"bad graph name {name!r}")
+
+
+def named_graph(name: str) -> Graph:
+    """Parse compact family names: P5, C6, K4, K2,3, star4, S3, 3K2, 2C4.
+
+    A leading integer denotes that many disjoint copies of the base graph.
+    S_n is the iterated s-claw family.
+    """
+    reps, base, args = _parse_name(name)
+    if base == "S":
+        from .constructions import gamma_family
+
+        build = gamma_family
+    else:
+        build = {
+            "star": star,
+            "P": path_graph,
+            "C": cycle_graph,
+            "K,": complete_bipartite,
+            "K": complete_graph,
+        }[base]
+    try:
+        g = build(*args)
+    except ValueError:
+        raise ValueError(f"bad graph name {name.strip()!r}") from None
     return copies(reps, g) if reps != 1 else g
+
+
+def named_order(name: str) -> int:
+    """The vertex count of ``named_graph(name)``, read from the name without
+    building the graph; it raises what ``named_graph`` raises on a bad name
+    or an S_n past the ``gamma_max_index`` budget."""
+    reps, base, args = _parse_name(name)
+    if base != "S":
+        return reps * (sum(args) + (base == "star"))  # star q has q + 1 vertices
+    from .constructions import gamma_order
+
+    try:
+        return reps * gamma_order(*args)
+    except ValueError:
+        raise ValueError(f"bad graph name {name.strip()!r}") from None
 
 
 def random_graph(n: int, p: float, seed: int) -> Graph:
@@ -374,38 +403,8 @@ def _canonical_search(adj) -> tuple[int, list[int], list[list[int]]]:
             ready |= 1 << v
     total_bits = n * (n - 1) // 2
     bits_after = [total_bits - (j + 1) * j // 2 for j in range(n)]
-    best = 1 << total_bits  # above every code
     found: list[list[int]] = []
-    order: list[int] = []
-    # Non-neighbourhoods of the placed vertices, in order.
-    apart: list[int] = []
-
-    def search(ready: int, acc: int):
-        nonlocal best
-        j = len(order)
-        if j == n:
-            if acc < best:
-                best = acc
-                found.clear()
-            found.append(order[:])
-            return
-        ties = ready
-        for far in apart:
-            acc <<= 1
-            if ties & far:
-                ties &= far
-            else:
-                acc |= 1
-        for v in bits(ties):
-            if acc > best >> bits_after[j]:
-                return
-            order.append(v)
-            apart.append(~adj[v])
-            search(ready & ~(1 << v) | released[v], acc)
-            order.pop()
-            apart.pop()
-
-    search(ready, 0)
+    best = _canonical_branch(adj, released, bits_after, found, [], [], ready, 0, 1 << total_bits)
     first = found[0]
     gens = []
     for other in found[1:]:
@@ -419,6 +418,39 @@ def _canonical_search(adj) -> tuple[int, list[int], list[list[int]]]:
             perm[u], perm[v] = v, u
             gens.append(perm)
     return best, first, gens
+
+
+def _canonical_branch(adj, released, bits_after, found, order, apart, ready, acc, best) -> int:
+    """``_canonical_search`` below the partial ordering ``order``: ``apart``
+    holds the non-neighbourhoods of its vertices, ``ready`` the vertices it
+    may place next and ``acc`` the code of its prefix.  Returns the least
+    code found, at most ``best`` (1 << total bits stands for none yet), and
+    keeps in ``found`` every ordering that reaches it.  Module level, so a
+    finished search leaves no cycle."""
+    j = len(order)
+    if j == len(adj):
+        if acc < best:
+            best = acc
+            found.clear()
+        found.append(order[:])
+        return best
+    ties = ready
+    for far in apart:
+        acc <<= 1
+        if ties & far:
+            ties &= far
+        else:
+            acc |= 1
+    for v in bits(ties):
+        if acc > best >> bits_after[j]:
+            return best
+        order.append(v)
+        apart.append(~adj[v])
+        left = ready & ~(1 << v) | released[v]
+        best = _canonical_branch(adj, released, bits_after, found, order, apart, left, acc, best)
+        order.pop()
+        apart.pop()
+    return best
 
 
 def canonical_form(g: Graph) -> int:

@@ -23,10 +23,20 @@ Algorithms (all exact for monotone bag costs):
     path decomposition produces bags inside the original ones.  Under
     cardinality that bag has |boundary(S - v)| + 1 vertices for every v, so
     max(f(T), |boundary(T)| + 1) is kept once per set T.
+  Each min-scan over v stops at a floor that every candidate pays, once the
+  best so far reaches it, so every f value is the full minimum:
+  - treewidth on a connected S, with N = N(S) - S: every bag is v + N, so
+    under cardinality f(S) = max(min f(S - v), |N| + 1) and the scan stops
+    at |N| + 1; under alpha every candidate costs at least alpha(N).
+  - pathwidth: B(S) lies inside B(S - v) + v for every v in S, with B the
+    boundary, since a vertex of S - v with a neighbour outside S has one
+    outside S - v.  So every candidate pays |B(S)| under cardinality (h(S -
+    v) >= |B(S - v)| + 1 >= |B(S)|) and alpha(B(S)) under alpha.
   The DP counts bits or reads alpha from a dense table over all 2^n subsets.
   It keeps no choice per set: the witness ordering and its bags are read
   backwards along the optimal path, n sets, each placing last its lowest v
-  that attains f(S).
+  that attains f(S).  The tree edges join each bag to the bag of its first
+  later member in the ordering.
 * pathwidth decision form: a pruned depth-first search over feasible
   prefixes.  Each bag is the boundary B of a prefix plus one vertex v
   outside B, so |B + v| = |B| + 1 and alpha(B + v) = max(alpha(B),
@@ -48,7 +58,9 @@ Algorithms (all exact for monotone bag costs):
   disconnected s takes the larger height of its lowest vertex's component
   and the rest; a connected s takes 1 + min over v of td(s - v).  The table
   holds heights only: the forest is built top-down, and each component on
-  the way takes as its root its lowest v with td(c - v) = td(c) - 1.
+  the way takes as its root its lowest v with td(c - v) = td(c) - 1.  Under
+  either cost the components below each root, and at the top, are grown
+  from the reach table, lowest vertex first.
 * treedepth under alpha: recursion on a connected component below its
   ancestor set, choosing the component's root; a root-to-leaf path costs
   alpha of the ancestors plus the path, so the memo keys on (component,
@@ -72,9 +84,9 @@ every caller: ``graphs.reach_table``, the union of the neighbourhoods of
 every subset; ``graphs.component_table``, the component of the lowest
 vertex of every subset; and ``invariants.alpha_table``, alpha of every
 subset.  Only the two dense passes, the tw DP and the cardinality td table,
-read the component table.  The alpha-td recursion grows the components
-below a root inline from reach, and the decision forms never build a 2^n
-table: they visit sparse states on up to 25 vertices.  The pw loop reads
+read the component table.  The alpha-td recursion and the td forest walk
+grow the components below a root inline from reach, and the decision forms
+never build a 2^n table: they visit sparse states on up to 25 vertices.  The pw loop reads
 the boundary of a set, ``reach[full - s] & s``, once per set, not once per
 pair.  The tw, pw and td loops over the vertices of s read its one-bit
 masks from ``_one_bits``, one module-level table grown by doubling: the
@@ -173,6 +185,17 @@ def _subset_dp(g: Graph, kind: CostKind, treewidth: bool) -> tuple[int, list[int
     |boundary(t)| + 1 vertices whatever v is, so h(t) = max(f(t),
     |boundary(t)| + 1) is kept once per set and f(s) = min over v of h(s -
     v).
+
+    Each scan over v stops once the best so far reaches a floor that every
+    candidate pays, so f(s) is still the full minimum, and the walk, which
+    reads only f, is unchanged.  Treewidth on connected s, with nb = N(s) -
+    s: under cardinality, best <= |nb| + 1 already gives f(s) = |nb| + 1;
+    under alpha, every candidate is at least alpha(nb + v) >= alpha(nb).
+    Pathwidth: a vertex of s - v with a neighbour outside s has one outside
+    s - v, so boundary(s) lies inside boundary(s - v) + v.  Under
+    cardinality h(s - v) >= |boundary(s - v)| + 1 >= |boundary(s)|, so the
+    scan stops once best <= |boundary(s)|; under alpha every candidate is at
+    least alpha(boundary(s - v) + v) >= alpha(boundary(s)).
     """
     n = g.n
     full = (1 << n) - 1
@@ -191,15 +214,18 @@ def _subset_dp(g: Graph, kind: CostKind, treewidth: bool) -> tuple[int, list[int
                 a, b = f[c], f[s ^ c]
                 f[s] = a if a > b else b
             elif by_size:
+                size = (reach[s] & ~s).bit_count() + 1
                 best = worst
                 for low in one_bits[s]:
                     sub = f[s ^ low]
                     if sub < best:
                         best = sub
-                size = (reach[s] & ~s).bit_count() + 1
+                        if best <= size:
+                            break
                 f[s] = best if best > size else size
             else:
                 nb = reach[s] & ~s
+                floor = alpha[nb]
                 best = worst
                 for low in one_bits[s]:
                     sub = f[s ^ low]
@@ -210,22 +236,27 @@ def _subset_dp(g: Graph, kind: CostKind, treewidth: bool) -> tuple[int, list[int
                         value = sub
                     if value < best:
                         best = value
+                        if best == floor:
+                            break
                 f[s] = best
     elif by_size:
         h = [1] * (full + 1)
         for s in range(1, full + 1):
+            size = (reach[full ^ s] & s).bit_count() + 1
             best = worst
             for low in one_bits[s]:
                 value = h[s ^ low]
                 if value < best:
                     best = value
+                    if best < size:
+                        break
             f[s] = best
-            size = (reach[full ^ s] & s).bit_count() + 1
             h[s] = best if best > size else size
     else:
         # The boundary of every set: its vertices with a neighbour outside.
         boundary = [reach[full ^ s] & s for s in range(full + 1)]
         for s in range(1, full + 1):
+            floor = alpha[boundary[s]]
             best = worst
             for low in one_bits[s]:
                 prev = s ^ low
@@ -237,6 +268,8 @@ def _subset_dp(g: Graph, kind: CostKind, treewidth: bool) -> tuple[int, list[int
                     value = sub
                 if value < best:
                     best = value
+                    if best == floor:
+                        break
             f[s] = best
 
     order = []
@@ -292,17 +325,24 @@ def _grow_boundary(closed, b: int, s: int, low: int) -> int:
 def lambda_treewidth(
     g: Graph, kind: CostKind, budgets: Budgets = DEFAULT_BUDGETS
 ) -> WidthResult:
+    """The bags are the DP's elimination bags, in placement order.  The bag
+    of order[i] holds it and unplaced vertices only, so each other member is
+    placed later: the tree edge of bag i goes to the bag of its first later
+    member, found by a forward scan of the ordering.  A bag with no other
+    member finishes a component, and those bags are chained into one
+    tree."""
     check_budget("lambda_treewidth", g.n, budgets.width_exact)
     if g.n == 0:
         return WidthResult(0, TreeDecomposition((), ()), kind)
     value, order, bags = _subset_dp(g, kind, treewidth=True)
-    position = {v: i for i, v in enumerate(order)}
     edges = []
     loose = []
     for i, v in enumerate(order):
         rest = bags[i] & ~(1 << v)
         if rest:
-            j = min(position[u] for u in bits(rest))
+            j = i + 1
+            while not rest >> order[j] & 1:
+                j += 1
             edges.append((i, j))
         else:
             loose.append(i)
@@ -577,7 +617,10 @@ def lambda_treedepth(
     """The forest is built top-down from an explicit stack, one component
     below its ancestor set at a time.  Under cardinality the root of a
     component c is read from the table: the lowest v with td(c - v) = td(c)
-    - 1, the vertex a strict improvement test in increasing order keeps."""
+    - 1, the vertex a strict improvement test in increasing order keeps.
+    The components of the graph, and those of c minus its root, are grown
+    from ``graphs.reach_table``, lowest vertex first, the order of
+    ``graphs.components``, with no breadth-first search per forest node."""
     check_budget("lambda_treedepth", g.n, budgets.width_exact)
     if g.n == 0:
         return WidthResult(0, RootedForest(()), kind)
@@ -594,18 +637,27 @@ def lambda_treedepth(
 
     else:
         solve = _AlphaTreedepth(adj)
+    reach = reach_table(adj)
     parent: list[int | None] = [None] * g.n
     value = 0
-    stack = []
-    for comp in components(adj, g.full_mask):
-        value = max(value, solve(comp, 0)[0])
-        stack.append((comp, 0, None))
+    # Entries are (a set, its ancestors, the deepest of them): the lowest
+    # component of the set is split off and solved, and the set's other
+    # components wait below it on the stack.
+    stack = [(g.full_mask, 0, None)]
     while stack:
-        comp, above, parent_vertex = stack.pop()
-        root = solve(comp, above)[1]
+        rest, above, parent_vertex = stack.pop()
+        comp, grow = 0, rest & -rest
+        while grow != comp:
+            comp = grow
+            grow = reach[comp] & rest | comp
+        if comp != rest:
+            stack.append((rest ^ comp, above, parent_vertex))
+        top, root = solve(comp, above)
+        if not above and top > value:
+            value = top
         parent[root] = parent_vertex
-        below = above | 1 << root
-        stack.extend((sub, below, root) for sub in components(adj, comp & ~(1 << root)))
+        if comp & (comp - 1):
+            stack.append((comp ^ 1 << root, above | 1 << root, root))
     return WidthResult(value, RootedForest(tuple(parent)), kind)
 
 

@@ -4,7 +4,9 @@ These deliberately avoid the package's algorithms: widths are minimised
 over explicitly enumerated decompositions or orderings, counts come from
 Burnside's lemma, and the base parameters from raw subset enumeration.
 ``subset_dp_reference`` is the exception: the generic form of the tw/pw
-subset DP, which the package's specialised kernels must reproduce exactly.
+subset DP, which the package's specialised kernels must reproduce exactly;
+``subset_dp_table`` is its table, with no early exit, against which the
+kernels' floors are checked.
 So are ``pw_at_most_reference`` and ``td_at_most_reference``: the decision
 forms with one bag-cost call per (state, vertex), whose answers the
 package's forms, which read one per state, must reproduce (the td form
@@ -167,13 +169,32 @@ def subset_dp_reference(g: Graph, kind: CostKind, bag) -> tuple[int, list[int], 
 
     f(S) = min over v in S of max(f(S - v), cost(bag(S - v, v))), solved in
     numeric order of S, trying v in increasing order with a strict
-    improvement test.  Returns the optimum, an optimal ordering and its
-    bags.  The package's specialised kernels must reproduce all three.
+    improvement test (``subset_dp_table``).  Returns the optimum, an optimal
+    ordering and its bags.  The package's specialised kernels must reproduce
+    all three.
     """
-    n = g.n
-    full = (1 << n) - 1
+    f, choice = subset_dp_table(g, kind, bag)
+    full = g.full_mask
+    order = []
+    s = full
+    while s:
+        order.append(choice[s])
+        s ^= 1 << choice[s]
+    order.reverse()
+    bags = []
+    placed = 0
+    for v in order:
+        bags.append(bag(placed, 1 << v))
+        placed |= 1 << v
+    return f[full], order, bags
+
+
+def subset_dp_table(g: Graph, kind: CostKind, bag) -> tuple[list[int], list[int]]:
+    """The table f of ``subset_dp_reference`` over every subset, with no
+    early exit, and the v each set keeps."""
+    full = g.full_mask
     bag_cost = int.bit_count if kind is CostKind.CARDINALITY else alpha_table(g.adj).__getitem__
-    worst = n + 1
+    worst = g.n + 1
     f = [worst] * (full + 1)
     choice = [0] * (full + 1)
     f[0] = 0
@@ -190,18 +211,7 @@ def subset_dp_reference(g: Graph, kind: CostKind, bag) -> tuple[int, list[int], 
                 best = value
                 choice[s] = v
         f[s] = best
-    order = []
-    s = full
-    while s:
-        order.append(choice[s])
-        s ^= 1 << choice[s]
-    order.reverse()
-    bags = []
-    placed = 0
-    for v in order:
-        bags.append(bag(placed, 1 << v))
-        placed |= 1 << v
-    return f[full], order, bags
+    return f, choice
 
 
 def pw_at_most_reference(g: Graph, kind: CostKind, k: int, trace: list | None = None) -> bool:

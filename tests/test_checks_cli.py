@@ -13,7 +13,14 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from widthlab.checks import CHECK_NAMES, CHECKS, CheckSpec, default_params, run_check
+from widthlab.checks import (
+    CHECK_NAMES,
+    CHECKS,
+    CheckSpec,
+    default_params,
+    instances_for,
+    run_check,
+)
 from widthlab.config import DEFAULT_BUDGETS
 from widthlab.formats import FORMATS, emit, to_graph6
 from widthlab.graphs import Graph, cycle_graph, path_graph, star
@@ -880,6 +887,85 @@ def test_cli_over_budget_mwis_equivalence_fails_fast(tmp_path, monkeypatch, caps
     assert built == []
 
 
+_HUGE_ORDER = 10**30 - 1
+
+
+def _over_cap(order: int, cap: int = 30) -> str:
+    return f"a member has {order} vertices, above every budget of the run (at most {cap})"
+
+
+@pytest.mark.parametrize(
+    "check, family, line",
+    [
+        ("chain-inequality", "stars:1-2000", _over_cap(31)),
+        ("chain-inequality", "paths:0-2000", _over_cap(31)),
+        ("chain-inequality", "named:K3,K2000", _over_cap(2000)),
+        ("chain-inequality", "random:2000,0.5,1", _over_cap(2000)),
+        ("chain-inequality", f"stars:{_HUGE_ORDER}-{_HUGE_ORDER}", _over_cap(_HUGE_ORDER + 1)),
+        ("chain-inequality", f"named:{_HUGE_ORDER}K2", _over_cap(2 * _HUGE_ORDER)),
+        ("fvs-alpha-tw-bound", f"random:{_HUGE_ORDER},0.5,3", _over_cap(_HUGE_ORDER)),
+        # A check that holds its members' orders to its own budgets says so first.
+        ("mwis-equivalence", "named:K2000", "mwis_exact: n=2000 exceeds budget 30"),
+        ("mwis-equivalence", "stars:1-2000", "find_oct_with_bounded_alpha: n=21 exceeds budget 20"),
+        ("sclaw-increment", "stars:1-2000", "lambda_pw_at_most: n=97 exceeds budget 25"),
+    ],
+)
+def test_cli_family_above_every_budget_exits_2_before_any_member_is_built(
+    monkeypatch, capsys, check, family, line
+):
+    # Each member's order is read from the family's parameters; a member
+    # above the largest budget of the run (30 by default) exits 2 before any
+    # member is built.
+    import widthlab.cli
+    from widthlab.cli import main
+
+    built = []
+    monkeypatch.setattr(widthlab.cli, "named_graph", lambda *args: built.append(args))
+    monkeypatch.setattr(widthlab.cli, "random_graph", lambda *args: built.append(args))
+    assert main(["verify", check, "--max-n", "3", "--family", family]) == 2
+    if line.startswith("a member"):
+        line = f"bad family {family!r}: {line}"
+    assert capsys.readouterr() == ("", f"error: {line}\n")
+    assert built == []
+
+
+def test_cli_family_cap_follows_the_run_budgets(tmp_path, capsys):
+    # The cap is the largest field of the run's budgets: with one raised to
+    # 40 by --config, a 31-vertex member is built and fails on the budget it
+    # meets, and a 41-vertex one exits 2.
+    from widthlab.cli import main
+
+    path = tmp_path / "settings.json"
+    path.write_text('{"budgets": {"oct_alpha": 40}}')
+    argv = ["verify", "chain-inequality", "--config", str(path), "--family"]
+    assert main([*argv, "paths:31-31"]) == 1
+    failures = json.loads(capsys.readouterr().out)["failures"]
+    assert failures[0][1] == "evaluator error: BudgetExceededError: lambda_treewidth: n=31 exceeds budget 16"
+    assert main([*argv, "paths:41-41"]) == 2
+    assert capsys.readouterr().err == f"error: bad family 'paths:41-41': {_over_cap(41, 40)}\n"
+
+
+@pytest.mark.parametrize("name", _FAMILY_CHECKS)
+def test_every_family_check_fails_a_member_above_every_budget(name):
+    # The family cap refuses only what every family check fails anyway: with
+    # a member one vertex above the largest budget, the check either raises
+    # before any work or fails every instance of that member, each on a
+    # budget.
+    from widthlab.graphs import BudgetExceededError
+
+    member = to_graph6(path_graph(max(dataclasses.astuple(DEFAULT_BUDGETS)) + 1))
+    params = {"graphs": [member]}
+    try:
+        report = run_check(CheckSpec(name, params))
+    except BudgetExceededError as exc:
+        assert "exceeds budget" in str(exc)
+        return
+    own = [detail for inst, detail in report.failures if inst.split()[0] == member]
+    instances = instances_for(name, default_params(name) | params)
+    assert len(own) == sum(inst.get("g6") == member for inst in instances) > 0, report.failures
+    assert all(detail.startswith("evaluator error: BudgetExceededError: ") for detail in own)
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -1088,8 +1174,9 @@ def test_load_config_loads_or_raises_value_error(config_path, value):
 # argv for ``cli.main`` from a small grammar: every subcommand, its known
 # flags, unknown flags and stray tokens, and values that are negative, huge
 # or not numbers.  Graphs are tiny and come on stdin.  --jobs is 1 or 2.
-# The sizes of the stars:, paths:, random: and named: families stay small:
-# those families build every graph they name before any budget is read.
+# The sizes of the stars:, paths:, random: and named: families are drawn
+# from the same values: each member's order is read before it is built, and
+# one above every budget exits 2.  The random: counts stay small.
 _HUGE = "9" * 30
 _VALUE = st.sampled_from(["-1", "0", "1", "2", "3", "-" + _HUGE, _HUGE, "x", "1.5", ""])
 _SMALL = st.sampled_from(["-1", "0", "1", "2", "3", "x"])
@@ -1120,10 +1207,13 @@ _PARAM = st.tuples(
 )
 _FAMILY = st.one_of(
     st.tuples(st.sampled_from(["all:", "upto:"]), _VALUE),
-    st.tuples(st.sampled_from(["stars:", "paths:"]), _SMALL, st.just("-"), _SMALL),
-    st.tuples(st.just("random:"), _SMALL, st.sampled_from([",0.5,", ",2,", ",x,"]), _SMALL),
+    st.tuples(st.sampled_from(["stars:", "paths:"]), _VALUE, st.just("-"), _VALUE),
+    st.tuples(st.just("random:"), _VALUE, st.sampled_from([",0.5,", ",2,", ",x,"]), _SMALL),
     st.tuples(
-        st.just("named:"), st.sampled_from(["K3", "P4,C5", "star3", "S2", "2K2", "Q", "K-1"])
+        st.just("named:"),
+        st.sampled_from(
+            ["K3", "P4,C5", "star3", "S2", "2K2", "Q", "K-1", f"K{_HUGE}", f"{_HUGE}K2", f"S{_HUGE}"]
+        ),
     ),
     st.sampled_from([("file:{graphs}",), ("file:{missing}",), ("bogus",)]),
 ).map("".join)

@@ -35,6 +35,7 @@ from widthlab.graphs import (
     enumerate_graphs,
     graph_from_triangle_code,
     named_graph,
+    named_order,
     path_graph,
     random_graph,
     random_permutation,
@@ -88,6 +89,28 @@ def test_named_families():
     assert named_graph("S2").n == 7
     with pytest.raises(ValueError):
         named_graph("Q5")
+
+
+@pytest.mark.parametrize(
+    "name", ["P7", " C6", "K4", "K2,3", "star0", "star4", "S1", "S3", "3K2", "2C4", "0K3", "P0"]
+)
+def test_named_order_is_the_order_of_the_named_graph(name):
+    assert named_order(name) == named_graph(name).n
+
+
+def test_named_order_reads_huge_names_and_raises_as_named_graph_does():
+    huge = 10**30 - 1
+    assert named_order(f"K{huge}") == huge
+    assert named_order(f"star{huge}") == huge + 1
+    assert named_order(f"2K{huge},1") == 2 * huge + 2
+    for name in ("Q5", "K", "3", "star", "S0", "K1,2,3"):
+        with pytest.raises(ValueError, match=f"bad graph name {name!r}"):
+            named_order(name)
+        with pytest.raises(ValueError, match=f"bad graph name {name!r}"):
+            named_graph(name)
+    for call in (named_order, named_graph):
+        with pytest.raises(BudgetExceededError, match="gamma_family: index 6 exceeds budget 5"):
+            call("S6")
 
 
 def test_random_graph_deterministic():

@@ -25,6 +25,7 @@ from oracles import (
     pw_by_all_decompositions,
     pw_by_orderings,
     subset_dp_reference,
+    subset_dp_table,
     td_at_most_reference,
     td_by_all_forests,
     tw_by_all_decompositions,
@@ -40,6 +41,7 @@ from widthlab.graphs import (
     BudgetExceededError,
     Graph,
     bits,
+    canonical_form,
     complete_bipartite,
     complete_graph,
     component_table,
@@ -207,6 +209,37 @@ def test_subset_dp_matches_generic_reference_at_width_exact():
             (False, lambda placed, low: reach[full ^ placed] & placed | low),
         )
         _dp_against_reference(g, bag_rules)
+
+
+def test_subset_dp_floors_hold_on_the_reference_table():
+    # The DP's min-scans stop at a floor that every candidate pays, so each
+    # floor must be at most f(s) of the generic DP with no early exit.  On a
+    # connected s every elimination bag is v + N(s) - s: the floor is
+    # |N(s) - s| + 1 under cardinality and alpha(N(s) - s) under alpha.  For
+    # pathwidth B(s) lies inside B(s - v) + v for every v in s, with B the
+    # boundary: the floor is |B(s)| or alpha(B(s)).
+    graphs = [g for n in range(8) for g in enumerate_graphs(n)]
+    graphs += [random_graph(n, p, 40 + n) for n in range(8, 13) for p in (0.2, 0.4, 0.6)]
+    for g in graphs:
+        adj = g.adj
+        full = g.full_mask
+        reach = reach_table(adj)
+        comp = component_table(adj)
+        alpha = alpha_table(adj)
+        boundary = [reach[full ^ s] & s for s in range(full + 1)]
+        for s in range(1, full + 1):
+            for v in bits(s):
+                assert boundary[s] & ~(boundary[s ^ 1 << v] | 1 << v) == 0, (adj, s, v)
+        for kind in BOTH:
+            bag_cost = int.bit_count if kind is CARD else alpha.__getitem__
+            tw, _ = subset_dp_table(g, kind, lambda placed, low: elimination_bag(adj, placed, low))
+            pw, _ = subset_dp_table(g, kind, lambda placed, low: boundary_bag(adj, placed, low))
+            for s in range(1, full + 1):
+                assert bag_cost(boundary[s]) <= pw[s], (adj, kind, s)
+                if comp[s] == s:
+                    nb = reach[s] & ~s
+                    floor = nb.bit_count() + 1 if kind is CARD else alpha[nb]
+                    assert floor <= tw[s], (adj, kind, s)
 
 
 def test_mask_tables_grow_in_place(monkeypatch):
@@ -778,11 +811,13 @@ def test_width_searches_leave_no_reference_cycle():
 def test_colouring_choice_and_modulator_searches_leave_no_reference_cycle():
     # The alpha-chi partition search and the rainbow branch and bound under
     # it, the alpha modulator search, the independent-subset walk, the
-    # root-to-leaf walk and the three cover solvers, fvs and oct each one
-    # branch and bound, keep no recursive closure: with the collector off, a
-    # finished call leaves nothing unreachable.
+    # root-to-leaf walk, the three cover solvers, fvs and oct each one
+    # branch and bound, and the canonical-form branch and bound keep no
+    # recursive closure: with the collector off, a finished call leaves
+    # nothing unreachable.
     g7, g12 = random_graph(7, 0.4, 3), random_graph(12, 0.4, 3)
     calls = {
+        "canonical_form": lambda: canonical_form(g12),
         "alpha_chromatic": lambda: alpha_chromatic(g7),
         "modulator_number": lambda: modulator_number(g12, ModulatorSpec.parse("tw:2"), ALPHA),
         "independent_subsets": lambda: independent_subsets(g12, g12.full_mask),
